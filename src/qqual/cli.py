@@ -253,6 +253,12 @@ def _class_conditions() -> List[Tuple[str, dict]]:
 
 
 def _class_job(job: tuple) -> tuple:
+    """(label, rep, cdnn_eff, qdnn_eff) of one replica; NaN where skipped."""
+    return _class_replica(job)[:4]
+
+
+def _class_replica(job: tuple) -> tuple:
+    """_class_job's values plus why a family was skipped ("" if none was)."""
     cond, rep, seed, epochs, lr, n_eval = job
     t_seed = _derived_seed(seed, rep, 0)
     e_seed = _derived_seed(seed, rep, 1)
@@ -262,7 +268,8 @@ def _class_job(job: tuple) -> tuple:
     test = gen_classification_set(cond["kind"], n_eval, cond["n_features"],
                                   cond["noise"], seed=e_seed)
     cfg = TrainConfig(epochs=epochs, learning_rate=lr, seed=n_seed)
-    effs = {}
+    effs = {"cdnn": math.nan, "qdnn": math.nan}
+    reasons = []
     for family in ("cdnn", "qdnn"):
         if family == "cdnn":
             net = build_default_cdnn(cond["n_features"], "classification", seed=n_seed)
@@ -274,11 +281,16 @@ def _class_job(job: tuple) -> tuple:
         try:
             fit(net, train.X, train.y.astype(float), "bce", cfg)
         except TrainingDivergence:
-            effs[family] = math.nan
+            reasons.append(f"{family} training diverged")
             continue
         preds = (net.forward(test.X) >= 0.5).astype(int)
+        classes = np.unique(preds)
+        if classes.size < 2:
+            # precision of the class never predicted is undefined
+            reasons.append(f"{family} predicted only class {classes[0]}")
+            continue
         effs[family] = classification_efficiency(confusion(preds, test.y))
-    return _condition_label(cond), rep, effs["cdnn"], effs["qdnn"]
+    return _condition_label(cond), rep, effs["cdnn"], effs["qdnn"], "; ".join(reasons)
 
 
 def _class_svg(path: str, names: List[str], cdnn_means: List[float],
@@ -333,23 +345,21 @@ def cmd_bench_class(config: dict) -> dict:
     jobs = [(cond, rep, config["seed"], config["epochs"], config["learning_rate"],
              config["n_eval"])
             for _, cond in conditions for rep in range(config["ensemble"])]
-    results = _pool_map(_class_job, jobs, workers)
+    results = _pool_map(_class_replica, jobs, workers)
 
     per_label: Dict[str, List[Tuple[int, float, float]]] = {}
-    for label, rep, c_eff, q_eff in results:
-        per_label.setdefault(label, []).append((rep, c_eff, q_eff))
+    skipped = []
+    for label, rep, c_eff, q_eff, reason in results:
+        if reason:
+            skipped.append(f"{label} rep {rep}: {reason}")
+        else:
+            per_label.setdefault(label, []).append((rep, c_eff, q_eff))
     means: Dict[str, Tuple[float, float]] = {}
     ledger_rows = []
-    skipped = []
-    for label, rows in per_label.items():
-        kept = [(r, c, q) for r, c, q in rows if math.isfinite(c) and math.isfinite(q)]
-        skipped += [f"{label} rep {r}: training diverged"
-                    for r, c, q in rows if not (math.isfinite(c) and math.isfinite(q))]
-        for r, c, q in kept:
-            ledger_rows.append([label, r, _fmt(c), _fmt(q)])
-        if kept:
-            means[label] = (float(np.mean([c for _, c, _ in kept])),
-                            float(np.mean([q for _, _, q in kept])))
+    for label, kept in per_label.items():
+        ledger_rows += [[label, r, _fmt(c), _fmt(q)] for r, c, q in kept]
+        means[label] = (float(np.mean([c for _, c, _ in kept])),
+                        float(np.mean([q for _, _, q in kept])))
     _write_csv(os.path.join(out_dir, "ledger.csv"),
                ["condition", "rep", "cdnn_eff", "qdnn_eff"], ledger_rows)
 

@@ -179,14 +179,15 @@ def zero_contour(grid: GridField) -> List[np.ndarray]:
     V = grid.values
     mask = grid.mask
     xs, ys = grid.x_axis, grid.y_axis
+    # only fully masked cells whose corners do not all share a sign can
+    # hold a segment; visit those in row-major order
+    full = mask[:-1, :-1] & mask[:-1, 1:] & mask[1:, 1:] & mask[1:, :-1]
+    pos = V > 0
+    n_pos = (pos[:-1, :-1].astype(np.int8) + pos[:-1, 1:] + pos[1:, 1:] + pos[1:, :-1])
     segments = []
-    for i in range(len(ys) - 1):
-        for j in range(len(xs) - 1):
-            if not (mask[i, j] and mask[i, j + 1] and mask[i + 1, j + 1] and mask[i + 1, j]):
-                continue
-            segs = _cell_segments(V[i, j], V[i, j + 1], V[i + 1, j + 1], V[i + 1, j],
-                                  xs[j], xs[j + 1], ys[i], ys[i + 1])
-            segments.extend(segs)
+    for i, j in np.argwhere(full & (n_pos > 0) & (n_pos < 4)):
+        segments.extend(_cell_segments(V[i, j], V[i, j + 1], V[i + 1, j + 1], V[i + 1, j],
+                                       xs[j], xs[j + 1], ys[i], ys[i + 1]))
     return _stitch(segments)
 
 

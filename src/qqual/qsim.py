@@ -5,6 +5,9 @@ leading batch axis), updated in place by strided pair operations; no gate
 is ever materialized as a 2**n x 2**n matrix.  Qubit 0 is the leftmost
 (most significant) bit of the computational basis index, so after
 ``state.reshape([2] * n)`` axis i addresses qubit i.
+
+Gradients come from ``vjp``, one adjoint sweep back through the circuit;
+``parameter_shift_grad`` is the slower exact reference it is tested against.
 """
 
 from __future__ import annotations
@@ -82,8 +85,10 @@ class CircuitSpec:
     """Layered gate program with declared observables.
 
     Trainable parameter indices must form a contiguous 0..P-1 range with
-    each index used by exactly one gate; this keeps the two-point shift
-    rule an exact gradient (a reused index would need a sum over shifts).
+    each index used by exactly one gate, so that gradient entry k belongs
+    to one gate: the adjoint sweep in ``vjp`` writes it at that gate, and
+    the two-point shift rule that checks it stays exact (a reused index
+    would need a sum over gates and over shifts).
     """
 
     n_qubits: int
@@ -302,10 +307,81 @@ def run_circuit(spec: CircuitSpec, params: Sequence[float] = (), features: Seque
     return states, vals
 
 
-def expectations_batch(spec: CircuitSpec, params, features) -> np.ndarray:
-    """(B, n_observables) expectation values, skipping the state return."""
-    _, vals = run_circuit(spec, params, np.atleast_2d(np.asarray(features, dtype=np.float64)))
-    return vals
+def _seed_cotangent(lam: np.ndarray, psi: np.ndarray, observables, cot: np.ndarray) -> None:
+    """lam += sum_o cot[:, o] * O_o psi for (B, 2, ..., 2) state blocks."""
+    bshape = (-1,) + (1,) * (psi.ndim - 2)
+    for (qubit, axis), w in zip(observables, cot.T):
+        i0, i1 = _axis_pair(psi, 1 + qubit)
+        w = w.reshape(bshape)
+        a0 = psi[i0]
+        a1 = psi[i1]
+        if axis == "z":
+            lam[i0] += w * a0
+            lam[i1] -= w * a1
+        elif axis == "x":
+            lam[i0] += w * a1
+            lam[i1] += w * a0
+        else:  # y
+            lam[i0] -= 1j * w * a1
+            lam[i1] += 1j * w * a0
+
+
+def _im_overlap(lam: np.ndarray, psi: np.ndarray, qubit: int, axis: str) -> float:
+    """Im <lam| P_axis(qubit) |psi>, summed over the batch axis."""
+    i0, i1 = _axis_pair(psi, 1 + qubit)
+    l0, l1, a0, a1 = lam[i0], lam[i1], psi[i0], psi[i1]
+    if axis == "z":
+        return np.vdot(l0, a0).imag - np.vdot(l1, a1).imag
+    if axis == "x":
+        return (np.vdot(l0, a1) + np.vdot(l1, a0)).imag
+    return (np.vdot(l1, a0) - np.vdot(l0, a1)).real  # y
+
+
+def vjp(spec: CircuitSpec, params: Sequence[float], features: Sequence[float],
+        state: np.ndarray, cotangent) -> np.ndarray:
+    """Gradient of sum(cotangent * expectations) over the trainable params.
+
+    Adjoint method (Jones & Gacon, arXiv:2009.02823).  ``state`` is the
+    final state ``run_circuit`` returned for the same params and features,
+    and ``cotangent`` weights its expectations: shape (n_observables,) for
+    one feature row, (B, n_observables) for a batch.  One backward sweep
+    un-applies each gate to both psi and lam = sum_o c_o O_o psi; a gate
+    exp(-i theta P / 2) contributes Im <lam|P|psi>.  The sweep stops at the
+    earliest trainable gate, so the gates before it (a feature embedding)
+    are never undone.  Returns shape (P,), summed over the batch.
+    """
+    params, feats, single = _check_args(spec, params, features)
+    batch = feats.shape[0]
+    n_obs = len(spec.observables)
+    state = np.asarray(state, dtype=np.complex128)
+    cot = np.asarray(cotangent, dtype=np.float64)
+    lead = () if single else (batch,)
+    if state.shape != lead + (2 ** spec.n_qubits,):
+        raise ValueError(f"state shape {state.shape} does not match the circuit and features")
+    if cot.shape != lead + (n_obs,):
+        raise ValueError(f"expected cotangent shape {lead + (n_obs,)}, got {cot.shape}")
+    grad = np.zeros(spec.n_params)
+    gates = list(spec.gates())
+    trainable = [i for i, g in enumerate(gates) if g.param is not None]
+    if not trainable:
+        return grad
+    # psi and lam share one block so each gate is un-applied in one call
+    pair = np.zeros((2, batch) + (2,) * spec.n_qubits, dtype=np.complex128)
+    psi, lam = pair
+    psi[...] = state.reshape(psi.shape)
+    _seed_cotangent(lam, psi, spec.observables, cot.reshape(batch, n_obs))
+    for i in range(len(gates) - 1, trainable[0] - 1, -1):
+        gate = gates[i]
+        if gate.param is not None:
+            grad[gate.param] = _im_overlap(lam, psi, gate.target, gate.kind[1])
+            if i == trainable[0]:
+                break
+        if gate.kind == "cnot":
+            _apply_cnot(pair, 2, gate.control, gate.target)
+        else:
+            _apply_rotation(pair, 2, gate.kind, gate.target,
+                            -_resolve_angle(gate, params, feats))
+    return grad
 
 
 def parameter_shift_grad(
@@ -317,7 +393,8 @@ def parameter_shift_grad(
     """Exact gradient of one observable via the two-point shift rule.
 
     grad[k] = (f(theta_k + pi/2) - f(theta_k - pi/2)) / 2.  Single feature
-    row -> shape (P,); feature batch -> shape (B, P).
+    row -> shape (P,); feature batch -> shape (B, P).  It makes 2P circuit
+    runs and is kept as the reference that ``vjp`` is tested against.
     """
     if not spec.observables:
         raise ValueError("circuit declares no observables")
@@ -329,9 +406,9 @@ def parameter_shift_grad(
     for k in range(spec.n_params):
         theta = params[k]
         shifted[k] = theta + np.pi / 2
-        plus = expectations_batch(spec, shifted, feats)[:, observable_index]
+        plus = run_circuit(spec, shifted, feats)[1][:, observable_index]
         shifted[k] = theta - np.pi / 2
-        minus = expectations_batch(spec, shifted, feats)[:, observable_index]
+        minus = run_circuit(spec, shifted, feats)[1][:, observable_index]
         shifted[k] = theta
         grad[:, k] = 0.5 * (plus - minus)
     if single:

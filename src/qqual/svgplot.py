@@ -183,23 +183,23 @@ def heatmap(canvas: SvgCanvas, axes: Axes, grid: GridField,
     fy = max(1, math.ceil(ny / max_cells))
     sx = float(grid.x_axis[1] - grid.x_axis[0]) if nx > 1 else 1.0
     sy = float(grid.y_axis[1] - grid.y_axis[0]) if ny > 1 else 1.0
+    # per fy x fx block, in row-major order: masked point count and mean
+    nby, nbx = -(-ny // fy), -(-nx // fx)
+    pad = ((0, nby * fy - ny), (0, nbx * fx - nx))
+    mblocks = np.pad(mask, pad).reshape(nby, fy, nbx, fx)
+    vblocks = np.pad(np.where(mask, vals, 0.0), pad).reshape(nby, fy, nbx, fx)
+    counts = mblocks.sum(axis=(1, 3))
+    means = vblocks.sum(axis=(1, 3)) / np.maximum(counts, 1)
+    # pixel edges per block column and per block row
+    x0 = axes.px(grid.x_axis[::fx] - sx / 2)
+    x1 = axes.px(grid.x_axis[np.minimum(np.arange(fx, nx + fx, fx), nx) - 1] + sx / 2)
+    y0 = axes.py(grid.y_axis[np.minimum(np.arange(fy, ny + fy, fy), ny) - 1] + sy / 2)
+    y1 = axes.py(grid.y_axis[::fy] - sy / 2)
     cells = ['<g shape-rendering="crispEdges">']
-    for by in range(0, ny, fy):
-        for bx in range(0, nx, fx):
-            mblock = mask[by:by + fy, bx:bx + fx]
-            if not mblock.any():
-                continue
-            vblock = vals[by:by + fy, bx:bx + fx]
-            v = float(np.mean(vblock[mblock]))
-            hi_x = min(bx + fx, nx) - 1
-            hi_y = min(by + fy, ny) - 1
-            x0 = axes.px(grid.x_axis[bx] - sx / 2)
-            x1 = axes.px(grid.x_axis[hi_x] + sx / 2)
-            y0 = axes.py(grid.y_axis[hi_y] + sy / 2)
-            y1 = axes.py(grid.y_axis[by] - sy / 2)
-            cells.append(f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" '
-                         f'width="{_fmt(x1 - x0)}" height="{_fmt(y1 - y0)}" '
-                         f'fill="{diverging_color(v, vmax)}"/>')
+    for i, j in zip(*np.nonzero(counts)):
+        cells.append(f'<rect x="{_fmt(x0[j])}" y="{_fmt(y0[i])}" '
+                     f'width="{_fmt(x1[j] - x0[j])}" height="{_fmt(y1[i] - y0[i])}" '
+                     f'fill="{diverging_color(means[i, j], vmax)}"/>')
     cells.append("</g>")
     canvas.raw("\n".join(cells))
     return vmax

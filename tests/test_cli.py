@@ -216,6 +216,24 @@ class TestBenchClass:
         root = ET.parse(out / "efficiency.svg").getroot()
         assert root.tag.endswith("svg")
 
+    def test_degenerate_replicas_are_skipped_with_reason(self, tmp_path):
+        # untrained replicas can predict a single class, whose precision is
+        # undefined; they are listed as skipped instead of aborting the run
+        out = tmp_path / "bc"
+        cfg = write_cfg(tmp_path, {"bench-class": {"epochs": 0, "ensemble": 60}})
+        assert cli.main(["bench-class", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+        report = (out / "report.md").read_text()
+        section = report.split("## Skipped replicas")[1].split("## Notes")[0]
+        skipped = [line for line in section.splitlines() if line.startswith("- ")]
+        assert skipped
+        assert all(line.split(": ", 1)[1] in ("cdnn predicted only class 0",
+                                              "cdnn predicted only class 1",
+                                              "qdnn predicted only class 0",
+                                              "qdnn predicted only class 1")
+                   for line in skipped)
+        ledger = read_csv(out / "ledger.csv")
+        assert len(ledger) - 1 + len(skipped) == 6 * 60
+
 
 class TestBenchReg:
     def test_ledger_consistency_and_cell_files(self, tmp_path):

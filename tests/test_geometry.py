@@ -147,6 +147,31 @@ class TestZeroContour:
         grid = g.GridField(ax, ax, vals, mask)
         assert g.zero_contour(grid) == []
 
+    def test_matches_per_cell_scan(self):
+        # the reference visits every fully masked cell in row-major order
+        def scan(grid):
+            V, m, xs, ys = grid.values, grid.mask, grid.x_axis, grid.y_axis
+            segments = []
+            for i in range(len(ys) - 1):
+                for j in range(len(xs) - 1):
+                    if m[i, j] and m[i, j + 1] and m[i + 1, j + 1] and m[i + 1, j]:
+                        segments += g._cell_segments(V[i, j], V[i, j + 1], V[i + 1, j + 1],
+                                                     V[i + 1, j], xs[j], xs[j + 1],
+                                                     ys[i], ys[i + 1])
+            return g._stitch(segments)
+
+        rng = np.random.default_rng(11)
+        for trial in range(12):
+            pts = rng.uniform(0.0, 1.0, size=(int(rng.integers(6, 40)), 2))
+            fld = g.ScatterField(pts[:, 0], pts[:, 1], rng.normal(size=len(pts)))
+            grid = g.build_surface(fld, resolution=int(rng.integers(5, 60)),
+                                   smoothing=float(rng.choice([0.0, 1.5])))
+            if trial % 3 == 0:  # exact zeros on cell corners
+                grid.values[grid.mask] = np.round(grid.values[grid.mask], 1)
+            got, want = g.zero_contour(grid), scan(grid)
+            assert len(got) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
 
 class TestAreaFractionsAndAgreement:
     def make_linear_grid(self):

@@ -106,6 +106,39 @@ class TestGradient:
             assert g[i] == pytest.approx((lp - lm) / (2 * h), rel=1e-4, abs=1e-6)
 
 
+class TestSingleReadout:
+    def _model(self):
+        layers = [[qsim.rx(q, feature=q) for q in range(3)],
+                  [qsim.ry(q, param=q) for q in range(3)],
+                  [qsim.cnot(0, 1), qsim.cnot(1, 2), qsim.rz(2, param=3)]]
+        circuit = qsim.CircuitSpec(3, layers, [(2, "z")])
+        theta = np.array([0.3, -0.7, 1.1, 0.4])
+        return qdnn.QdnnModel(circuit, theta, "single_z", scale=-0.5, offset=0.5,
+                              trainable_map=False, readout_qubit=2)
+
+    def test_forward_reads_the_readout_qubit(self):
+        m = self._model()
+        X = np.random.default_rng(3).normal(size=(5, 3))
+        states, _ = qsim.run_circuit(m.circuit, m.theta, X)
+        z2 = [qsim.expectation(s, 2, "z") for s in states]
+        assert np.allclose(m.forward(X), 0.5 - 0.5 * np.array(z2), atol=1e-14)
+
+    def test_gradient_matches_parameter_shift(self):
+        m = self._model()
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(7, 3))
+        y = rng.integers(0, 2, 7).astype(float)
+        _, g = m.loss_and_grad(X, y, "bce")
+        _, dpred = optim.loss_and_output_grad("bce", m.forward(X), y)
+        oracle = m.scale * dpred @ qsim.parameter_shift_grad(m.circuit, m.theta, X)
+        assert np.max(np.abs(g - oracle)) <= 1e-12
+
+    def test_observable_must_match_readout_qubit(self):
+        circuit = qsim.CircuitSpec(3, [[qsim.ry(0, param=0)]], [(0, "z")])
+        with pytest.raises(ValueError, match="readout qubit"):
+            qdnn.QdnnModel(circuit, [0.1], "single_z", readout_qubit=2)
+
+
 class TestRescaleFeatures:
     def test_maps_columns_onto_angle_range(self):
         X = np.array([[0.0, 5.0], [2.0, 7.0], [1.0, 6.0]])

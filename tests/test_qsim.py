@@ -207,6 +207,88 @@ class TestParameterShift:
             assert np.allclose(gi, g[i], atol=1e-13)
 
 
+def random_mixed_circuit(rng, n_qubits, n_gates, n_features):
+    """Gates of every kind and angle source in random order; params 0..P-1."""
+    gates = []
+    p = 0
+    for _ in range(n_gates):
+        if n_qubits > 1 and rng.random() < 0.25:
+            a, b = rng.choice(n_qubits, size=2, replace=False)
+            gates.append(qsim.cnot(int(a), int(b)))
+            continue
+        kind = str(rng.choice(qsim.ROTATION_KINDS))
+        q = int(rng.integers(n_qubits))
+        source = rng.choice(["angle", "feature", "param"])
+        if source == "angle":
+            gates.append(qsim.Gate(kind, q, angle=float(rng.uniform(-np.pi, np.pi))))
+        elif source == "feature":
+            gates.append(qsim.Gate(kind, q, feature=int(rng.integers(n_features))))
+        else:
+            gates.append(qsim.Gate(kind, q, param=p))
+            p += 1
+    n_obs = int(rng.integers(1, 4))
+    observables = [(int(rng.integers(n_qubits)), str(rng.choice(qsim.PAULI_AXES)))
+                   for _ in range(n_obs)]
+    return qsim.CircuitSpec(n_qubits, [gates], observables)
+
+
+def gate_tags(spec):
+    tags = set()
+    for g in spec.gates():
+        if g.kind == "cnot":
+            tags.add(("cnot", "control above" if g.control < g.target else "control below"))
+        else:
+            source = "param" if g.param is not None else (
+                "feature" if g.feature is not None else "angle")
+            tags.add((g.kind, source))
+    return tags
+
+
+class TestAdjointGradient:
+    def test_matches_parameter_shift_on_random_circuits(self):
+        seen_gates, seen_axes, seen_obs_counts = set(), set(), set()
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(1, 5))
+            n_feat = int(rng.integers(1, 4))
+            spec = random_mixed_circuit(rng, n, int(rng.integers(4, 16)), n_feat)
+            params = rng.uniform(-np.pi, np.pi, size=spec.n_params)
+            n_obs = len(spec.observables)
+            batched = seed % 2 == 1
+            X = rng.normal(size=(int(rng.integers(2, 6)), n_feat) if batched else n_feat)
+            cot = rng.normal(size=X.shape[:-1] + (n_obs,))
+            state, _ = qsim.run_circuit(spec, params, X)
+            got = qsim.vjp(spec, params, X, state, cot)
+            oracle = np.zeros(spec.n_params)
+            for o in range(n_obs):
+                g = qsim.parameter_shift_grad(spec, params, X, observable_index=o)
+                oracle += np.atleast_2d(cot[..., o, None] * g).sum(axis=0)
+            assert got.shape == (spec.n_params,)
+            assert np.max(np.abs(got - oracle), initial=0.0) <= 1e-12
+            seen_gates |= gate_tags(spec)
+            seen_axes |= {axis for _, axis in spec.observables}
+            seen_obs_counts.add(min(n_obs, 2))
+        kinds = [(k, src) for k in qsim.ROTATION_KINDS for src in ("angle", "feature", "param")]
+        assert seen_gates >= set(kinds) | {("cnot", "control above"), ("cnot", "control below")}
+        assert seen_axes == set(qsim.PAULI_AXES)
+        assert seen_obs_counts == {1, 2}
+
+    def test_no_trainable_gate_gives_empty_gradient(self):
+        spec = qsim.CircuitSpec(1, [[qsim.rx(0, feature=0)]], [(0, "z")])
+        state, _ = qsim.run_circuit(spec, [], [0.3])
+        assert qsim.vjp(spec, [], [0.3], state, [1.0]).shape == (0,)
+
+    def test_shape_mismatches_rejected(self):
+        spec = qsim.CircuitSpec(2, [[qsim.rx(0, feature=0), qsim.ry(1, param=0)]],
+                                [(0, "z"), (1, "x")])
+        X = np.zeros((3, 1))
+        state, _ = qsim.run_circuit(spec, [0.2], X)
+        with pytest.raises(ValueError, match="cotangent"):
+            qsim.vjp(spec, [0.2], X, state, np.ones((3, 1)))
+        with pytest.raises(ValueError, match="state"):
+            qsim.vjp(spec, [0.2], X, state[0], np.ones((3, 2)))
+
+
 class TestNormPreservation:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10 ** 6))

@@ -114,6 +114,27 @@ class TestHeatmap:
         cells = ET.fromstring(canvas.render()).findall(f"{NS}g/{NS}rect")
         assert 0 < len(cells) <= 20 * 20
 
+    @pytest.mark.parametrize("resolution,max_cells", [(61, 20), (60, 7), (45, 200)])
+    def test_blocks_match_per_block_scan(self, resolution, max_cells):
+        # ragged edge blocks included: 61 and 60 do not divide into the blocks
+        grid = make_grid(seed=3, resolution=resolution)
+        axes = svgplot.Axes((0.0, 4.0), (0.0, 4.0), (20, 20, 260, 260))
+        canvas = svgplot.SvgCanvas(300, 300)
+        vmax = svgplot.heatmap(canvas, axes, grid, max_cells=max_cells)
+        cells = ET.fromstring(canvas.render()).findall(f"{NS}g/{NS}rect")
+        ny, nx = grid.values.shape
+        f = max(1, -(-nx // max_cells))
+        sx = grid.x_axis[1] - grid.x_axis[0]
+        want = []
+        for by in range(0, ny, f):
+            for bx in range(0, nx, f):
+                m = grid.mask[by:by + f, bx:bx + f]
+                if m.any():
+                    v = np.mean(grid.values[by:by + f, bx:bx + f][m])
+                    x0 = axes.px(grid.x_axis[bx] - sx / 2)
+                    want.append((svgplot._fmt(x0), svgplot.diverging_color(v, vmax)))
+        assert [(c.get("x"), c.get("fill")) for c in cells] == want
+
 
 class TestFigures:
     def test_regime_map(self, tmp_path):
