@@ -4,8 +4,7 @@ benchmarks vary only the model family, not the training machinery."""
 
 from __future__ import annotations
 
-import json
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -82,9 +81,6 @@ class MlpModel:
             raise ValueError(f"expected {self.n_features} features, got {X.shape[1]}")
         return self._forward_cached(X)[0]
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.forward(X)
-
     def loss_and_grad(self, X: np.ndarray, y: np.ndarray, loss: str) -> Tuple[float, np.ndarray]:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         y = np.asarray(y, dtype=np.float64)
@@ -107,17 +103,6 @@ class MlpModel:
         return value, flat
 
 
-def mlp_forward(model: MlpModel, features) -> float:
-    """Forward pass on one feature vector."""
-    return float(model.forward(np.asarray(features, dtype=np.float64).reshape(1, -1))[0])
-
-
-def backprop_grad(model: MlpModel, batch: Tuple[np.ndarray, np.ndarray], loss: str) -> np.ndarray:
-    """Exact gradient of the mean batch loss w.r.t. the flat param vector."""
-    X, y = batch
-    return model.loss_and_grad(X, y, loss)[1]
-
-
 def build_default_cdnn(n_features: int, task: str, seed: int = 0) -> MlpModel:
     """Classification: [n_features, 8, 1] with sigmoid head.
     Regression: [n_features, 32, 32, 1] with linear head."""
@@ -138,35 +123,3 @@ def build_default_cdnn(n_features: int, task: str, seed: int = 0) -> MlpModel:
         weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
     return MlpModel(dims, head, weights, biases)
-
-
-def train_cdnn(model: MlpModel, X, y, cfg: optim.TrainConfig, loss: str = "mse",
-               on_epoch=None) -> Tuple[MlpModel, List[float]]:
-    """Train in place for cfg.epochs full passes; returns (model, history)."""
-    history = optim.fit(model, X, y, loss, cfg, on_epoch=on_epoch)
-    return model, history
-
-
-def save_checkpoint(model: MlpModel, path, cfg: Optional[optim.TrainConfig] = None,
-                    seed: Optional[int] = None) -> None:
-    doc = {
-        "family": "cdnn",
-        "layer_dims": model.layer_dims,
-        "head": model.head,
-        "weights": [w.tolist() for w in model.weights],
-        "biases": [b.tolist() for b in model.biases],
-        "config": None if cfg is None else cfg.__dict__,
-        "seed": seed,
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-
-
-def load_checkpoint(path) -> MlpModel:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("family") != "cdnn":
-        raise ValueError("not a cdnn checkpoint")
-    weights = [np.asarray(w, dtype=np.float64) for w in doc["weights"]]
-    biases = [np.asarray(b, dtype=np.float64) for b in doc["biases"]]
-    return MlpModel(doc["layer_dims"], doc["head"], weights, biases)

@@ -26,7 +26,6 @@ import math
 import os
 import sys
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,7 +39,7 @@ from .geometry import (ScatterField, area_fractions, build_surface, sign_agreeme
                        zero_contour)
 from .optim import TrainConfig, TrainingDivergence, fit
 from .perfmetrics import (LEDGER_COLUMNS, OutperformanceRecord, classification_efficiency,
-                          confusion, record_row)
+                          confusion, m_reg, record_row)
 from .qdnn import build_default_qdnn, build_paired_feature_qdnn
 from .qualifier import (QualifierCorpusEntry, eval_qualifier, fit_qualifier,
                         reference_table, save_table, sign_of_qualifier)
@@ -192,14 +191,6 @@ def worker_count(requested: int) -> int:
     return min(requested, cap) if requested > 0 else cap
 
 
-def _pool_map(fn, jobs: list, workers: int) -> list:
-    # workers compute and return rows; only this process touches files
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            return list(pool.map(fn, jobs))
-    return [fn(job) for job in jobs]
-
-
 def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -252,13 +243,9 @@ def _class_conditions() -> List[Tuple[str, dict]]:
     return conds
 
 
-def _class_job(job: tuple) -> tuple:
-    """(label, rep, cdnn_eff, qdnn_eff) of one replica; NaN where skipped."""
-    return _class_replica(job)[:4]
-
-
 def _class_replica(job: tuple) -> tuple:
-    """_class_job's values plus why a family was skipped ("" if none was)."""
+    """(label, rep, cdnn_eff, qdnn_eff, reason) of one replica: NaN
+    efficiency where a family was skipped, and why ("" if none was)."""
     cond, rep, seed, epochs, lr, n_eval = job
     t_seed = _derived_seed(seed, rep, 0)
     e_seed = _derived_seed(seed, rep, 1)
@@ -339,13 +326,12 @@ _BUDGET_NOTE = (
 
 def cmd_bench_class(config: dict) -> dict:
     out_dir = config["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
     conditions = _class_conditions()
     workers = worker_count(config["workers"])
     jobs = [(cond, rep, config["seed"], config["epochs"], config["learning_rate"],
              config["n_eval"])
             for _, cond in conditions for rep in range(config["ensemble"])]
-    results = _pool_map(_class_replica, jobs, workers)
+    results = dv.pool_map(_class_replica, jobs, workers)
 
     per_label: Dict[str, List[Tuple[int, float, float]]] = {}
     skipped = []
@@ -439,7 +425,6 @@ def _reg_job(job: tuple) -> dict:
     X = np.repeat(curve.xs[:, None], n_features, axis=1)
     cfg = TrainConfig(epochs=epochs, learning_rate=lr, seed=n_seed)
     marks = sorted({int(c) for c in checkpoints if 0 < int(c) <= epochs} | ({epochs} if epochs > 0 else {0}))
-    from .perfmetrics import m_reg
     ms: Dict[str, Dict[int, float]] = {}
     preds: Dict[str, np.ndarray] = {}
     diverged: List[str] = []
@@ -474,7 +459,6 @@ def _cell_name(fid: str, sigma: float) -> str:
 
 def cmd_bench_reg(config: dict) -> dict:
     out_dir = config["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
     for fid in config["functions"]:
         if fid not in REGRESSION_FUNCTIONS:
             raise ConfigError(f"unknown function id {fid!r}")
@@ -483,7 +467,7 @@ def cmd_bench_reg(config: dict) -> dict:
              config["epochs"], tuple(config["checkpoints"]), config["learning_rate"],
              config["n_features"], config["seed"])
             for fid in config["functions"] for sigma in config["sigmas"]]
-    cells = _pool_map(_reg_job, jobs, workers)
+    cells = dv.pool_map(_reg_job, jobs, workers)
 
     ledger_rows = []
     failures = []
@@ -616,7 +600,6 @@ def _refit_from_ledger(path: str):
 
 def cmd_qualify(config: dict) -> dict:
     out_dir = config["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
     table = reference_table()
     epochs = [int(e) for e in config["epochs"]]
     if not epochs or any(e < 1 for e in epochs):
@@ -733,7 +716,6 @@ def _subsample_sets(sets: list, max_sets: int, seed: int) -> list:
 
 def cmd_dvcs(config: dict) -> dict:
     out_dir = config["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
     model = dv.ToyHarmonicModel()
     warnings: List[str] = []
     if config["data"]:
@@ -773,6 +755,7 @@ def cmd_dvcs(config: dict) -> dict:
 
     stats_rows = []
     areas_pos: Dict[float, float] = {}
+    areas_hat: Dict[float, float] = {}
     agreements: Dict[float, float] = {}
     crossings_by_lam: Dict[float, tuple] = {}
     control_notes: List[str] = []
@@ -800,6 +783,7 @@ def cmd_dvcs(config: dict) -> dict:
             hat_contours = zero_contour(hat_grid)
             pos_hat, neg_hat = area_fractions(hat_grid)
             agree = sign_agreement(xi_grid, hat_grid)
+            areas_hat[lam] = pos_hat
             agreements[lam] = agree
             stats_rows.append([_fmt(lam), "area_xi_hat_positive", _fmt(pos_hat)])
             stats_rows.append([_fmt(lam), "area_xi_hat_negative", _fmt(neg_hat)])
@@ -855,13 +839,8 @@ def cmd_dvcs(config: dict) -> dict:
     for lam in lams:
         if lam not in areas_pos:
             continue
-        hat_s = "n/a"
-        agr_s = "n/a"
-        for row in stats_rows:
-            if row[0] == _fmt(lam) and row[1] == "area_xi_hat_positive":
-                hat_s = f"{float(row[2]):.3f}"
-            if row[0] == _fmt(lam) and row[1] == "sign_agreement_xi_vs_xi_hat":
-                agr_s = f"{float(row[2]):.3f}"
+        hat_s = f"{areas_hat[lam]:.3f}" if lam in areas_hat else "n/a"
+        agr_s = f"{agreements[lam]:.3f}" if lam in agreements else "n/a"
         cross = ", ".join(f"{c:.2f}" for c in crossings_by_lam.get(lam, ())) or "none"
         lines.append(f"| {lam:g} | {areas_pos[lam]:.3f} | {hat_s} | {agr_s} | {cross} |")
     if monotone is not None:
@@ -895,7 +874,6 @@ def cmd_dvcs(config: dict) -> dict:
 
 def cmd_validate_data(config: dict) -> dict:
     out_dir = config["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
     issues: List[str] = []
     warnings: List[str] = []
     sets = []

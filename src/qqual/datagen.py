@@ -9,7 +9,6 @@ that the noiseless problem stays provably nearest-centroid separable.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
@@ -140,64 +139,3 @@ def gen_classification_set(kind: str = "3func", n_pairs: int = 250, n_features: 
     return LabeledDataset(X, labels, meta={
         "kind": kind, "n_features": n_features, "noise_level": noise_level,
         "seed": seed, "delta": delta})
-
-
-def split(dataset: LabeledDataset, train_fraction: float, seed: int = 0
-          ) -> Tuple[LabeledDataset, LabeledDataset]:
-    """Stratified, seeded, disjoint and exhaustive train/test split."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must be in (0, 1)")
-    rng = np.random.default_rng(seed)
-    train_idx, test_idx = [], []
-    for cls in (0, 1):
-        idx = np.flatnonzero(dataset.y == cls)
-        idx = idx[rng.permutation(len(idx))]
-        k = int(round(train_fraction * len(idx)))
-        train_idx.extend(idx[:k])
-        test_idx.extend(idx[k:])
-    if not train_idx or not test_idx:
-        raise ValueError("degenerate split: one side is empty")
-    train_idx = np.sort(np.asarray(train_idx))
-    test_idx = np.sort(np.asarray(test_idx))
-    meta = dict(dataset.meta)
-    return (LabeledDataset(dataset.X[train_idx], dataset.y[train_idx], {**meta, "split": "train"}),
-            LabeledDataset(dataset.X[test_idx], dataset.y[test_idx], {**meta, "split": "test"}))
-
-
-def dataset_to_csv(dataset: LabeledDataset, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{j}" for j in range(dataset.n_features)] + ["label"])
-        for row, label in zip(dataset.X, dataset.y):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
-
-
-def dataset_from_csv(path) -> LabeledDataset:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if not header or header[-1] != "label":
-            raise ValueError("expected feature columns then a 'label' column")
-        rows, labels = [], []
-        for rec in reader:
-            rows.append([float(v) for v in rec[:-1]])
-            labels.append(int(rec[-1]))
-    return LabeledDataset(np.asarray(rows), np.asarray(labels))
-
-
-def curve_to_csv(curve: Curve, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y_true", "y_noisy"])
-        for x, yt, yn in zip(curve.xs, curve.ys_true, curve.ys_noisy):
-            writer.writerow([repr(float(x)), repr(float(yt)), repr(float(yn))])
-
-
-def curve_from_csv(path) -> Curve:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["x", "y_true", "y_noisy"]:
-            raise ValueError("expected header x,y_true,y_noisy")
-        cols = list(zip(*[[float(v) for v in rec] for rec in reader]))
-    return Curve(np.asarray(cols[0]), np.asarray(cols[1]), np.asarray(cols[2]))

@@ -352,6 +352,17 @@ def _campaign_cell(job: Tuple) -> Dict:
     return cell
 
 
+def pool_map(fn, jobs: list, workers: int) -> list:
+    """[fn(job) for job in jobs], spread over min(workers, len(jobs))
+    processes when there is more than one of each; results keep job
+    order.  Workers compute and return values; only the caller touches
+    files."""
+    if workers > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+            return list(pool.map(fn, jobs))
+    return [fn(job) for job in jobs]
+
+
 def run_campaign(sets: Sequence[KinematicSet], model, lams: Sequence[float],
                  ensemble: int, cfg: TrainConfig,
                  epoch_checkpoints: Optional[Sequence[int]] = None,
@@ -387,12 +398,7 @@ def run_campaign(sets: Sequence[KinematicSet], model, lams: Sequence[float],
             continue
         for lam in lams:
             jobs.append((kset, model, lam, ensemble, cfg, checkpoints, grid_n))
-    if n_workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=min(n_workers, len(jobs))) as pool:
-            cells = list(pool.map(_campaign_cell, jobs))
-    else:
-        cells = [_campaign_cell(job) for job in jobs]
-    for cell in cells:
+    for cell in pool_map(_campaign_cell, jobs, n_workers):
         report["diverged"].extend(cell["diverged"])
         if cell["all_failed"] is not None:
             report["failed_fits"].append(cell["all_failed"])
@@ -627,17 +633,3 @@ def synthetic_corpus(seed: int = 0) -> List[KinematicSet]:
     for experiment in EXPERIMENT_ENVELOPES:
         sets.extend(synthetic_experiment(experiment, seed))
     return sets
-
-
-def write_synthetic_corpus(out_dir, seed: int = 0) -> Dict[str, str]:
-    """One file per experiment under the exact schema; returns tag->path."""
-    import os
-
-    os.makedirs(out_dir, exist_ok=True)
-    paths = {}
-    for experiment in EXPERIMENT_ENVELOPES:
-        sets = synthetic_experiment(experiment, seed)
-        path = os.path.join(out_dir, experiment + ".csv")
-        serialize_sets(sets, path)
-        paths[experiment] = path
-    return paths

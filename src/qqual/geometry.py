@@ -248,18 +248,3 @@ def sign_agreement(grid_a: GridField, grid_b: GridField) -> float:
     a = np.sign(grid_a.values[grid_a.mask])
     b = np.sign(grid_b.values[grid_b.mask])
     return float(np.mean(a == b))
-
-
-def grid_to_csv(grid: GridField, path) -> None:
-    """One row per grid point: x, y, value, mask."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "value", "mask"])
-        for i, y in enumerate(grid.y_axis):
-            for j, x in enumerate(grid.x_axis):
-                v = grid.values[i, j]
-                writer.writerow([repr(float(x)), repr(float(y)),
-                                 "" if not np.isfinite(v) else repr(float(v)),
-                                 int(grid.mask[i, j])])

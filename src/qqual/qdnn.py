@@ -6,8 +6,7 @@ by the chain rule."""
 
 from __future__ import annotations
 
-import json
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -78,9 +77,6 @@ class QdnnModel:
 
     def forward(self, X: np.ndarray) -> np.ndarray:
         return self.scale * self.readout_expectations(X) + self.offset
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.forward(X)
 
     def loss_and_grad(self, X: np.ndarray, y: np.ndarray, loss: str) -> Tuple[float, np.ndarray]:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -160,70 +156,3 @@ def build_paired_feature_qdnn(n_features: int, n_layers: int = 2, task: str = "r
     embed = [qsim.rx(q, feature=q) for q in range(n_qubits)]
     embed += [qsim.rz(i - n_qubits, feature=i) for i in range(n_qubits, n_features)]
     return _finish_build(n_qubits, embed, n_layers, task, seed, 0)
-
-
-def rescale_features(X: np.ndarray, lo: float = 0.0, hi: float = np.pi) -> np.ndarray:
-    """Optional embedding preprocessing: min-max map each feature column
-    onto [lo, hi] before the angles enter the circuit.  Off by default
-    throughout; constant columns land on lo."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError("expected a 2-D feature matrix")
-    col_lo = X.min(axis=0)
-    span = X.max(axis=0) - col_lo
-    span = np.where(span == 0.0, 1.0, span)
-    return lo + (hi - lo) * (X - col_lo) / span
-
-
-def qdnn_forward(model: QdnnModel, features) -> float:
-    """Forward pass on one feature vector."""
-    feats = np.asarray(features, dtype=np.float64).reshape(1, -1)
-    if feats.shape[1] < model.n_features:
-        raise ValueError(f"expected {model.n_features} features, got {feats.shape[1]}")
-    return float(model.forward(feats)[0])
-
-
-def train_qdnn(model: QdnnModel, X, y, cfg: optim.TrainConfig, loss: str = "mse",
-               on_epoch=None) -> Tuple[QdnnModel, List[float]]:
-    """Train in place for cfg.epochs full passes; returns (model, history)."""
-    history = optim.fit(model, X, y, loss, cfg, on_epoch=on_epoch)
-    return model, history
-
-
-def _gate_doc(gate: qsim.Gate) -> dict:
-    return {k: v for k, v in (("kind", gate.kind), ("target", gate.target),
-                              ("control", gate.control), ("angle", gate.angle),
-                              ("feature", gate.feature), ("param", gate.param))
-            if v is not None}
-
-
-def save_checkpoint(model: QdnnModel, path, cfg: Optional[optim.TrainConfig] = None,
-                    seed: Optional[int] = None) -> None:
-    doc = {
-        "family": "qdnn",
-        "n_qubits": model.circuit.n_qubits,
-        "layers": [[_gate_doc(g) for g in layer] for layer in model.circuit.layers],
-        "observables": [list(o) for o in model.circuit.observables],
-        "theta": model.theta.tolist(),
-        "readout": model.readout,
-        "readout_qubit": model.readout_qubit,
-        "output_map": {"scale": model.scale, "offset": model.offset,
-                       "trainable": model.trainable_map},
-        "config": None if cfg is None else cfg.__dict__,
-        "seed": seed,
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-
-
-def load_checkpoint(path) -> QdnnModel:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("family") != "qdnn":
-        raise ValueError("not a qdnn checkpoint")
-    layers = [[qsim.Gate(**g) for g in layer] for layer in doc["layers"]]
-    circuit = qsim.CircuitSpec(doc["n_qubits"], layers,
-                               tuple((q, ax) for q, ax in doc["observables"]))
-    om = doc["output_map"]
-    return QdnnModel(circuit, np.asarray(doc["theta"]), doc["readout"],
-                     om["scale"], om["offset"], om["trainable"], doc["readout_qubit"])

@@ -14,7 +14,7 @@ the polynomial coefficients, so one evaluation path serves both tables.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -133,11 +133,6 @@ def table_from_doc(doc: dict) -> QualifierTable:
 def save_table(table: QualifierTable, path) -> None:
     with open(path, "w") as fh:
         json.dump(table_to_doc(table), fh, indent=2)
-
-
-def load_table(path) -> QualifierTable:
-    with open(path) as fh:
-        return table_from_doc(json.load(fh))
 
 
 def reference_table() -> QualifierTable:

@@ -140,7 +140,7 @@ class TestDirectionalShapes:
         n_seeds = max(10, block["ensemble"])
         c_effs, q_effs = [], []
         for rep in range(n_seeds):
-            _, _, c_eff, q_eff = cli._class_job(
+            _, _, c_eff, q_eff, _ = cli._class_replica(
                 (dict(cli._CLASS_DEFAULT), rep, block["seed"], block["epochs"],
                  block["learning_rate"], block["n_eval"]))
             assert not (math.isnan(c_eff) or math.isnan(q_eff))

@@ -18,14 +18,14 @@ class TestForward:
     def test_zero_net_sigmoid_gives_half(self):
         m = cdnn.build_default_cdnn(4, "classification", seed=0)
         m.params = np.zeros_like(m.params)
-        assert cdnn.mlp_forward(m, [3.0, -1.0, 0.0, 9.9]) == pytest.approx(0.5)
+        assert m.forward(np.array([[3.0, -1.0, 0.0, 9.9]]))[0] == pytest.approx(0.5)
 
     def test_identity_net_is_relu(self):
         m = cdnn.MlpModel([1, 1, 1], "linear",
                           [np.array([[1.0]]), np.array([[1.0]])],
                           [np.zeros(1), np.zeros(1)])
         for x in (-2.0, -0.1, 0.0, 0.7, 3.0):
-            assert cdnn.mlp_forward(m, [x]) == pytest.approx(max(x, 0.0))
+            assert m.forward(np.array([[x]]))[0] == pytest.approx(max(x, 0.0))
 
     def test_matches_hand_rolled_oracle(self):
         rng = np.random.default_rng(12)
@@ -45,7 +45,7 @@ class TestBackprop:
         m = cdnn.MlpModel([1, 1], "linear", [np.array([[2.0]])], [np.zeros(1)])
         X = np.array([[1.0], [2.0], [-1.0]])
         y = 2.0 * X[:, 0]
-        g = cdnn.backprop_grad(m, (X, y), "mse")
+        g = m.loss_and_grad(X, y, "mse")[1]
         assert np.abs(g).max() < 1e-10
 
     @pytest.mark.parametrize("task,loss", [("classification", "bce"),
@@ -78,8 +78,8 @@ class TestBackprop:
         m = cdnn.build_default_cdnn(2, "regression", seed=1)
         X = rng.normal(size=(6, 2))
         y = rng.normal(size=6)
-        g1 = cdnn.backprop_grad(m, (X, y), "mse")
-        g2 = cdnn.backprop_grad(m, (np.vstack([X, X]), np.hstack([y, y])), "mse")
+        g1 = m.loss_and_grad(X, y, "mse")[1]
+        g2 = m.loss_and_grad(np.vstack([X, X]), np.hstack([y, y]), "mse")[1]
         assert np.allclose(g1, g2, atol=1e-14)
 
 
@@ -107,8 +107,8 @@ class TestTrain:
     def test_zero_epochs_unchanged(self):
         m = cdnn.build_default_cdnn(2, "regression", seed=0)
         p0 = m.params.copy()
-        _, hist = cdnn.train_cdnn(m, np.zeros((4, 2)), np.zeros(4),
-                                  optim.TrainConfig(epochs=0), "mse")
+        hist = optim.fit(m, np.zeros((4, 2)), np.zeros(4), "mse",
+                         optim.TrainConfig(epochs=0))
         assert hist == []
         assert np.array_equal(m.params, p0)
 
@@ -118,16 +118,7 @@ class TestTrain:
         wins = 0
         for seed in range(10):
             m = cdnn.build_default_cdnn(2, "classification", seed=seed)
-            cdnn.train_cdnn(m, X, y, optim.TrainConfig(epochs=500, seed=seed), "bce")
+            optim.fit(m, X, y, "bce", optim.TrainConfig(epochs=500, seed=seed))
             acc = np.mean((m.forward(X) > 0.5).astype(float) == y)
             wins += acc == 1.0
         assert wins >= 8
-
-    def test_checkpoint_round_trip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        m = cdnn.build_default_cdnn(3, "regression", seed=3)
-        X = rng.normal(size=(10, 3))
-        path = tmp_path / "net.json"
-        cdnn.save_checkpoint(m, path, optim.TrainConfig(), seed=3)
-        loaded = cdnn.load_checkpoint(path)
-        assert np.allclose(loaded.forward(X), m.forward(X), atol=1e-15)

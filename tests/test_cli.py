@@ -302,16 +302,23 @@ class TestReproducibility:
             outs.append((out / "ledger.csv").read_bytes())
         assert outs[0] == outs[1]
 
-    def test_worker_pool_does_not_change_ledger(self, tmp_path, monkeypatch):
+    def assert_ledger_same_for_1_and_2_workers(self, tmp_path, monkeypatch, command, block):
         blobs = []
         for name, workers in (("w1", 1), ("w2", 2)):
             monkeypatch.setenv("QQUAL_THREADS", str(workers))
             out = tmp_path / name
-            cfg = write_cfg(tmp_path, {"bench-reg": {"functions": ["quad", "cos4x"],
-                                                     "sigmas": [0.1], "epochs": 1,
-                                                     "checkpoints": [1], "n_points": 40,
-                                                     "workers": workers}},
+            cfg = write_cfg(tmp_path, {command: dict(block, workers=workers)},
                             name=f"{name}.json")
-            assert cli.main(["bench-reg", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+            assert cli.main([command, "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
             blobs.append((out / "ledger.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_worker_pool_does_not_change_ledger(self, tmp_path, monkeypatch):
+        self.assert_ledger_same_for_1_and_2_workers(
+            tmp_path, monkeypatch, "bench-reg",
+            {"functions": ["quad", "cos4x"], "sigmas": [0.1], "epochs": 1,
+             "checkpoints": [1], "n_points": 40})
+
+    def test_worker_pool_does_not_change_bench_class_ledger(self, tmp_path, monkeypatch):
+        self.assert_ledger_same_for_1_and_2_workers(
+            tmp_path, monkeypatch, "bench-class", {"ensemble": 2, "epochs": 0, "n_eval": 30})

@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 
@@ -101,60 +99,3 @@ class TestClassificationSet:
                                             noise_level=0.0, delta=0.0, seed=1)
         rank = np.linalg.matrix_rank(ds.X - ds.X.mean(axis=0), tol=1e-8)
         assert rank <= 4
-
-
-class TestSplit:
-    def test_250_150(self):
-        ds = datagen.gen_classification_set(n_pairs=400, seed=3)
-        train, test = datagen.split(ds, 0.625, seed=0)
-        assert len(train.y) == 250
-        assert len(test.y) == 150
-        for part in (train, test):
-            counts = np.bincount(part.y, minlength=2)
-            assert abs(int(counts[0]) - int(counts[1])) <= 1
-
-    def test_union_is_original_multiset(self):
-        ds = datagen.gen_classification_set(n_pairs=101, seed=9)
-        train, test = datagen.split(ds, 0.7, seed=2)
-        merged = np.vstack([train.X, test.X])
-        orig = ds.X[np.lexsort(ds.X.T)]
-        back = merged[np.lexsort(merged.T)]
-        assert np.array_equal(orig, back)
-        assert len(train.y) + len(test.y) == 101
-
-    def test_same_seed_same_split(self):
-        ds = datagen.gen_classification_set(n_pairs=100, seed=1)
-        a = datagen.split(ds, 0.5, seed=7)
-        b = datagen.split(ds, 0.5, seed=7)
-        assert np.array_equal(a[0].X, b[0].X)
-
-    def test_fraction_bounds(self):
-        ds = datagen.gen_classification_set(n_pairs=10)
-        for bad in (0.0, 1.0, -0.2, 1.5):
-            with pytest.raises(ValueError):
-                datagen.split(ds, bad)
-
-
-class TestCsvRoundTrip:
-    def test_dataset(self, tmp_path):
-        ds = datagen.gen_classification_set(n_pairs=40, n_features=5, seed=2)
-        path = tmp_path / "ds.csv"
-        datagen.dataset_to_csv(ds, path)
-        with open(path) as fh:
-            header = next(csv.reader(fh))
-        assert header == ["f0", "f1", "f2", "f3", "f4", "label"]
-        back = datagen.dataset_from_csv(path)
-        assert np.array_equal(back.X, ds.X)
-        assert np.array_equal(back.y, ds.y)
-
-    def test_curve(self, tmp_path):
-        c = datagen.gen_regression_curve("two_tone", n_points=50, sigma=0.2, seed=8)
-        path = tmp_path / "curve.csv"
-        datagen.curve_to_csv(c, path)
-        with open(path) as fh:
-            header = next(csv.reader(fh))
-        assert header == ["x", "y_true", "y_noisy"]
-        back = datagen.curve_from_csv(path)
-        assert np.array_equal(back.xs, c.xs)
-        assert np.array_equal(back.ys_true, c.ys_true)
-        assert np.array_equal(back.ys_noisy, c.ys_noisy)

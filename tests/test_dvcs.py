@@ -448,10 +448,15 @@ class TestMatchedControls:
 
 
 class TestIngest:
+    def write_experiment(self, tmp_path, experiment, seed):
+        path = tmp_path / f"{experiment}.csv"
+        dvcs.serialize_sets(dvcs.synthetic_experiment(experiment, seed), path)
+        return path
+
     def test_full_corpus_counts(self, tmp_path):
-        paths = dvcs.write_synthetic_corpus(tmp_path, seed=0)
-        assert set(paths) == set(dvcs.EXPERIMENT_ENVELOPES)
-        sets, report = dvcs.ingest_many(paths.values())
+        paths = [self.write_experiment(tmp_path, exp, 0)
+                 for exp in dvcs.EXPERIMENT_ENVELOPES]
+        sets, report = dvcs.ingest_many(paths)
         assert report["total"] == 3885
         assert report["per_experiment"] == {
             "Hall_A_E12-06-114": 1080, "Hall_A_E07-007": 404,
@@ -459,15 +464,15 @@ class TestIngest:
         assert report["n_sets"] == len(sets)
 
     def test_single_file_counts(self, tmp_path):
-        paths = dvcs.write_synthetic_corpus(tmp_path, seed=0)
-        sets, report = dvcs.ingest(paths["Hall_A_E12-06-114"])
+        path = self.write_experiment(tmp_path, "Hall_A_E12-06-114", 0)
+        sets, report = dvcs.ingest(path)
         assert report["total"] == 1080
         assert report["per_experiment"] == {"Hall_A_E12-06-114": 1080}
         assert all(s.experiment == "Hall_A_E12-06-114" for s in sets)
 
     def test_round_trip_lossless(self, tmp_path):
-        paths = dvcs.write_synthetic_corpus(tmp_path, seed=1)
-        first, _ = dvcs.ingest(paths["Hall_A_E00-110"])
+        path = self.write_experiment(tmp_path, "Hall_A_E00-110", 1)
+        first, _ = dvcs.ingest(path)
         again_path = tmp_path / "again.csv"
         dvcs.serialize_sets(first, again_path)
         second, _ = dvcs.ingest(again_path)

@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 from scipy.ndimage import binary_erosion
@@ -216,18 +214,3 @@ class TestAreaFractionsAndAgreement:
                             np.ones((50, 50), bool))
         with pytest.raises(ValueError):
             g.sign_agreement(grid, other)
-
-
-class TestGridCsv:
-    def test_rows_and_header(self, tmp_path):
-        pts = np.random.default_rng(1).uniform(0, 1, size=(30, 2))
-        fld = g.ScatterField(pts[:, 0], pts[:, 1], np.sin(3 * pts[:, 0]))
-        grid = g.build_surface(fld, resolution=25, smoothing=1.0)
-        path = tmp_path / "grid.csv"
-        g.grid_to_csv(grid, path)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["x", "y", "value", "mask"]
-        assert len(rows) == 1 + 25 * 25
-        n_masked = sum(int(r[3]) for r in rows[1:])
-        assert n_masked == int(grid.mask.sum())

@@ -165,7 +165,7 @@ class TestSharedLoopWithCdnn:
         runs = []
         for _ in range(2):
             net = cdnn.build_default_cdnn(2, "classification", seed=3)
-            _, hist = cdnn.train_cdnn(net, X, y, optim.TrainConfig(epochs=10, seed=5), "bce")
+            hist = optim.fit(net, X, y, "bce", optim.TrainConfig(epochs=10, seed=5))
             runs.append((hist, net.params.copy()))
         assert runs[0][0] == runs[1][0]
         assert np.array_equal(runs[0][1], runs[1][1])

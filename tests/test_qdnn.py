@@ -35,13 +35,13 @@ class TestForward:
     def test_zero_layer_identity_map_on_zero_input(self):
         m = qdnn.build_default_qdnn(3, 0)
         m.scale, m.offset = 1.0, 0.0
-        assert qdnn.qdnn_forward(m, [0.0, 0.0, 0.0]) == pytest.approx(1.0)
+        assert m.forward(np.array([[0.0, 0.0, 0.0]]))[0] == pytest.approx(1.0)
 
     def test_single_feature_zero_layers_is_cosine(self):
         m = qdnn.build_default_qdnn(1, 0, seed=2)
         for x in (0.0, 0.4, 1.3):
             expect = m.scale * np.cos(x) + m.offset
-            assert qdnn.qdnn_forward(m, [x]) == pytest.approx(expect, abs=1e-12)
+            assert m.forward(np.array([[x]]))[0] == pytest.approx(expect, abs=1e-12)
 
     def test_mean_z_on_product_state(self):
         m = qdnn.build_default_qdnn(4, 0)
@@ -139,29 +139,12 @@ class TestSingleReadout:
             qdnn.QdnnModel(circuit, [0.1], "single_z", readout_qubit=2)
 
 
-class TestRescaleFeatures:
-    def test_maps_columns_onto_angle_range(self):
-        X = np.array([[0.0, 5.0], [2.0, 7.0], [1.0, 6.0]])
-        out = qdnn.rescale_features(X)
-        assert out.min(axis=0).tolist() == [0.0, 0.0]
-        assert out.max(axis=0).tolist() == [np.pi, np.pi]
-        assert out[2, 0] == pytest.approx(np.pi / 2)
-
-    def test_constant_column_lands_on_lo(self):
-        out = qdnn.rescale_features(np.full((4, 2), 3.0), lo=0.25, hi=1.0)
-        assert np.all(out == 0.25)
-
-    def test_requires_matrix(self):
-        with pytest.raises(ValueError):
-            qdnn.rescale_features(np.ones(5))
-
-
 class TestTrain:
     def test_zero_epochs_unchanged(self):
         m = qdnn.build_default_qdnn(2, 1, seed=0)
         p0 = m.params.copy()
-        _, hist = qdnn.train_qdnn(m, np.zeros((4, 2)), np.zeros(4),
-                                  optim.TrainConfig(epochs=0), "mse")
+        hist = optim.fit(m, np.zeros((4, 2)), np.zeros(4), "mse",
+                         optim.TrainConfig(epochs=0))
         assert hist == []
         assert np.array_equal(m.params, p0)
 
@@ -172,7 +155,7 @@ class TestTrain:
         m = qdnn.QdnnModel(circuit, [0.05], "mean_z", scale=1.0, offset=0.0)
         X = np.array([[-1.0], [0.0], [1.0], [2.0]])
         y = 0.8 * np.cos(X[:, 0] + 0.4) - 0.1
-        _, hist = qdnn.train_qdnn(m, X, y, optim.TrainConfig(epochs=500, seed=1), "mse")
+        hist = optim.fit(m, X, y, "mse", optim.TrainConfig(epochs=500, seed=1))
         assert hist[-1] < 1e-3
 
     def test_bitwise_deterministic_history(self):
@@ -182,7 +165,7 @@ class TestTrain:
         runs = []
         for _ in range(2):
             m = qdnn.build_default_qdnn(3, 1, seed=4)
-            _, hist = qdnn.train_qdnn(m, X, y, optim.TrainConfig(epochs=6, seed=4), "mse")
+            hist = optim.fit(m, X, y, "mse", optim.TrainConfig(epochs=6, seed=4))
             runs.append((hist, m.params.copy()))
         assert runs[0][0] == runs[1][0]
         assert np.array_equal(runs[0][1], runs[1][1])
@@ -192,20 +175,8 @@ class TestTrain:
         X = np.array([[0.3]])
         y = np.array([1.0])
         with pytest.raises(optim.TrainingDivergence):
-            qdnn.train_qdnn(m, X, y, optim.TrainConfig(
-                epochs=2000, optimizer="sgd", learning_rate=1e150), "mse")
-
-
-class TestCheckpoint:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(6)
-        m = qdnn.build_default_qdnn(3, 2, task="classification", seed=6)
-        X = rng.normal(size=(9, 3))
-        path = tmp_path / "model.json"
-        qdnn.save_checkpoint(m, path, optim.TrainConfig(), seed=6)
-        loaded = qdnn.load_checkpoint(path)
-        assert np.allclose(loaded.forward(X), m.forward(X), atol=1e-15)
-        assert loaded.readout == m.readout
+            optim.fit(m, X, y, "mse", optim.TrainConfig(
+                epochs=2000, optimizer="sgd", learning_rate=1e150))
 
 
 @pytest.mark.slow
@@ -218,7 +189,7 @@ class TestLossImprovement:
             ys = np.cos(4.0 * xs) + 0.1 * rng.normal(size=xs.size)
             X = np.repeat(xs.reshape(-1, 1), 8, axis=1)
             m = qdnn.build_default_qdnn(8, 2, seed=seed)
-            _, hist = qdnn.train_qdnn(m, X, ys, optim.TrainConfig(epochs=20, seed=seed), "mse")
+            hist = optim.fit(m, X, ys, "mse", optim.TrainConfig(epochs=20, seed=seed))
             if np.mean(hist[-10:]) < np.mean(hist[:10]):
                 wins += 1
         assert wins >= 8

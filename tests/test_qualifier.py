@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -85,7 +87,7 @@ class TestTableSerialization:
         t = qf.reference_table()
         path = tmp_path / "table.json"
         qf.save_table(t, path)
-        back = qf.load_table(path)
+        back = qf.table_from_doc(json.loads(path.read_text()))
         assert back.alpha == t.alpha
         assert back.centerings == t.centerings
         assert back.coefficients == t.coefficients
