@@ -30,19 +30,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import dvcs as dv
+# dvcs, complexity, geometry and qualifier load scipy: only the commands using them import them
 from . import svgplot
 from .cdnn import build_default_cdnn
-from .complexity import METRIC_NAMES, characterize
 from .datagen import REGRESSION_FUNCTIONS, gen_classification_set, gen_regression_curve
-from .geometry import (ScatterField, area_fractions, build_surface, sign_agreement,
-                       zero_contour)
-from .optim import TrainConfig, TrainingDivergence, fit
+from .optim import TrainConfig, TrainingDivergence, fit, pool_map
 from .perfmetrics import (LEDGER_COLUMNS, OutperformanceRecord, classification_efficiency,
                           confusion, m_reg, record_row)
 from .qdnn import build_default_qdnn, build_paired_feature_qdnn
-from .qualifier import (QualifierCorpusEntry, eval_qualifier, fit_qualifier,
-                        reference_table, save_table, sign_of_qualifier)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -331,7 +326,7 @@ def cmd_bench_class(config: dict) -> dict:
     jobs = [(cond, rep, config["seed"], config["epochs"], config["learning_rate"],
              config["n_eval"])
             for _, cond in conditions for rep in range(config["ensemble"])]
-    results = dv.pool_map(_class_replica, jobs, workers)
+    results = pool_map(_class_replica, jobs, workers)
 
     per_label: Dict[str, List[Tuple[int, float, float]]] = {}
     skipped = []
@@ -467,7 +462,7 @@ def cmd_bench_reg(config: dict) -> dict:
              config["epochs"], tuple(config["checkpoints"]), config["learning_rate"],
              config["n_features"], config["seed"])
             for fid in config["functions"] for sigma in config["sigmas"]]
-    cells = dv.pool_map(_reg_job, jobs, workers)
+    cells = pool_map(_reg_job, jobs, workers)
 
     ledger_rows = []
     failures = []
@@ -543,6 +538,8 @@ def _round_trip_check(table, seed: int, epochs=(1, 5, 10, 20, 40),
     One varying metric is the regime where the refit's univariate-slope
     weighting is lossless; with several metrics varying at once the
     R^2-share weights shrink every row and the round trip degrades."""
+    from .qualifier import QualifierCorpusEntry, eval_qualifier, fit_qualifier
+
     rng = np.random.default_rng(seed + 7)
     entries = []
     for ep in epochs:
@@ -569,7 +566,11 @@ def _parse_dataset_label(label: str) -> dict:
 
 def _refit_from_ledger(path: str):
     """Rebuild a qualifier corpus from a regression-benchmark ledger by
-    regenerating each dataset from its descriptor and characterizing it."""
+    regenerating each dataset from its descriptor and characterizing it.
+    A ledger too small to refit from is a config error."""
+    from .complexity import characterize
+    from .qualifier import QualifierCorpusEntry, fit_qualifier
+
     if not os.path.exists(path):
         raise ConfigError(f"refit ledger not found: {path}")
     needed = {"function_id", "sigma", "n_points", "x_lo", "x_hi", "seed"}
@@ -594,16 +595,24 @@ def _refit_from_ledger(path: str):
             if epoch >= 1:
                 entries.append(QualifierCorpusEntry(tuple(cache[row["dataset"]]),
                                                     float(row["xi"]), epoch))
-    fitted, diag = fit_qualifier(entries)
+    try:
+        fitted, diag = fit_qualifier(entries)
+    except ValueError as exc:
+        raise ConfigError(f"cannot refit from {path}: {exc}")
     return fitted, diag, len(entries)
 
 
 def cmd_qualify(config: dict) -> dict:
+    from .complexity import METRIC_NAMES, characterize
+    from .qualifier import eval_qualifier, reference_table, save_table, sign_of_qualifier
+
     out_dir = config["out_dir"]
     table = reference_table()
     epochs = [int(e) for e in config["epochs"]]
     if not epochs or any(e < 1 for e in epochs):
         raise ConfigError("qualify.epochs must be a nonempty list of epochs >= 1")
+    # the refit ledger is user input: reject it before the ledger and figure are written
+    refit = _refit_from_ledger(config["refit_ledger"]) if config["refit_ledger"] else None
 
     header = ["dataset", "epoch", *METRIC_NAMES, "xi_hat", "sign"]
     rows = []
@@ -638,8 +647,8 @@ def cmd_qualify(config: dict) -> dict:
 
     round_trip = _round_trip_check(table, config["seed"]) if config["round_trip"] else None
     refit_result = None
-    if config["refit_ledger"]:
-        fitted, diag, n_entries = _refit_from_ledger(config["refit_ledger"])
+    if refit is not None:
+        fitted, diag, n_entries = refit
         save_table(fitted, os.path.join(out_dir, "qualifier_refit.json"))
         refit_result = {"n_entries": n_entries, "excluded": diag["excluded"],
                         "warnings": diag["warnings"], "alpha": fitted.alpha}
@@ -715,6 +724,12 @@ def _subsample_sets(sets: list, max_sets: int, seed: int) -> list:
 
 
 def cmd_dvcs(config: dict) -> dict:
+    # imported before run_campaign starts its pool, so workers inherit scipy
+    from . import dvcs as dv
+    from .geometry import (ScatterField, area_fractions, build_surface, sign_agreement,
+                           zero_contour)
+    from .qualifier import eval_qualifier, fit_qualifier, save_table
+
     out_dir = config["out_dir"]
     model = dv.ToyHarmonicModel()
     warnings: List[str] = []
@@ -873,6 +888,8 @@ def cmd_dvcs(config: dict) -> dict:
 
 
 def cmd_validate_data(config: dict) -> dict:
+    from . import dvcs as dv
+
     out_dir = config["out_dir"]
     issues: List[str] = []
     warnings: List[str] = []

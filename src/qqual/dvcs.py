@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from zlib import crc32
@@ -17,7 +16,7 @@ import numpy as np
 from . import cdnn as cdnn_mod
 from . import qdnn as qdnn_mod
 from .complexity import characterize
-from .optim import TrainConfig, TrainingDivergence, fit
+from .optim import TrainConfig, TrainingDivergence, fit, pool_map
 from .perfmetrics import xi as xi_dvcs
 from .qualifier import QualifierCorpusEntry
 
@@ -350,17 +349,6 @@ def _campaign_cell(job: Tuple) -> Dict:
                 cell["corpus"].append(QualifierCorpusEntry(
                     metrics=metrics, xi=xi_dvcs(mc, mq), epoch=n))
     return cell
-
-
-def pool_map(fn, jobs: list, workers: int) -> list:
-    """[fn(job) for job in jobs], spread over min(workers, len(jobs))
-    processes when there is more than one of each; results keep job
-    order.  Workers compute and return values; only the caller touches
-    files."""
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            return list(pool.map(fn, jobs))
-    return [fn(job) for job in jobs]
 
 
 def run_campaign(sets: Sequence[KinematicSet], model, lams: Sequence[float],

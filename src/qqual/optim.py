@@ -1,4 +1,5 @@
-"""Shared training loop: config, SGD/Adam updates, loss primitives.
+"""Shared training loop: config, SGD/Adam updates, loss primitives, and
+the process pool that parallel commands train through.
 
 Both model families train through the same loop so that paired benchmark
 runs differ only in the model, never in the optimizer.
@@ -143,3 +144,17 @@ def fit(
         if on_epoch is not None:
             on_epoch(epoch + 1, model, epoch_loss)
     return history
+
+
+def pool_map(fn, jobs: list, workers: int) -> list:
+    """[fn(job) for job in jobs], spread over min(workers, len(jobs))
+    processes when there is more than one of each; results keep job
+    order.  Workers compute and return values; only the caller touches
+    files."""
+    if workers > 1 and len(jobs) > 1:
+        # imported here: only runs that start a pool pay for it
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+            return list(pool.map(fn, jobs))
+    return [fn(job) for job in jobs]

@@ -6,12 +6,13 @@ circle, or text node; no plotting dependency."""
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
-from xml.sax.saxutils import escape
+from html import escape
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import GridField
+if TYPE_CHECKING:  # geometry loads scipy; annotations alone need no import
+    from .geometry import GridField
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 FONT = "Helvetica, Arial, sans-serif"
@@ -83,7 +84,7 @@ class SvgCanvas:
             attrs.append('font-weight="bold"')
         if rotate is not None:
             attrs.append(f'transform="rotate({_fmt(rotate)} {_fmt(x)} {_fmt(y)})"')
-        self.parts.append(f"<text {' '.join(attrs)}>{escape(str(s))}</text>")
+        self.parts.append(f"<text {' '.join(attrs)}>{escape(str(s), quote=False)}</text>")
 
     def render(self) -> str:
         head = (f'<svg xmlns="http://www.w3.org/2000/svg" '

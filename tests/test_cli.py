@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import qqual
 from qqual import cli
 
 
@@ -23,6 +28,18 @@ def read_csv(path):
 def read_csv_dicts(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def run_fresh_interpreter(script, *args):
+    """Run `script` in a new interpreter that imports this qqual; return
+    the JSON its last stdout line holds."""
+    src = str(Path(qqual.__file__).resolve().parents[1])
+    env = dict(os.environ, QQUAL_THREADS="2",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 class TestConfigResolution:
@@ -196,6 +213,19 @@ class TestQualify:
         code = cli.main(["qualify", "--config", cfg, "--out", str(tmp_path / "q")])
         assert code == cli.EXIT_CONFIG
 
+    def test_too_small_refit_ledger_is_config_error_before_any_output(self, tmp_path):
+        # two checkpoint epochs, where the refit needs three
+        br = tmp_path / "br"
+        cfg = write_cfg(tmp_path, {"bench-reg": {
+            "functions": ["quad", "cos4x"], "sigmas": [0.25], "epochs": 4,
+            "checkpoints": [2, 4], "n_points": 48, "n_features": 4}})
+        assert cli.main(["bench-reg", "--config", cfg, "--out", str(br)]) == cli.EXIT_OK
+        out = tmp_path / "q"
+        cfg2 = write_cfg(tmp_path, {"qualify": {"refit_ledger": str(br / "ledger.csv")}},
+                         name="cfg2.json")
+        assert cli.main(["qualify", "--config", cfg2, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert not (out / "ledger.csv").exists()
+
 
 class TestBenchClass:
     def test_smoke_run_emits_table_ledger_report(self, tmp_path):
@@ -279,6 +309,54 @@ class TestDvcs:
         cfg = write_cfg(tmp_path, {"dvcs": {"data": [str(tmp_path / "nope.csv")]}})
         code = cli.main(["dvcs", "--config", cfg, "--out", str(tmp_path / "dv")])
         assert code == cli.EXIT_RUNTIME
+
+
+class TestScipyLoading:
+    """scipy takes most of a fresh interpreter's import time, so the
+    commands that call none of it must not load it."""
+
+    def test_bench_commands_never_load_scipy(self, tmp_path):
+        cfg = write_cfg(tmp_path, {
+            "bench-reg": {"functions": ["quad"], "sigmas": [0.1], "n_features": 4,
+                          "epochs": 2, "n_points": 24},
+            "bench-class": {"ensemble": 2, "epochs": 0, "n_eval": 30}})
+        loaded = run_fresh_interpreter("""
+import json, sys
+from qqual import cli
+cfg, out = sys.argv[1:]
+seen = {"import": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}
+for command in ("bench-reg", "bench-class"):
+    assert cli.main([command, "--config", cfg, "--out", out + "/" + command]) == 0
+    seen[command] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps(seen))
+""", cfg, tmp_path)
+        assert loaded == {"import": [], "bench-reg": [], "bench-class": []}
+
+    def test_dvcs_pool_workers_inherit_scipy(self, tmp_path):
+        # workers fork from the command's process: scipy loaded before the
+        # pool starts is not imported again by every worker
+        cfg = write_cfg(tmp_path, {"dvcs": {"max_sets": 4, "lams": [1.0], "ensemble": 1,
+                                            "epochs": 1, "resolution": 40, "workers": 2}})
+        starts = run_fresh_interpreter("""
+import json, sys
+from qqual import cli, optim
+cfg, out = sys.argv[1:]
+starts = []
+pool_map = optim.pool_map
+
+def spy(fn, jobs, workers):
+    starts.append({"workers": workers, "jobs": len(jobs),
+                   "loaded": [m for m in ("scipy.spatial", "scipy.special")
+                              if m in sys.modules]})
+    return pool_map(fn, jobs, workers)
+
+assert "qqual.dvcs" not in sys.modules
+optim.pool_map = spy  # the name qqual.dvcs imports when the command loads it
+assert cli.main(["dvcs", "--config", cfg, "--out", out]) == 0
+print(json.dumps(starts))
+""", cfg, tmp_path / "dv")
+        assert starts == [{"workers": 2, "jobs": 4,
+                           "loaded": ["scipy.spatial", "scipy.special"]}]
 
 
 class TestReproducibility:

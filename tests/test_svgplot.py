@@ -38,6 +38,14 @@ class TestCanvas:
         rendered = canvas.render()
         assert "a &lt; b &amp; c" in rendered
         assert ET.fromstring(rendered).find(f"{NS}text").text == "a < b & c"
+        # text nodes escape only &, < and >: quotes keep their bytes, as
+        # xml.sax.saxutils.escape wrote them
+        label = """x "y" 'z' > 0"""
+        canvas = svgplot.SvgCanvas(50, 50, background="")
+        canvas.text(0, 10, label)
+        rendered = canvas.render()
+        assert """>x "y" 'z' &gt; 0</text>""" in rendered
+        assert ET.fromstring(rendered).find(f"{NS}text").text == label
 
     def test_short_polyline_dropped(self):
         canvas = svgplot.SvgCanvas(50, 50, background="")
