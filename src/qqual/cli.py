@@ -38,6 +38,7 @@ from .optim import TrainConfig, TrainingDivergence, fit, pool_map
 from .perfmetrics import (LEDGER_COLUMNS, OutperformanceRecord, classification_efficiency,
                           confusion, m_reg, record_row)
 from .qdnn import build_default_qdnn, build_paired_feature_qdnn
+from .qsim import MAX_QUBITS
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -165,7 +166,57 @@ def resolve_config(command: str, args: argparse.Namespace) -> dict:
         block["out_dir"] = args.out
     if command == "validate-data" and getattr(args, "paths", None):
         block["paths"] = list(args.paths)
+    check_values(command, block)
     return block
+
+
+def check_values(command: str, config: dict) -> None:
+    """Reject a value that the command would only fail on once running,
+    so that it is a config error raised before any output is written."""
+    def need(key: str, ok: bool, what: str) -> None:
+        if not ok:
+            raise ConfigError(f"{command}.{key} must be {what}")
+
+    def numbers(key: str, lo: float = -math.inf) -> None:
+        ok = all(isinstance(v, (int, float)) and not isinstance(v, bool) and v >= lo
+                 for v in config[key])
+        need(key, ok, "a list of numbers" if lo == -math.inf else f"a list of numbers >= {lo:g}")
+
+    for key in ("functions", "data", "paths"):
+        if key in config:
+            need(key, all(isinstance(v, str) for v in config[key]), "a list of strings")
+    for fid in config.get("functions", []):
+        if fid not in REGRESSION_FUNCTIONS:
+            raise ConfigError(f"unknown function id {fid!r}")
+    if "learning_rate" in config:
+        need("learning_rate", config["learning_rate"] > 0, "> 0")
+    if "checkpoints" in config:
+        numbers("checkpoints")
+    if "sigmas" in config:
+        numbers("sigmas", 0)
+    if "x_range" in config:
+        numbers("x_range")
+        lo_hi = config["x_range"]
+        need("x_range", len(lo_hi) == 2 and lo_hi[0] < lo_hi[1], "[lo, hi] with lo < hi")
+    if command == "qualify":
+        numbers("epochs", 1)
+        need("epochs", len(config["epochs"]) > 0, "a nonempty list")
+        # the complexity metrics need 32 points (fractal_dimension)
+        need("n_points", config["n_points"] >= 32, ">= 32")
+    elif "epochs" in config:
+        need("epochs", config["epochs"] >= 0, ">= 0")
+    if command == "bench-class":
+        need("n_eval", config["n_eval"] >= 2, ">= 2")
+    if command == "bench-reg":
+        need("n_points", config["n_points"] >= 2, ">= 2")
+        need("n_features", 1 <= config["n_features"] <= MAX_QUBITS, f"in 1..{MAX_QUBITS}")
+    if command == "dvcs":
+        numbers("lams", 0)
+        need("ensemble", config["ensemble"] >= 1, ">= 1")
+        need("resolution", config["resolution"] >= 2, ">= 2")
+        need("bandwidth", config["bandwidth"] > 0, "> 0")
+        need("quantile_bins", config["quantile_bins"] >= 1, ">= 1")
+        need("density_fraction", 0 < config["density_fraction"] <= 1, "in (0, 1]")
 
 
 def worker_count(requested: int) -> int:
@@ -454,9 +505,6 @@ def _cell_name(fid: str, sigma: float) -> str:
 
 def cmd_bench_reg(config: dict) -> dict:
     out_dir = config["out_dir"]
-    for fid in config["functions"]:
-        if fid not in REGRESSION_FUNCTIONS:
-            raise ConfigError(f"unknown function id {fid!r}")
     workers = worker_count(config["workers"])
     jobs = [(fid, float(sigma), config["n_points"], tuple(config["x_range"]),
              config["epochs"], tuple(config["checkpoints"]), config["learning_rate"],
@@ -590,7 +638,10 @@ def _refit_from_ledger(path: str):
                 curve = gen_regression_curve(meta["function_id"], int(meta["n_points"]),
                                              (float(meta["x_lo"]), float(meta["x_hi"])),
                                              float(meta["sigma"]), seed=int(meta["seed"]))
-                cache[row["dataset"]] = characterize(curve.xs, curve.ys_noisy).as_array()
+                try:
+                    cache[row["dataset"]] = characterize(curve.xs, curve.ys_noisy).as_array()
+                except ValueError as exc:
+                    raise ConfigError(f"cannot refit from {path}: {exc}")
             epoch = int(row["epoch"])
             if epoch >= 1:
                 entries.append(QualifierCorpusEntry(tuple(cache[row["dataset"]]),
@@ -609,8 +660,6 @@ def cmd_qualify(config: dict) -> dict:
     out_dir = config["out_dir"]
     table = reference_table()
     epochs = [int(e) for e in config["epochs"]]
-    if not epochs or any(e < 1 for e in epochs):
-        raise ConfigError("qualify.epochs must be a nonempty list of epochs >= 1")
     # the refit ledger is user input: reject it before the ledger and figure are written
     refit = _refit_from_ledger(config["refit_ledger"]) if config["refit_ledger"] else None
 
@@ -623,8 +672,6 @@ def cmd_qualify(config: dict) -> dict:
                      _fmt(eval_qualifier(table, centered, ep)),
                      sign_of_qualifier(table, centered, ep)])
     for fid in config["functions"]:
-        if fid not in REGRESSION_FUNCTIONS:
-            raise ConfigError(f"unknown function id {fid!r}")
         for sigma in config["sigmas"]:
             d_seed = _derived_seed(config["seed"], fid, int(round(float(sigma) * 1e6)), 0)
             curve = gen_regression_curve(fid, config["n_points"], tuple(config["x_range"]),
@@ -734,8 +781,7 @@ def cmd_dvcs(config: dict) -> dict:
     model = dv.ToyHarmonicModel()
     warnings: List[str] = []
     if config["data"]:
-        sets, ingest_report = dv.ingest_many(config["data"])
-        warnings.extend(ingest_report.get("warnings", []))
+        sets = [s for path in config["data"] for s in dv.ingest(path)[0]]
     else:
         sets = dv.synthetic_corpus(seed=config["seed"])
     issues = []
@@ -812,7 +858,7 @@ def cmd_dvcs(config: dict) -> dict:
             f"outperformance regime map (lam = {lam:g})", stats_lines,
             "Q^2 (GeV^2)", "x_B")
 
-        trend = dv.t_trend(sub, bandwidth=config["bandwidth"], label="all sets")
+        trend = dv.t_trend(sub, bandwidth=config["bandwidth"])
         crossings_by_lam[lam] = trend.crossings
         groups = [("all sets", trend.ts, trend.xis, trend.grid, trend.trend)]
         q_trends, q_notes = dv.matched_controls(sub, "uncertainty_quantiles",

@@ -13,7 +13,7 @@ noise is 4999.5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -31,7 +31,6 @@ class MetricVector:
     fractal_dimension: float
     mutual_information: float
     fourier_complexity: float
-    meta: dict = field(default_factory=dict)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.nonlinearity, self.frequency_complexity,
@@ -159,7 +158,7 @@ def fourier_complexity(ys) -> float:
     return float(np.arange(_FOURIER_BINS) @ power / total)
 
 
-def characterize(xs, ys, meta: dict | None = None) -> MetricVector:
+def characterize(xs, ys) -> MetricVector:
     """All five metrics of one dataset.  Pairs are sorted by x first, so
     the result is invariant under reordering of the input points."""
     xs = np.asarray(xs, dtype=np.float64)
@@ -173,5 +172,4 @@ def characterize(xs, ys, meta: dict | None = None) -> MetricVector:
         fractal_dimension=fractal_dimension(xs, ys),
         mutual_information=mutual_information(xs, ys),
         fourier_complexity=fourier_complexity(ys),
-        meta=meta or {},
     )

@@ -9,7 +9,7 @@ that the noiseless problem stays provably nearest-centroid separable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
 import numpy as np
@@ -42,7 +42,6 @@ class Curve:
     xs: np.ndarray
     ys_true: np.ndarray
     ys_noisy: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.xs = np.asarray(self.xs, dtype=np.float64)
@@ -62,7 +61,6 @@ class Curve:
 class LabeledDataset:
     X: np.ndarray
     y: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=np.float64)
@@ -94,8 +92,7 @@ def gen_regression_curve(function_id: str, n_points: int = 100,
     ys_true = REGRESSION_FUNCTIONS[function_id](xs)
     rng = np.random.default_rng(seed)
     noise = sigma * rng.standard_normal(n_points) if sigma > 0 else np.zeros(n_points)
-    return Curve(xs, ys_true, ys_true + noise,
-                 meta={"function_id": function_id, "sigma": sigma, "seed": seed})
+    return Curve(xs, ys_true, ys_true + noise)
 
 
 def gen_classification_set(kind: str = "3func", n_pairs: int = 250, n_features: int = 8,
@@ -136,6 +133,4 @@ def gen_classification_set(kind: str = "3func", n_pairs: int = 250, n_features: 
         X = clean + rng.standard_normal(clean.shape) * (noise_level * sd)
     else:
         X = clean
-    return LabeledDataset(X, labels, meta={
-        "kind": kind, "n_features": n_features, "noise_level": noise_level,
-        "seed": seed, "delta": delta})
+    return LabeledDataset(X, labels)

@@ -13,12 +13,12 @@ from zlib import crc32
 
 import numpy as np
 
+# complexity and qualifier load scipy: they are imported where they run,
+# so that ingesting and validating data does not pay for them
 from . import cdnn as cdnn_mod
 from . import qdnn as qdnn_mod
-from .complexity import characterize
 from .optim import TrainConfig, TrainingDivergence, fit, pool_map
-from .perfmetrics import xi as xi_dvcs
-from .qualifier import QualifierCorpusEntry
+from .perfmetrics import m_reg, xi as xi_dvcs
 
 CSV_HEADER = ["experiment", "E_beam", "Q2", "xB", "t", "phi", "F", "sigma_F"]
 
@@ -45,7 +45,9 @@ EXPERIMENT_ENVELOPES: Dict[str, ExperimentEnvelope] = {
 }
 
 SYNTHETIC_SET_SIZE = 24
-EXTRACTION_GRID_N = 181
+# phi grid (degrees) that extracted curves are projected and scored on
+PHI_GRID = np.linspace(0.0, 360.0, 181)
+PHI_GRID.flags.writeable = False
 # fixed scales that put the kinematic features into O(1) for the networks
 Q2_SCALE = 10.0
 T_SCALE = 2.0
@@ -187,21 +189,22 @@ def point_features(kset: KinematicSet, phi_deg=None) -> np.ndarray:
 METRIC_RESAMPLE_N = 64
 
 
-def set_metrics(phi, f, n_resample: int = METRIC_RESAMPLE_N) -> np.ndarray:
+def set_metrics(phi, f) -> np.ndarray:
     """Data characteristics of one set's phi-dependence.  The binned
     points are linearly resampled onto a uniform grid first: the metric
     preconditions need more points than a typical set carries, and the
     frequency metrics need uniform spacing."""
+    from .complexity import characterize
+
     phi = np.asarray(phi, dtype=np.float64)
     f = np.asarray(f, dtype=np.float64)
     order = np.argsort(phi, kind="stable")
-    dense = np.linspace(phi[order][0], phi[order][-1], n_resample)
+    dense = np.linspace(phi[order][0], phi[order][-1], METRIC_RESAMPLE_N)
     return characterize(dense, np.interp(dense, phi[order], f[order])).as_array()
 
 
 @dataclass
 class ExtractionResult:
-    family: str
     cffs: np.ndarray
     diverged: bool = False
     checkpoint_cffs: Dict[int, np.ndarray] = field(default_factory=dict)
@@ -216,25 +219,23 @@ def _build_net(family: str, cfg: TrainConfig):
 
 
 def extract_cffs(pseudo: KinematicSet, model, family: str, cfg: TrainConfig,
-                 checkpoints: Optional[Sequence[int]] = None,
-                 grid: Optional[np.ndarray] = None) -> ExtractionResult:
+                 checkpoints: Optional[Sequence[int]] = None) -> ExtractionResult:
     """Train one network of the chosen family on the set's points, then
-    project its predicted phi-curve onto the model basis by least squares.
-    Divergence flags the result instead of raising.  Optional epoch
-    checkpoints record intermediate projections."""
-    if grid is None:
-        grid = np.linspace(0.0, 360.0, EXTRACTION_GRID_N)
+    project its predicted curve on PHI_GRID onto the model basis by least
+    squares.  Divergence flags the result instead of raising.  Optional
+    epoch checkpoints record intermediate projections; a checkpoint at
+    the final epoch is the final projection."""
     net = _build_net(family, cfg)
     X = point_features(pseudo)
-    grid_X = point_features(pseudo, grid)
-    design = model.design_matrix(pseudo.kin, grid)
+    grid_X = point_features(pseudo, PHI_GRID)
+    design = model.design_matrix(pseudo.kin, PHI_GRID)
 
     def project() -> np.ndarray:
         curve = net.forward(grid_X)
         params, _, _, _ = np.linalg.lstsq(design, curve, rcond=None)
         return params
 
-    result = ExtractionResult(family=family, cffs=np.full(model.n_params, np.nan))
+    result = ExtractionResult(cffs=np.full(model.n_params, np.nan))
     wanted = sorted(set(int(c) for c in checkpoints)) if checkpoints else []
 
     def on_epoch(epoch, _model, _loss):
@@ -246,23 +247,10 @@ def extract_cffs(pseudo: KinematicSet, model, family: str, cfg: TrainConfig,
     except TrainingDivergence:
         result.diverged = True
         return result
-    result.cffs = project()
-    if 0 in wanted and cfg.epochs == 0:
-        result.checkpoint_cffs[0] = result.cffs
+    # the net has not moved since the final epoch's checkpoint projection
+    final = result.checkpoint_cffs.get(cfg.epochs)
+    result.cffs = project() if final is None else final
     return result
-
-
-def m_dvcs(f_dnn, f_true, phi_grid) -> float:
-    """Trapezoidal integral of |F_dnn - F_true| over the phi grid, in
-    (cross-section unit x degrees)."""
-    phi_grid = np.asarray(phi_grid, dtype=np.float64)
-    f_dnn = np.asarray(f_dnn, dtype=np.float64)
-    f_true = np.asarray(f_true, dtype=np.float64)
-    if not (phi_grid.shape == f_dnn.shape == f_true.shape) or phi_grid.ndim != 1:
-        raise ValueError("curves must share one 1-D phi grid")
-    if len(phi_grid) < 2 or np.any(np.diff(phi_grid) <= 0):
-        raise ValueError("phi grid must be strictly increasing")
-    return float(np.trapezoid(np.abs(f_dnn - f_true), phi_grid))
 
 
 @dataclass
@@ -297,9 +285,12 @@ def _rep_seed_seq(master: int, set_id: str, rep: int) -> np.random.SeedSequence:
 
 def _campaign_cell(job: Tuple) -> Dict:
     """One (set, lam) campaign cell; module level so worker pools can
-    dispatch it.  Returns the outcome plus per-cell report fragments."""
-    kset, model, lam, ensemble, cfg, checkpoints, grid_n = job
-    grid = np.linspace(0.0, 360.0, grid_n)
+    dispatch it.  Returns the outcome plus per-cell report fragments.
+    m values integrate |F_extracted - F_true| over PHI_GRID, in
+    (cross-section unit x degrees)."""
+    from .qualifier import QualifierCorpusEntry
+
+    kset, model, lam, ensemble, cfg, checkpoints = job
     ms = {"cdnn": [], "qdnn": []}
     ck_ms = {"cdnn": {n: [] for n in checkpoints},
              "qdnn": {n: [] for n in checkpoints}}
@@ -312,19 +303,18 @@ def _campaign_cell(job: Tuple) -> Dict:
         pseudo, f_true = make_pseudodata(kset, model, lam, pseudo_seq)
         train_seed = int(train_seq.generate_state(1)[0] & 0x7FFFFFFF)
         rep_cfg = replace(cfg, seed=train_seed)
-        res = {fam: extract_cffs(pseudo, model, fam, rep_cfg,
-                                 checkpoints=checkpoints, grid=grid)
+        res = {fam: extract_cffs(pseudo, model, fam, rep_cfg, checkpoints=checkpoints)
                for fam in ("cdnn", "qdnn")}
         if res["cdnn"].diverged or res["qdnn"].diverged:
             cell["diverged"].append((kset.set_id, lam, rep))
             continue
-        truth = f_true(grid)
+        truth = f_true(PHI_GRID)
         for fam in ("cdnn", "qdnn"):
-            pred = model.evaluate(res[fam].cffs, kset.kin, grid)
-            ms[fam].append(m_dvcs(pred, truth, grid))
+            pred = model.evaluate(res[fam].cffs, kset.kin, PHI_GRID)
+            ms[fam].append(m_reg(PHI_GRID, pred, truth))
             for n, cffs in res[fam].checkpoint_cffs.items():
-                pred_n = model.evaluate(cffs, kset.kin, grid)
-                ck_ms[fam][n].append(m_dvcs(pred_n, truth, grid))
+                pred_n = model.evaluate(cffs, kset.kin, PHI_GRID)
+                ck_ms[fam][n].append(m_reg(PHI_GRID, pred_n, truth))
         metric_rows.append(set_metrics(pseudo.phi, pseudo.f))
         denom = np.maximum(np.abs(f_true(kset.phi)), 1e-12)
         eps_vals.append(float(np.mean(pseudo.sigma_f / denom)))
@@ -342,7 +332,7 @@ def _campaign_cell(job: Tuple) -> Dict:
         eps_bar=float(np.mean(eps_vals)),
         ensemble=len(ms["cdnn"]), n_failed=len(cell["diverged"]), metrics=metrics)
     for n in checkpoints:
-        if ck_ms["cdnn"][n] and ck_ms["qdnn"][n] and n >= 1:
+        if ck_ms["cdnn"][n] and ck_ms["qdnn"][n]:
             mc = float(np.mean(ck_ms["cdnn"][n]))
             mq = float(np.mean(ck_ms["qdnn"][n]))
             if mq > 0:
@@ -353,8 +343,7 @@ def _campaign_cell(job: Tuple) -> Dict:
 
 def run_campaign(sets: Sequence[KinematicSet], model, lams: Sequence[float],
                  ensemble: int, cfg: TrainConfig,
-                 epoch_checkpoints: Optional[Sequence[int]] = None,
-                 grid_n: int = EXTRACTION_GRID_N, n_workers: int = 1
+                 epoch_checkpoints: Optional[Sequence[int]] = None, n_workers: int = 1
                  ) -> Tuple[List[DvcsOutcome], Dict]:
     """Paired extractions per (set, lam): each replica draws one pseudo
     set that both families train on, m values are ensemble means over the
@@ -385,7 +374,7 @@ def run_campaign(sets: Sequence[KinematicSet], model, lams: Sequence[float],
             report["failed_fits"].append(str(exc))
             continue
         for lam in lams:
-            jobs.append((kset, model, lam, ensemble, cfg, checkpoints, grid_n))
+            jobs.append((kset, model, lam, ensemble, cfg, checkpoints))
     for cell in pool_map(_campaign_cell, jobs, n_workers):
         report["diverged"].extend(cell["diverged"])
         if cell["all_failed"] is not None:
@@ -403,23 +392,19 @@ class TrendResult:
     grid: Optional[np.ndarray]
     trend: Optional[np.ndarray]
     crossings: Tuple[float, ...]
-    bandwidth: float
-    smoothed: bool
-    label: str = ""
 
 
-def t_trend(outcomes: Sequence[DvcsOutcome], bandwidth: float = 0.15,
-            grid_n: int = 101, label: str = "",
-            value=lambda o: o.xi_dvcs) -> TrendResult:
+def t_trend(outcomes: Sequence[DvcsOutcome], bandwidth: float = 0.15) -> TrendResult:
     """Outperformance against t, smoothed by Gaussian-kernel local linear
-    regression; with fewer than 5 distinct t values only the raw scatter
-    is returned."""
+    regression on a 101-point grid; with fewer than 5 distinct t values
+    only the raw scatter is returned (grid and trend None)."""
     if not outcomes:
         raise ValueError("need at least one outcome")
     ts = np.asarray([o.t for o in outcomes], dtype=np.float64)
-    xis = np.asarray([value(o) for o in outcomes], dtype=np.float64)
+    xis = np.asarray([o.xi_dvcs for o in outcomes], dtype=np.float64)
     if len(np.unique(ts)) < 5:
-        return TrendResult(ts, xis, None, None, (), bandwidth, False, label)
+        return TrendResult(ts, xis, None, None, ())
+    grid_n = 101
     grid = np.linspace(ts.min(), ts.max(), grid_n)
     trend = np.empty(grid_n)
     for i, t0 in enumerate(grid):
@@ -445,7 +430,7 @@ def t_trend(outcomes: Sequence[DvcsOutcome], bandwidth: float = 0.15,
             crossings.append(float(grid[i] - y0 * (grid[i + 1] - grid[i]) / (y1 - y0)))
         elif y0 == 0.0 and (i == 0 or trend[i - 1] != 0.0):
             crossings.append(float(grid[i]))
-    return TrendResult(ts, xis, grid, trend, tuple(crossings), bandwidth, True, label)
+    return TrendResult(ts, xis, grid, trend, tuple(crossings))
 
 
 def matched_controls(outcomes: Sequence[DvcsOutcome], mode: str, k: int = 3,
@@ -481,7 +466,7 @@ def matched_controls(outcomes: Sequence[DvcsOutcome], mode: str, k: int = 3,
         if len(members) < 5:
             notes.append(f"group {label}: only {len(members)} sets, omitted")
             continue
-        trends[label] = t_trend(members, bandwidth=bandwidth, label=label)
+        trends[label] = t_trend(members, bandwidth=bandwidth)
     return trends, notes
 
 
@@ -554,19 +539,6 @@ def ingest(path) -> Tuple[List[KinematicSet], Dict]:
     report = {"per_experiment": counts, "total": int(sum(counts.values())),
               "n_sets": len(sets)}
     return sets, report
-
-
-def ingest_many(paths) -> Tuple[List[KinematicSet], Dict]:
-    sets: List[KinematicSet] = []
-    merged = {"per_experiment": {}, "total": 0, "n_sets": 0}
-    for path in paths:
-        part, report = ingest(path)
-        sets.extend(part)
-        for exp, n in report["per_experiment"].items():
-            merged["per_experiment"][exp] = merged["per_experiment"].get(exp, 0) + n
-        merged["total"] += report["total"]
-        merged["n_sets"] += report["n_sets"]
-    return sets, merged
 
 
 def serialize_sets(sets: Sequence[KinematicSet], path) -> None:

@@ -5,7 +5,7 @@ sign-agreement score between two fields on one grid."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
@@ -22,7 +22,6 @@ class ScatterField:
     xs: np.ndarray
     ys: np.ndarray
     values: np.ndarray
-    tag: str = ""
 
     def __post_init__(self):
         self.xs = np.asarray(self.xs, dtype=np.float64)
@@ -40,8 +39,6 @@ class GridField:
     y_axis: np.ndarray
     values: np.ndarray  # shape (len(y_axis), len(x_axis)); NaN outside mask
     mask: np.ndarray
-    tag: str = ""
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.x_axis = np.asarray(self.x_axis, dtype=np.float64)
@@ -129,8 +126,7 @@ def build_surface(fld: ScatterField, resolution: int = DEFAULT_RESOLUTION,
         values = np.where(mask, sm, np.nan)
     else:
         values = np.where(mask, values, np.nan)
-    return GridField(x_axis, y_axis, values, mask, tag=fld.tag,
-                     meta={"resolution": resolution, "smoothing": smoothing})
+    return GridField(x_axis, y_axis, values, mask)
 
 
 def _interp_zero(p: float, q: float) -> float:

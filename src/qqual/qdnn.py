@@ -30,8 +30,8 @@ class QdnnModel:
             raise ValueError(f"unknown readout {readout!r}")
         if readout == "single_z" and not 0 <= readout_qubit < circuit.n_qubits:
             raise ValueError("readout qubit out of range")
-        if readout == "single_z" and circuit.observables != ((readout_qubit, "z"),):
-            raise ValueError("single_z circuit must observe only Z on the readout qubit")
+        if readout == "single_z" and circuit.observables != (readout_qubit,):
+            raise ValueError("single_z circuit must observe only the readout qubit")
         theta = np.asarray(theta, dtype=np.float64)
         if theta.shape != (circuit.n_params,):
             raise ValueError(f"expected {circuit.n_params} circuit params, got {theta.shape}")
@@ -66,7 +66,7 @@ class QdnnModel:
             self.offset = float(flat[p + 1])
 
     def _readout(self, vals: np.ndarray) -> np.ndarray:
-        # single_z circuits observe one column, Z on the readout qubit
+        # single_z circuits observe one column, the readout qubit
         if self.readout == "mean_z":
             return vals.mean(axis=1)
         return vals[:, 0]
@@ -118,8 +118,8 @@ def _ring_layers(n_qubits: int, n_layers: int) -> List[List[qsim.Gate]]:
 
 def _observables(n_qubits: int, readout: str, readout_qubit: int):
     if readout == "single_z":
-        return ((readout_qubit, "z"),)
-    return tuple((q, "z") for q in range(n_qubits))
+        return (readout_qubit,)
+    return tuple(range(n_qubits))
 
 
 def _finish_build(n_qubits, embed, n_layers, task, seed, readout_qubit) -> QdnnModel:

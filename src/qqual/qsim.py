@@ -6,6 +6,10 @@ is ever materialized as a 2**n x 2**n matrix.  Qubit 0 is the leftmost
 (most significant) bit of the computational basis index, so after
 ``state.reshape([2] * n)`` axis i addresses qubit i.
 
+Circuits are the ones the quantum networks build: every rotation angle is
+an input feature or a trainable parameter, and every observable is Pauli-Z
+on one qubit.
+
 Gradients come from ``vjp``, one adjoint sweep back through the circuit;
 ``parameter_shift_grad`` is the slower exact reference it is tested against.
 """
@@ -20,21 +24,19 @@ import numpy as np
 MAX_QUBITS = 12
 
 ROTATION_KINDS = ("rx", "ry", "rz")
-PAULI_AXES = ("x", "y", "z")
 
 
 @dataclass(frozen=True)
 class Gate:
     """One gate: a single-qubit rotation or a CNOT.
 
-    Rotations carry exactly one angle source: a fixed ``angle``, an input
-    ``feature`` index, or a trainable ``param`` index.  CNOT carries none.
+    Rotations carry exactly one angle source: an input ``feature`` index
+    or a trainable ``param`` index.  CNOT carries none.
     """
 
     kind: str
     target: int
     control: Optional[int] = None
-    angle: Optional[float] = None
     feature: Optional[int] = None
     param: Optional[int] = None
 
@@ -42,17 +44,14 @@ class Gate:
         if self.kind in ROTATION_KINDS:
             if self.control is not None:
                 raise ValueError(f"{self.kind} gate takes no control qubit")
-            sources = [s is not None for s in (self.angle, self.feature, self.param)]
-            if sum(sources) != 1:
-                raise ValueError(
-                    f"{self.kind} gate needs exactly one angle source, got {sum(sources)}"
-                )
+            if (self.feature is None) == (self.param is None):
+                raise ValueError(f"{self.kind} gate needs exactly one of feature and param")
         elif self.kind == "cnot":
             if self.control is None:
                 raise ValueError("cnot gate needs a control qubit")
             if self.control == self.target:
                 raise ValueError("cnot control and target must differ")
-            if any(s is not None for s in (self.angle, self.feature, self.param)):
+            if self.feature is not None or self.param is not None:
                 raise ValueError("cnot gate carries no angle source")
         else:
             raise ValueError(f"unknown gate kind {self.kind!r}")
@@ -82,7 +81,8 @@ def cnot(control: int, target: int) -> Gate:
 
 @dataclass(frozen=True)
 class CircuitSpec:
-    """Layered gate program with declared observables.
+    """Layered gate program with declared observables: the qubits whose
+    Pauli-Z expectation ``run_circuit`` returns, one column each.
 
     Trainable parameter indices must form a contiguous 0..P-1 range with
     each index used by exactly one gate, so that gradient entry k belongs
@@ -93,7 +93,7 @@ class CircuitSpec:
 
     n_qubits: int
     layers: Tuple[Tuple[Gate, ...], ...]
-    observables: Tuple[Tuple[int, str], ...] = ()
+    observables: Tuple[int, ...] = ()
     n_params: int = field(init=False)
     n_features: int = field(init=False)
 
@@ -101,7 +101,7 @@ class CircuitSpec:
         if not 1 <= self.n_qubits <= MAX_QUBITS:
             raise ValueError(f"n_qubits must be in 1..{MAX_QUBITS}, got {self.n_qubits}")
         object.__setattr__(self, "layers", tuple(tuple(l) for l in self.layers))
-        object.__setattr__(self, "observables", tuple(tuple(o) for o in self.observables))
+        object.__setattr__(self, "observables", tuple(int(q) for q in self.observables))
         params = []
         n_feat = 0
         for gate in self.gates():
@@ -118,11 +118,9 @@ class CircuitSpec:
                 "trainable param indices must be a contiguous 0..P-1 range, "
                 f"each used exactly once; got {sorted(params)}"
             )
-        for q, axis in self.observables:
+        for q in self.observables:
             if not 0 <= q < self.n_qubits:
                 raise ValueError(f"observable qubit {q} out of range")
-            if axis not in PAULI_AXES:
-                raise ValueError(f"unknown Pauli axis {axis!r}")
         object.__setattr__(self, "n_params", len(params))
         object.__setattr__(self, "n_features", n_feat)
 
@@ -196,60 +194,42 @@ def _apply_cnot(psi: np.ndarray, nbatch: int, control: int, target: int) -> None
     sub[i1] = tmp
 
 
-def _apply_gate_inplace(psi: np.ndarray, nbatch: int, gate: Gate, angle) -> None:
-    if gate.kind == "cnot":
-        _apply_cnot(psi, nbatch, gate.control, gate.target)
-    else:
-        _apply_rotation(psi, nbatch, gate.kind, gate.target, angle)
-
-
 def apply_gate(state: np.ndarray, gate: Gate, angle: Optional[float] = None) -> np.ndarray:
-    """Apply one gate to a flat statevector, returning a new state.
-
-    Rotation gates need a resolved angle: either passed here or carried as
-    the gate's fixed ``angle``.
-    """
+    """Apply one gate to a flat statevector, returning a new state.  A
+    rotation needs its resolved ``angle``; a CNOT takes none."""
     n = _infer_n_qubits(state)
     if gate.target >= n or (gate.control is not None and gate.control >= n):
         raise ValueError(f"gate qubit out of range for {n}-qubit state")
-    if gate.kind in ROTATION_KINDS and angle is None:
-        if gate.angle is None:
-            raise ValueError("rotation gate needs a resolved angle")
-        angle = gate.angle
     out = np.array(state, dtype=np.complex128)
     psi = out.reshape((2,) * n)
-    _apply_gate_inplace(psi, 0, gate, angle)
+    if gate.kind == "cnot":
+        _apply_cnot(psi, 0, gate.control, gate.target)
+    elif angle is None:
+        raise ValueError("rotation gate needs a resolved angle")
+    else:
+        _apply_rotation(psi, 0, gate.kind, gate.target, angle)
     return out.reshape(state.shape)
 
 
-def _expval(psi: np.ndarray, nbatch: int, qubit: int, axis: str):
+def _expval(psi: np.ndarray, nbatch: int, qubit: int):
+    """<Z_qubit>, one value per leading batch index."""
     i0, i1 = _axis_pair(psi, nbatch + qubit)
     a0 = psi[i0]
     a1 = psi[i1]
     reduce_axes = tuple(range(nbatch, a0.ndim))
-    if axis == "z":
-        val = (a0.real ** 2 + a0.imag ** 2 - a1.real ** 2 - a1.imag ** 2).sum(axis=reduce_axes)
-    elif axis == "x":
-        val = 2.0 * (np.conj(a0) * a1).real.sum(axis=reduce_axes)
-    elif axis == "y":
-        val = 2.0 * (np.conj(a0) * a1).imag.sum(axis=reduce_axes)
-    else:
-        raise ValueError(f"unknown Pauli axis {axis!r}")
-    return val
+    return (a0.real ** 2 + a0.imag ** 2 - a1.real ** 2 - a1.imag ** 2).sum(axis=reduce_axes)
 
 
-def expectation(state: np.ndarray, qubit: int, axis: str = "z") -> float:
-    """<psi| P_axis(qubit) |psi> for a single Pauli; real, in [-1, 1]."""
+def expectation(state: np.ndarray, qubit: int) -> float:
+    """<psi| Z(qubit) |psi>; real, in [-1, 1]."""
     n = _infer_n_qubits(state)
     if not 0 <= qubit < n:
         raise ValueError(f"qubit {qubit} out of range for {n}-qubit state")
     psi = np.asarray(state, dtype=np.complex128).reshape((2,) * n)
-    return float(_expval(psi, 0, qubit, axis))
+    return float(_expval(psi, 0, qubit))
 
 
 def _resolve_angle(gate: Gate, params: np.ndarray, features: np.ndarray):
-    if gate.angle is not None:
-        return gate.angle
     if gate.param is not None:
         return params[gate.param]
     # feature column: scalar for a single sample, (B,) for a batch
@@ -299,7 +279,7 @@ def run_circuit(spec: CircuitSpec, params: Sequence[float] = (), features: Seque
     states = _execute(spec, params, feats)
     psi = states.reshape((feats.shape[0],) + (2,) * spec.n_qubits)
     if spec.observables:
-        vals = np.stack([_expval(psi, 1, q, ax) for q, ax in spec.observables], axis=-1)
+        vals = np.stack([_expval(psi, 1, q) for q in spec.observables], axis=-1)
     else:
         vals = np.zeros((feats.shape[0], 0))
     if single:
@@ -308,26 +288,18 @@ def run_circuit(spec: CircuitSpec, params: Sequence[float] = (), features: Seque
 
 
 def _seed_cotangent(lam: np.ndarray, psi: np.ndarray, observables, cot: np.ndarray) -> None:
-    """lam += sum_o cot[:, o] * O_o psi for (B, 2, ..., 2) state blocks."""
+    """lam += sum_o cot[:, o] * Z_o psi for (B, 2, ..., 2) state blocks."""
     bshape = (-1,) + (1,) * (psi.ndim - 2)
-    for (qubit, axis), w in zip(observables, cot.T):
+    for qubit, w in zip(observables, cot.T):
         i0, i1 = _axis_pair(psi, 1 + qubit)
         w = w.reshape(bshape)
-        a0 = psi[i0]
-        a1 = psi[i1]
-        if axis == "z":
-            lam[i0] += w * a0
-            lam[i1] -= w * a1
-        elif axis == "x":
-            lam[i0] += w * a1
-            lam[i1] += w * a0
-        else:  # y
-            lam[i0] -= 1j * w * a1
-            lam[i1] += 1j * w * a0
+        lam[i0] += w * psi[i0]
+        lam[i1] -= w * psi[i1]
 
 
 def _im_overlap(lam: np.ndarray, psi: np.ndarray, qubit: int, axis: str) -> float:
-    """Im <lam| P_axis(qubit) |psi>, summed over the batch axis."""
+    """Im <lam| P_axis(qubit) |psi>, summed over the batch axis; the axis
+    is the generator of the rotation being differentiated."""
     i0, i1 = _axis_pair(psi, 1 + qubit)
     l0, l1, a0, a1 = lam[i0], lam[i1], psi[i0], psi[i1]
     if axis == "z":
@@ -345,7 +317,7 @@ def vjp(spec: CircuitSpec, params: Sequence[float], features: Sequence[float],
     final state ``run_circuit`` returned for the same params and features,
     and ``cotangent`` weights its expectations: shape (n_observables,) for
     one feature row, (B, n_observables) for a batch.  One backward sweep
-    un-applies each gate to both psi and lam = sum_o c_o O_o psi; a gate
+    un-applies each gate to both psi and lam = sum_o c_o Z_o psi; a gate
     exp(-i theta P / 2) contributes Im <lam|P|psi>.  The sweep stops at the
     earliest trainable gate, so the gates before it (a feature embedding)
     are never undone.  Returns shape (P,), summed over the batch.

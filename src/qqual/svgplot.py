@@ -41,11 +41,11 @@ class SvgCanvas:
         self.parts.append(fragment)
 
     def rect(self, x, y, w, h, fill: str = "none", stroke: Optional[str] = None,
-             stroke_width: float = 1.0, opacity: Optional[float] = None) -> None:
+             opacity: Optional[float] = None) -> None:
         attrs = [f'x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" height="{_fmt(h)}"',
                  f'fill="{fill}"']
         if stroke:
-            attrs.append(f'stroke="{stroke}" stroke-width="{_fmt(stroke_width)}"')
+            attrs.append(f'stroke="{stroke}" stroke-width="1"')
         if opacity is not None:
             attrs.append(f'fill-opacity="{_fmt(opacity)}"')
         self.parts.append(f"<rect {' '.join(attrs)}/>")
@@ -134,14 +134,14 @@ class Axes:
         return [(self.px(x), self.py(y)) for x, y in zip(xs, ys)]
 
     def draw_frame(self, canvas: SvgCanvas, title: str = "", xlabel: str = "",
-                   ylabel: str = "", n_ticks: int = 5) -> None:
+                   ylabel: str = "") -> None:
         left, top, w, h = self.box
         canvas.rect(left, top, w, h, fill="none", stroke="#444444")
-        for x in np.linspace(*self.x_range, n_ticks):
+        for x in np.linspace(*self.x_range, 5):
             px = self.px(x)
             canvas.line(px, top + h, px, top + h + 4)
             canvas.text(px, top + h + 16, _tick_label(x), size=10, anchor="middle")
-        for y in np.linspace(*self.y_range, n_ticks):
+        for y in np.linspace(*self.y_range, 5):
             py = self.py(y)
             canvas.line(left - 4, py, left, py)
             canvas.text(left - 7, py + 3.5, _tick_label(y), size=10, anchor="end")
@@ -168,18 +168,17 @@ def diverging_color(v: float, vmax: float) -> str:
     return "#%02x%02x%02x" % tuple(int(round(255 * c)) for c in channels)
 
 
-def heatmap(canvas: SvgCanvas, axes: Axes, grid: GridField,
-            vmax: Optional[float] = None, max_cells: int = 120) -> float:
+def heatmap(canvas: SvgCanvas, axes: Axes, grid: GridField, max_cells: int = 120) -> float:
     """Filled cells for the masked grid points; blocks of cells are merged
     for display when the grid is finer than max_cells per side.  Returns
-    the color scale limit used."""
+    the color scale limit used: the largest masked |value|, or 1 when
+    that is 0 or the mask is empty."""
     vals, mask = grid.values, grid.mask
     ny, nx = vals.shape
-    if vmax is None:
-        masked = np.abs(vals[mask])
-        vmax = float(masked.max()) if masked.size else 1.0
-        if vmax == 0.0:
-            vmax = 1.0
+    masked = np.abs(vals[mask])
+    vmax = float(masked.max()) if masked.size else 1.0
+    if vmax == 0.0:
+        vmax = 1.0
     fx = max(1, math.ceil(nx / max_cells))
     fy = max(1, math.ceil(ny / max_cells))
     sx = float(grid.x_axis[1] - grid.x_axis[0]) if nx > 1 else 1.0
@@ -207,7 +206,8 @@ def heatmap(canvas: SvgCanvas, axes: Axes, grid: GridField,
 
 
 def colorbar(canvas: SvgCanvas, x: float, y: float, w: float, h: float,
-             vmax: float, n: int = 40) -> None:
+             vmax: float) -> None:
+    n = 40
     step = h / n
     for i in range(n):
         v = vmax * (1.0 - 2.0 * (i + 0.5) / n)
@@ -266,17 +266,14 @@ def regression_panel(path, x, y_data, y_true, y_cdnn, y_qdnn, title: str,
 
 
 def regime_map(path, grid: GridField, primary_contours, secondary_contours,
-               title: str, stats_lines: Sequence[str], xlabel: str, ylabel: str,
-               legend_labels: Tuple[str, str] = ("observed boundary",
-                                                 "predicted boundary"),
-               vmax: Optional[float] = None) -> None:
+               title: str, stats_lines: Sequence[str], xlabel: str, ylabel: str) -> None:
     """Masked heatmap with two families of zero-level contours (black for
     the observed field, red for the predicted one) and a statistics inset."""
     canvas = SvgCanvas(660, 540)
     axes = Axes((float(grid.x_axis[0]), float(grid.x_axis[-1])),
                 (float(grid.y_axis[0]), float(grid.y_axis[-1])),
                 (70, 60, 430, 390))
-    used_vmax = heatmap(canvas, axes, grid, vmax=vmax)
+    vmax = heatmap(canvas, axes, grid)
     for poly in primary_contours:
         canvas.polyline(axes.points(poly[:, 0], poly[:, 1]),
                         stroke="#000000", width=2.2)
@@ -284,15 +281,15 @@ def regime_map(path, grid: GridField, primary_contours, secondary_contours,
         canvas.polyline(axes.points(poly[:, 0], poly[:, 1]),
                         stroke="#d62728", width=2.2, dash="6,3")
     axes.draw_frame(canvas, title=title, xlabel=xlabel, ylabel=ylabel)
-    colorbar(canvas, 525, 60, 16, 390, used_vmax)
+    colorbar(canvas, 525, 60, 16, 390, vmax)
     if stats_lines:
         box_h = 14 * len(stats_lines) + 12
         canvas.rect(76, 66, 215, box_h, fill="#ffffff", stroke="#777777",
                     opacity=0.88)
         for i, line in enumerate(stats_lines):
             canvas.text(84, 84 + 14 * i, line, size=10.5)
-    legend(canvas, 70, 492, [(legend_labels[0], "#000000", "line"),
-                             (legend_labels[1], "#d62728", "line")])
+    legend(canvas, 70, 492, [("observed boundary", "#000000", "line"),
+                             ("predicted boundary", "#d62728", "line")])
     canvas.save(path)
 
 

@@ -40,7 +40,7 @@ def random_circuit(rng, n_qubits, n_layers):
             a, b = rng.choice(n_qubits, size=2, replace=False)
             layer.append(qsim.cnot(int(a), int(b)))
         layers.append(layer)
-    return qsim.CircuitSpec(n_qubits, layers, [(0, "z")]), p
+    return qsim.CircuitSpec(n_qubits, layers, [0]), p
 
 
 class TestExactValues:

@@ -95,6 +95,21 @@ class TestConfigResolution:
         code = cli.main(["dvcs", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("command, block", [
+        ("bench-reg", {"epochs": -1}),
+        ("bench-reg", {"sigmas": ["a"]}),
+        ("bench-reg", {"x_range": [1.0]}),
+        ("dvcs", {"lams": ["a"]}),
+        ("bench-class", {"learning_rate": 0}),
+        ("qualify", {"n_points": 10}),
+    ], ids=["bench-reg-negative-epochs", "bench-reg-text-sigma", "bench-reg-one-bound-x-range",
+            "dvcs-text-lam", "bench-class-zero-learning-rate", "qualify-10-points"])
+    def test_bad_value_is_config_error_before_any_output(self, tmp_path, command, block):
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path, {command: block})
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert not (out / "ledger.csv").exists()
+
     def test_unknown_command_raises_systemexit_2(self):
         with pytest.raises(SystemExit) as err:
             cli.main(["frobnicate"])
@@ -227,6 +242,20 @@ class TestQualify:
         assert not (out / "ledger.csv").exists()
 
 
+    def test_refit_ledger_with_too_few_points_is_config_error(self, tmp_path):
+        # the complexity metrics need 32 points per dataset
+        br = tmp_path / "br"
+        cfg = write_cfg(tmp_path, {"bench-reg": {
+            "functions": ["quad", "cos4x"], "sigmas": [0.25], "epochs": 3,
+            "checkpoints": [1, 2, 3], "n_points": 24, "n_features": 4}})
+        assert cli.main(["bench-reg", "--config", cfg, "--out", str(br)]) == cli.EXIT_OK
+        out = tmp_path / "q"
+        cfg2 = write_cfg(tmp_path, {"qualify": {"refit_ledger": str(br / "ledger.csv")}},
+                         name="cfg2.json")
+        assert cli.main(["qualify", "--config", cfg2, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert not (out / "ledger.csv").exists()
+
+
 class TestBenchClass:
     def test_smoke_run_emits_table_ledger_report(self, tmp_path):
         out = tmp_path / "bc"
@@ -331,6 +360,15 @@ for command in ("bench-reg", "bench-class"):
 print(json.dumps(seen))
 """, cfg, tmp_path)
         assert loaded == {"import": [], "bench-reg": [], "bench-class": []}
+
+    def test_validate_data_never_loads_scipy(self, tmp_path):
+        loaded = run_fresh_interpreter("""
+import json, sys
+from qqual import cli
+assert cli.main(["validate-data", "--out", sys.argv[1]]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+""", tmp_path / "vd")
+        assert loaded == []
 
     def test_dvcs_pool_workers_inherit_scipy(self, tmp_path):
         # workers fork from the command's process: scipy loaded before the

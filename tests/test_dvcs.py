@@ -6,6 +6,7 @@ import pytest
 
 from qqual import dvcs
 from qqual.optim import TrainConfig
+from qqual.perfmetrics import m_reg
 
 MODEL = dvcs.ToyHarmonicModel()
 KIN = (2.0, 0.35, -0.3, 5.75)
@@ -190,18 +191,47 @@ class TestExtraction:
             assert cffs.shape == (3,) and np.all(np.isfinite(cffs))
         assert np.array_equal(res.checkpoint_cffs[5], res.cffs)
 
+    def test_final_epoch_checkpoint_projects_once(self, monkeypatch):
+        # one forward on the 181-point phi grid per distinct projection epoch
+        grid_rows = []
+        build = dvcs._build_net
+
+        def counting_build(family, cfg):
+            net = build(family, cfg)
+            forward = net.forward
+
+            def counted(X):
+                if len(X) == 181:
+                    grid_rows.append(len(X))
+                return forward(X)
+
+            net.forward = counted
+            return net
+
+        monkeypatch.setattr(dvcs, "_build_net", counting_build)
+        pseudo, _ = dvcs.make_pseudodata(make_set(), MODEL, 0.0, seed=0)
+        for family in ("cdnn", "qdnn"):
+            grid_rows.clear()
+            res = dvcs.extract_cffs(pseudo, MODEL, family, TrainConfig(epochs=3, seed=1),
+                                    checkpoints=(1, 2, 3))
+            assert len(grid_rows) == 3
+            assert res.cffs is res.checkpoint_cffs[3]
+            grid_rows.clear()
+            dvcs.extract_cffs(pseudo, MODEL, family, TrainConfig(epochs=3, seed=1),
+                              checkpoints=(1, 2))
+            assert len(grid_rows) == 3
+
     def test_noiseless_cdnn_recovery(self):
         kset = make_set()
         pseudo, f_true = dvcs.make_pseudodata(kset, MODEL, 0.0, seed=0)
-        grid = np.linspace(0.0, 360.0, 181)
+        grid = dvcs.PHI_GRID
         truth = f_true(grid)
         bound = 0.05 * float(np.mean(truth)) * 360.0
         wins = 0
         for seed in range(10):
-            res = dvcs.extract_cffs(pseudo, MODEL, "cdnn",
-                                    TrainConfig(epochs=300, seed=seed), grid=grid)
+            res = dvcs.extract_cffs(pseudo, MODEL, "cdnn", TrainConfig(epochs=300, seed=seed))
             pred = MODEL.evaluate(res.cffs, kset.kin, grid)
-            if dvcs.m_dvcs(pred, truth, grid) < bound:
+            if m_reg(grid, pred, truth) < bound:
                 wins += 1
         assert wins >= 8
 
@@ -209,46 +239,16 @@ class TestExtraction:
     def test_noiseless_qdnn_recovery(self):
         kset = make_set()
         pseudo, f_true = dvcs.make_pseudodata(kset, MODEL, 0.0, seed=0)
-        grid = np.linspace(0.0, 360.0, 181)
+        grid = dvcs.PHI_GRID
         truth = f_true(grid)
         bound = 0.05 * float(np.mean(truth)) * 360.0
         wins = 0
         for seed in range(10):
-            res = dvcs.extract_cffs(pseudo, MODEL, "qdnn",
-                                    TrainConfig(epochs=60, seed=seed), grid=grid)
+            res = dvcs.extract_cffs(pseudo, MODEL, "qdnn", TrainConfig(epochs=60, seed=seed))
             pred = MODEL.evaluate(res.cffs, kset.kin, grid)
-            if dvcs.m_dvcs(pred, truth, grid) < bound:
+            if m_reg(grid, pred, truth) < bound:
                 wins += 1
         assert wins >= 8
-
-
-class TestMDvcs:
-    def test_identical_curves(self):
-        grid = np.linspace(0.0, 360.0, 50)
-        f = np.sin(np.deg2rad(grid)) + 2.0
-        assert dvcs.m_dvcs(f, f, grid) == 0.0
-
-    def test_constant_gap(self):
-        grid = np.linspace(0.0, 360.0, 37)
-        assert dvcs.m_dvcs(np.full(37, 1.25), np.ones(37), grid) == pytest.approx(
-            360.0 * 0.25, abs=1e-10)
-
-    def test_refinement_oracle(self):
-        # nonnegative piecewise-linear gap: the trapezoid rule is exact once
-        # the grid contains the kinks, so refinement must agree
-        knots = np.array([0.0, 60.0, 180.0, 300.0, 360.0])
-        gap = np.array([0.0, 2.0, 0.5, 1.5, 0.0])
-        coarse = dvcs.m_dvcs(gap, np.zeros_like(gap), knots)
-        fine_grid = np.linspace(0.0, 360.0, 100001)
-        fine = dvcs.m_dvcs(np.interp(fine_grid, knots, gap),
-                           np.zeros_like(fine_grid), fine_grid)
-        assert coarse == pytest.approx(fine, rel=1e-6)
-
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            dvcs.m_dvcs(np.ones(5), np.ones(4), np.linspace(0, 360, 5))
-        with pytest.raises(ValueError):
-            dvcs.m_dvcs(np.ones(3), np.ones(3), np.array([0.0, 90.0, 90.0]))
 
 
 class TestOutcome:
@@ -318,12 +318,12 @@ class TestCampaign:
         pseudo_seq, train_seq = seq.spawn(2)
         pseudo, f_true = dvcs.make_pseudodata(kset, MODEL, 1.0, pseudo_seq)
         rep_cfg = replace(cfg, seed=int(train_seq.generate_state(1)[0] & 0x7FFFFFFF))
-        grid = np.linspace(0.0, 360.0, dvcs.EXTRACTION_GRID_N)
+        grid = dvcs.PHI_GRID
         truth = f_true(grid)
         for family, got in (("cdnn", out[0].m_cdnn), ("qdnn", out[0].m_qdnn)):
-            res = dvcs.extract_cffs(pseudo, MODEL, family, rep_cfg, grid=grid)
+            res = dvcs.extract_cffs(pseudo, MODEL, family, rep_cfg)
             pred = MODEL.evaluate(res.cffs, kset.kin, grid)
-            assert dvcs.m_dvcs(pred, truth, grid) == got
+            assert m_reg(grid, pred, truth) == got
         denom = np.maximum(np.abs(f_true(kset.phi)), 1e-12)
         assert out[0].eps_bar == float(np.mean(pseudo.sigma_f / denom))
 
@@ -368,7 +368,7 @@ class TestTTrend:
         ts = np.linspace(-1.4, -0.2, 25)
         outs = [trend_outcome(f"s{i}", t, t + 0.8) for i, t in enumerate(ts)]
         trend = dvcs.t_trend(outs)
-        assert trend.smoothed and trend.bandwidth == 0.15
+        assert trend.grid is not None
         assert len(trend.crossings) == 1
         assert abs(trend.crossings[0] + 0.8) <= 0.05
 
@@ -382,7 +382,6 @@ class TestTTrend:
     def test_few_distinct_t_raw_only(self):
         outs = [trend_outcome(f"s{i}", -0.5 - 0.1 * (i % 4), 0.1) for i in range(12)]
         trend = dvcs.t_trend(outs)
-        assert not trend.smoothed
         assert trend.trend is None and trend.grid is None
         assert len(trend.ts) == 12 and len(trend.xis) == 12
 
@@ -454,14 +453,17 @@ class TestIngest:
         return path
 
     def test_full_corpus_counts(self, tmp_path):
-        paths = [self.write_experiment(tmp_path, exp, 0)
-                 for exp in dvcs.EXPERIMENT_ENVELOPES]
-        sets, report = dvcs.ingest_many(paths)
-        assert report["total"] == 3885
-        assert report["per_experiment"] == {
+        per_experiment, total = {}, 0
+        for exp in dvcs.EXPERIMENT_ENVELOPES:
+            sets, report = dvcs.ingest(self.write_experiment(tmp_path, exp, 0))
+            assert report["n_sets"] == len(sets)
+            for name, n in report["per_experiment"].items():
+                per_experiment[name] = per_experiment.get(name, 0) + n
+            total += report["total"]
+        assert total == 3885
+        assert per_experiment == {
             "Hall_A_E12-06-114": 1080, "Hall_A_E07-007": 404,
             "Hall_A_E00-110": 468, "Hall_B_e1-DVCS1": 1933}
-        assert report["n_sets"] == len(sets)
 
     def test_single_file_counts(self, tmp_path):
         path = self.write_experiment(tmp_path, "Hall_A_E12-06-114", 0)

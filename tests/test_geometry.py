@@ -91,7 +91,8 @@ class TestBuildSurface:
         fld, _ = self.make_plane_field(seed=5, n=30)
         grid = g.build_surface(fld)
         assert len(grid.x_axis) == 200 and len(grid.y_axis) == 200
-        assert grid.meta["smoothing"] == 3.0
+        explicit = g.build_surface(fld, resolution=200, smoothing=3.0)
+        assert np.array_equal(grid.values, explicit.values, equal_nan=True)
 
     def test_resolution_validated(self):
         fld, _ = self.make_plane_field()

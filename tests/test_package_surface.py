@@ -14,7 +14,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qqual"
 
 KEPT_FOR_TESTS = {
     "apply_gate": "the only way tests apply one gate kernel to a state other than |0...0>",
-    "expectation": "reads Pauli observables on those hand-built states",
+    "expectation": "reads Pauli-Z on those hand-built states (X and Y after a basis rotation)",
     "parameter_shift_grad": "the oracle that the adjoint gradient qsim.vjp is checked against",
     "serialize_sets": "the inverse of dvcs.ingest, and the writer of the ingest tests' files",
 }

@@ -111,7 +111,7 @@ class TestSingleReadout:
         layers = [[qsim.rx(q, feature=q) for q in range(3)],
                   [qsim.ry(q, param=q) for q in range(3)],
                   [qsim.cnot(0, 1), qsim.cnot(1, 2), qsim.rz(2, param=3)]]
-        circuit = qsim.CircuitSpec(3, layers, [(2, "z")])
+        circuit = qsim.CircuitSpec(3, layers, [2])
         theta = np.array([0.3, -0.7, 1.1, 0.4])
         return qdnn.QdnnModel(circuit, theta, "single_z", scale=-0.5, offset=0.5,
                               trainable_map=False, readout_qubit=2)
@@ -120,7 +120,7 @@ class TestSingleReadout:
         m = self._model()
         X = np.random.default_rng(3).normal(size=(5, 3))
         states, _ = qsim.run_circuit(m.circuit, m.theta, X)
-        z2 = [qsim.expectation(s, 2, "z") for s in states]
+        z2 = [qsim.expectation(s, 2) for s in states]
         assert np.allclose(m.forward(X), 0.5 - 0.5 * np.array(z2), atol=1e-14)
 
     def test_gradient_matches_parameter_shift(self):
@@ -134,7 +134,7 @@ class TestSingleReadout:
         assert np.max(np.abs(g - oracle)) <= 1e-12
 
     def test_observable_must_match_readout_qubit(self):
-        circuit = qsim.CircuitSpec(3, [[qsim.ry(0, param=0)]], [(0, "z")])
+        circuit = qsim.CircuitSpec(3, [[qsim.ry(0, param=0)]], [0])
         with pytest.raises(ValueError, match="readout qubit"):
             qdnn.QdnnModel(circuit, [0.1], "single_z", readout_qubit=2)
 
@@ -151,7 +151,7 @@ class TestTrain:
     def test_exactly_representable_target_is_learned(self):
         # model class {scale*cos(x + theta) + offset}: embed RX(x) then RX(theta)
         circuit = qsim.CircuitSpec(
-            1, [[qsim.rx(0, feature=0)], [qsim.rx(0, param=0)]], [(0, "z")])
+            1, [[qsim.rx(0, feature=0)], [qsim.rx(0, param=0)]], [0])
         m = qdnn.QdnnModel(circuit, [0.05], "mean_z", scale=1.0, offset=0.0)
         X = np.array([[-1.0], [0.0], [1.0], [2.0]])
         y = 0.8 * np.cos(X[:, 0] + 0.4) - 0.1

@@ -25,19 +25,23 @@ def random_circuit(rng, n_qubits, n_layers, observables=None):
             layer.append(qsim.cnot(int(a), int(b)))
         layers.append(layer)
     if observables is None:
-        observables = [(int(rng.integers(n_qubits)), "z")]
+        observables = [int(rng.integers(n_qubits))]
     return qsim.CircuitSpec(n_qubits, layers, observables), p
+
+
+def rotate(state, kind, qubit, angle):
+    return qsim.apply_gate(state, qsim.Gate(kind, qubit, param=0), angle)
 
 
 class TestApplyGate:
     def test_zero_angle_rotation_is_identity(self):
         s = rand_state(3, 0)
         for kind in ("rx", "ry", "rz"):
-            out = qsim.apply_gate(s, qsim.Gate(kind, 1, angle=0.0))
+            out = rotate(s, kind, 1, 0.0)
             assert np.allclose(out, s, atol=1e-14)
 
     def test_rx_pi_on_zero_state(self):
-        out = qsim.apply_gate(qsim.zero_state(1), qsim.rx(0, angle=np.pi))
+        out = rotate(qsim.zero_state(1), "rx", 0, np.pi)
         assert np.allclose(out, [0.0, -1.0j], atol=1e-12)
 
     def test_cnot_truth_table(self):
@@ -61,45 +65,56 @@ class TestApplyGate:
 
     def test_qubit_out_of_range(self):
         with pytest.raises(ValueError):
-            qsim.apply_gate(qsim.zero_state(2), qsim.rx(5, angle=0.3))
+            rotate(qsim.zero_state(2), "rx", 5, 0.3)
 
     def test_rotation_needs_angle_source(self):
         with pytest.raises(ValueError):
             qsim.Gate("rx", 0)
         with pytest.raises(ValueError):
-            qsim.Gate("rx", 0, angle=1.0, param=0)
+            qsim.Gate("rx", 0, feature=1, param=0)
+        with pytest.raises(ValueError, match="angle"):
+            qsim.apply_gate(qsim.zero_state(1), qsim.rx(0, param=0))
 
     def test_unitarity_round_trip(self):
         s = rand_state(4, 7)
         for kind in ("rx", "ry", "rz"):
-            fwd = qsim.apply_gate(s, qsim.Gate(kind, 2, angle=0.813))
-            back = qsim.apply_gate(fwd, qsim.Gate(kind, 2, angle=-0.813))
+            fwd = rotate(s, kind, 2, 0.813)
+            back = rotate(fwd, kind, 2, -0.813)
             assert np.allclose(back, s, atol=1e-12)
+
+
+def expect_x(state, qubit):
+    # RY(-pi/2) turns the X axis onto Z
+    return qsim.expectation(rotate(state, "ry", qubit, -np.pi / 2), qubit)
+
+
+def expect_y(state, qubit):
+    # RX(pi/2) turns the Y axis onto Z
+    return qsim.expectation(rotate(state, "rx", qubit, np.pi / 2), qubit)
 
 
 class TestExpectation:
     def test_z_basis_states(self):
         one = np.array([0.0, 1.0], dtype=complex)
-        assert qsim.expectation(one, 0, "z") == pytest.approx(-1.0)
-        assert qsim.expectation(qsim.zero_state(1), 0, "z") == pytest.approx(1.0)
+        assert qsim.expectation(one, 0) == pytest.approx(-1.0)
+        assert qsim.expectation(qsim.zero_state(1), 0) == pytest.approx(1.0)
 
     def test_plus_state(self):
         plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
-        assert qsim.expectation(plus, 0, "z") == pytest.approx(0.0, abs=1e-14)
-        assert qsim.expectation(plus, 0, "x") == pytest.approx(1.0)
+        assert qsim.expectation(plus, 0) == pytest.approx(0.0, abs=1e-14)
+        assert expect_x(plus, 0) == pytest.approx(1.0)
 
     def test_y_after_rx(self):
         # RX(theta)|0> has <Y> = -sin(theta)
         for theta in (0.3, 1.2, 2.5):
-            s = qsim.apply_gate(qsim.zero_state(1), qsim.rx(0, angle=theta))
-            assert qsim.expectation(s, 0, "y") == pytest.approx(-np.sin(theta), abs=1e-12)
+            s = rotate(qsim.zero_state(1), "rx", 0, theta)
+            assert expect_y(s, 0) == pytest.approx(-np.sin(theta), abs=1e-12)
 
     def test_bounds_on_random_states(self):
         for seed in range(20):
             s = rand_state(3, seed)
             for q in range(3):
-                for ax in ("x", "y", "z"):
-                    v = qsim.expectation(s, q, ax)
+                for v in (expect_x(s, q), expect_y(s, q), qsim.expectation(s, q)):
                     assert -1.0 - 1e-12 <= v <= 1.0 + 1e-12
 
 
@@ -118,7 +133,7 @@ class TestCircuitSpec:
 
     def test_counts(self):
         spec = qsim.CircuitSpec(
-            2, [[qsim.rx(0, feature=3), qsim.ry(1, param=0)], [qsim.cnot(0, 1)]], [(0, "z")]
+            2, [[qsim.rx(0, feature=3), qsim.ry(1, param=0)], [qsim.cnot(0, 1)]], [0]
         )
         assert spec.n_params == 1
         assert spec.n_features == 4
@@ -126,24 +141,24 @@ class TestCircuitSpec:
 
 class TestRunCircuit:
     def test_empty_circuit_z_expectation(self):
-        spec = qsim.CircuitSpec(2, [], [(0, "z")])
+        spec = qsim.CircuitSpec(2, [], [0])
         _, vals = qsim.run_circuit(spec)
         assert vals[0] == pytest.approx(1.0)
 
     def test_ry_half_pi(self):
-        spec = qsim.CircuitSpec(1, [[qsim.ry(0, param=0)]], [(0, "z")])
+        spec = qsim.CircuitSpec(1, [[qsim.ry(0, param=0)]], [0])
         _, vals = qsim.run_circuit(spec, [np.pi / 2])
         assert abs(vals[0]) < 1e-12
 
     def test_rx_feature_gives_cos(self):
-        spec = qsim.CircuitSpec(1, [[qsim.rx(0, feature=0)]], [(0, "z")])
+        spec = qsim.CircuitSpec(1, [[qsim.rx(0, feature=0)]], [0])
         for x in (0.3, 1.1, 2.0):
             _, vals = qsim.run_circuit(spec, [], [x])
             assert vals[0] == pytest.approx(np.cos(x), abs=1e-12)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(5)
-        spec, p = random_circuit(rng, 3, 2, observables=[(0, "z"), (2, "x")])
+        spec, p = random_circuit(rng, 3, 2, observables=[0, 2])
         # add a feature-driven embedding layer in front
         layers = [[qsim.rx(q, feature=q) for q in range(3)]] + list(spec.layers)
         spec = qsim.CircuitSpec(3, layers, spec.observables)
@@ -156,24 +171,24 @@ class TestRunCircuit:
             assert np.allclose(v_i, vals[i], atol=1e-13)
 
     def test_param_count_checked(self):
-        spec = qsim.CircuitSpec(1, [[qsim.ry(0, param=0)]], [(0, "z")])
+        spec = qsim.CircuitSpec(1, [[qsim.ry(0, param=0)]], [0])
         with pytest.raises(ValueError):
             qsim.run_circuit(spec, [])
 
     def test_missing_feature_rejected(self):
-        spec = qsim.CircuitSpec(1, [[qsim.rx(0, feature=2)]], [(0, "z")])
+        spec = qsim.CircuitSpec(1, [[qsim.rx(0, feature=2)]], [0])
         with pytest.raises(ValueError):
             qsim.run_circuit(spec, [], [0.1, 0.2])
 
 
 class TestParameterShift:
     def test_extremum_gives_zero(self):
-        spec = qsim.CircuitSpec(1, [[qsim.ry(0, param=0)]], [(0, "z")])
+        spec = qsim.CircuitSpec(1, [[qsim.ry(0, param=0)]], [0])
         g = qsim.parameter_shift_grad(spec, [0.0])
         assert abs(g[0]) < 1e-14
 
     def test_matches_analytic_derivative(self):
-        spec = qsim.CircuitSpec(1, [[qsim.ry(0, param=0)]], [(0, "z")])
+        spec = qsim.CircuitSpec(1, [[qsim.ry(0, param=0)]], [0])
         g = qsim.parameter_shift_grad(spec, [np.pi / 2])
         assert g[0] == pytest.approx(-1.0, abs=1e-10)
 
@@ -198,7 +213,7 @@ class TestParameterShift:
     def test_batched_gradient_shape(self):
         rng = np.random.default_rng(3)
         layers = [[qsim.rx(0, feature=0)], [qsim.ry(0, param=0)]]
-        spec = qsim.CircuitSpec(1, layers, [(0, "z")])
+        spec = qsim.CircuitSpec(1, layers, [0])
         X = rng.normal(size=(5, 1))
         g = qsim.parameter_shift_grad(spec, [0.4], X)
         assert g.shape == (5, 1)
@@ -218,17 +233,13 @@ def random_mixed_circuit(rng, n_qubits, n_gates, n_features):
             continue
         kind = str(rng.choice(qsim.ROTATION_KINDS))
         q = int(rng.integers(n_qubits))
-        source = rng.choice(["angle", "feature", "param"])
-        if source == "angle":
-            gates.append(qsim.Gate(kind, q, angle=float(rng.uniform(-np.pi, np.pi))))
-        elif source == "feature":
+        if rng.random() < 0.5:
             gates.append(qsim.Gate(kind, q, feature=int(rng.integers(n_features))))
         else:
             gates.append(qsim.Gate(kind, q, param=p))
             p += 1
     n_obs = int(rng.integers(1, 4))
-    observables = [(int(rng.integers(n_qubits)), str(rng.choice(qsim.PAULI_AXES)))
-                   for _ in range(n_obs)]
+    observables = [int(rng.integers(n_qubits)) for _ in range(n_obs)]
     return qsim.CircuitSpec(n_qubits, [gates], observables)
 
 
@@ -238,15 +249,13 @@ def gate_tags(spec):
         if g.kind == "cnot":
             tags.add(("cnot", "control above" if g.control < g.target else "control below"))
         else:
-            source = "param" if g.param is not None else (
-                "feature" if g.feature is not None else "angle")
-            tags.add((g.kind, source))
+            tags.add((g.kind, "param" if g.param is not None else "feature"))
     return tags
 
 
 class TestAdjointGradient:
     def test_matches_parameter_shift_on_random_circuits(self):
-        seen_gates, seen_axes, seen_obs_counts = set(), set(), set()
+        seen_gates, seen_obs_counts = set(), set()
         for seed in range(60):
             rng = np.random.default_rng(seed)
             n = int(rng.integers(1, 5))
@@ -266,21 +275,19 @@ class TestAdjointGradient:
             assert got.shape == (spec.n_params,)
             assert np.max(np.abs(got - oracle), initial=0.0) <= 1e-12
             seen_gates |= gate_tags(spec)
-            seen_axes |= {axis for _, axis in spec.observables}
             seen_obs_counts.add(min(n_obs, 2))
-        kinds = [(k, src) for k in qsim.ROTATION_KINDS for src in ("angle", "feature", "param")]
+        kinds = [(k, src) for k in qsim.ROTATION_KINDS for src in ("feature", "param")]
         assert seen_gates >= set(kinds) | {("cnot", "control above"), ("cnot", "control below")}
-        assert seen_axes == set(qsim.PAULI_AXES)
         assert seen_obs_counts == {1, 2}
 
     def test_no_trainable_gate_gives_empty_gradient(self):
-        spec = qsim.CircuitSpec(1, [[qsim.rx(0, feature=0)]], [(0, "z")])
+        spec = qsim.CircuitSpec(1, [[qsim.rx(0, feature=0)]], [0])
         state, _ = qsim.run_circuit(spec, [], [0.3])
         assert qsim.vjp(spec, [], [0.3], state, [1.0]).shape == (0,)
 
     def test_shape_mismatches_rejected(self):
         spec = qsim.CircuitSpec(2, [[qsim.rx(0, feature=0), qsim.ry(1, param=0)]],
-                                [(0, "z"), (1, "x")])
+                                [0, 1])
         X = np.zeros((3, 1))
         state, _ = qsim.run_circuit(spec, [0.2], X)
         with pytest.raises(ValueError, match="cotangent"):
