@@ -14,6 +14,9 @@ Every field of every config block has a default, so `qqual <command>`
 alone is a valid run.  A JSON config file holds one block per command;
 command-line flags override file values.  Exit codes: 0 success, 1
 validation failure, 2 configuration error, 3 runtime failure.
+
+Each command computes everything before it writes any output, so a run
+that exits 2 or 3 leaves at most resolved_config.json in its directory.
 """
 
 from __future__ import annotations
@@ -370,28 +373,27 @@ _BUDGET_NOTE = (
     "fixed small budget; rerun with a larger `epochs` to see the crossover.")
 
 
-def cmd_bench_class(config: dict) -> dict:
-    out_dir = config["out_dir"]
-    conditions = _class_conditions()
-    workers = worker_count(config["workers"])
+def compute_bench_class(config: dict, workers: int) -> dict:
     jobs = [(cond, rep, config["seed"], config["epochs"], config["learning_rate"],
              config["n_eval"])
-            for _, cond in conditions for rep in range(config["ensemble"])]
-    results = pool_map(_class_replica, jobs, workers)
-
+            for _, cond in _class_conditions() for rep in range(config["ensemble"])]
     per_label: Dict[str, List[Tuple[int, float, float]]] = {}
     skipped = []
-    for label, rep, c_eff, q_eff, reason in results:
+    for label, rep, c_eff, q_eff, reason in pool_map(_class_replica, jobs, workers):
         if reason:
             skipped.append(f"{label} rep {rep}: {reason}")
         else:
             per_label.setdefault(label, []).append((rep, c_eff, q_eff))
-    means: Dict[str, Tuple[float, float]] = {}
-    ledger_rows = []
-    for label, kept in per_label.items():
-        ledger_rows += [[label, r, _fmt(c), _fmt(q)] for r, c, q in kept]
-        means[label] = (float(np.mean([c for _, c, _ in kept])),
-                        float(np.mean([q for _, _, q in kept])))
+    means = {label: (float(np.mean([c for _, c, _ in kept])),
+                     float(np.mean([q for _, _, q in kept])))
+             for label, kept in per_label.items()}
+    return {"per_label": per_label, "means": means, "skipped": skipped}
+
+
+def render_bench_class(config: dict, result: dict, out_dir: str) -> List[str]:
+    means, skipped = result["means"], result["skipped"]
+    ledger_rows = [[label, r, _fmt(c), _fmt(q)]
+                   for label, kept in result["per_label"].items() for r, c, q in kept]
     _write_csv(os.path.join(out_dir, "ledger.csv"),
                ["condition", "rep", "cdnn_eff", "qdnn_eff"], ledger_rows)
 
@@ -415,6 +417,7 @@ def cmd_bench_class(config: dict) -> dict:
                ["factor varied", "change", "cdnn_efficiency", "qdnn_efficiency",
                 "qdnn_cdnn_ratio_change"], table_rows)
 
+    conditions = _class_conditions()
     name_of = {_condition_label(cond): name for name, cond in conditions}
     labels_in_order = [_condition_label(cond) for _, cond in conditions
                        if _condition_label(cond) in means]
@@ -424,10 +427,6 @@ def cmd_bench_class(config: dict) -> dict:
                [means[lab][1] for lab in labels_in_order])
 
     default_label = _condition_label(_CLASS_DEFAULT)
-    direction = None
-    if default_label in means:
-        c_mean, q_mean = means[default_label]
-        direction = q_mean > c_mean
     lines = ["# Classification benchmark", "",
              f"- master seed: {config['seed']}",
              f"- ensemble: {config['ensemble']} seeds per condition",
@@ -443,8 +442,10 @@ def cmd_bench_class(config: dict) -> dict:
               "| condition | CDNN eff. | QDNN eff. |", "|---|---|---|"]
     for lab in labels_in_order:
         lines.append(f"| {name_of[lab]} | {means[lab][0]:.4f} | {means[lab][1]:.4f} |")
-    if direction is not None:
+    direction = False
+    if default_label in means:
         c_mean, q_mean = means[default_label]
+        direction = q_mean > c_mean
         verdict = "exceeds" if direction else "does NOT exceed"
         lines += ["", f"Direction check: the ensemble-mean QDNN efficiency "
                       f"({q_mean:.4f}) {verdict} the ensemble-mean CDNN "
@@ -453,10 +454,8 @@ def cmd_bench_class(config: dict) -> dict:
         lines += ["", "## Skipped replicas", ""] + [f"- {s}" for s in skipped]
     lines += ["", "## Notes", "", _EFFICIENCY_NOTE, "", _BUDGET_NOTE, ""]
     _write_text(os.path.join(out_dir, "report.md"), "\n".join(lines))
-    return {"means": means, "table": table_rows, "direction": direction,
-            "skipped": skipped,
-            "summary": [f"bench-class: {len(ledger_rows)} ledger rows, "
-                        f"direction={'PASS' if direction else 'FAIL'}"]}
+    return [f"bench-class: {len(ledger_rows)} ledger rows, "
+            f"direction={'PASS' if direction else 'FAIL'}"]
 
 
 # ---------------------------------------------------------------------------
@@ -503,49 +502,54 @@ def _cell_name(fid: str, sigma: float) -> str:
     return f"{fid}_sigma{str(float(sigma)).replace('.', 'p')}"
 
 
-def cmd_bench_reg(config: dict) -> dict:
-    out_dir = config["out_dir"]
-    workers = worker_count(config["workers"])
+def _is_reference_cell(fid: str, sigma: float, epochs: int) -> bool:
+    return fid == "cos4x" and abs(sigma - 1.0) < 1e-12 and epochs == 50
+
+
+def compute_bench_reg(config: dict, workers: int) -> dict:
     jobs = [(fid, float(sigma), config["n_points"], tuple(config["x_range"]),
              config["epochs"], tuple(config["checkpoints"]), config["learning_rate"],
              config["n_features"], config["seed"])
             for fid in config["functions"] for sigma in config["sigmas"]]
     cells = pool_map(_reg_job, jobs, workers)
-
-    ledger_rows = []
-    failures = []
-    final_xi: Dict[Tuple[str, float], float] = {}
-    svg_files = []
+    ledger_rows, failures, final_xi = [], [], {}
     for cell in cells:
         fid, sigma = cell["fid"], cell["sigma"]
-        meta = {"function_id": fid, "sigma": sigma, "n_points": config["n_points"],
-                "x_lo": config["x_range"][0], "x_hi": config["x_range"][1],
-                "seed": cell["d_seed"]}
         if cell["diverged"]:
             failures.append(f"{fid} sigma={sigma:g}: diverged ({', '.join(cell['diverged'])})")
             continue
+        meta = {"function_id": fid, "sigma": sigma, "n_points": config["n_points"],
+                "x_lo": config["x_range"][0], "x_hi": config["x_range"][1],
+                "seed": cell["d_seed"]}
         for ep in cell["marks"]:
             rec = OutperformanceRecord(m_cdnn=cell["ms"]["cdnn"][ep],
                                        m_qdnn=cell["ms"]["qdnn"][ep],
                                        epoch=ep, meta=meta)
             ledger_rows.append(record_row(rec))
-            if ep == max(cell["marks"]):
-                final_xi[(fid, sigma)] = rec.xi
-        is_ref = (fid == "cos4x" and abs(sigma - 1.0) < 1e-12 and config["epochs"] == 50)
-        note = "reference cell: cos4x, sigma 1.0, 50 epochs" if is_ref else ""
-        svg_path = os.path.join(out_dir, f"reg_{_cell_name(fid, sigma)}.svg")
-        svgplot.regression_panel(svg_path, cell["xs"], cell["ys_noisy"], cell["ys_true"],
+        final_xi[(fid, sigma)] = rec.xi  # marks are sorted: the last is the final epoch
+    return {"cells": cells, "ledger_rows": ledger_rows, "failures": failures,
+            "final_xi": final_xi}
+
+
+def render_bench_reg(config: dict, result: dict, out_dir: str) -> List[str]:
+    cells, failures, epochs = result["cells"], result["failures"], config["epochs"]
+    for cell in cells:
+        if cell["diverged"]:
+            continue
+        fid, sigma = cell["fid"], cell["sigma"]
+        note = ("reference cell: cos4x, sigma 1.0, 50 epochs"
+                if _is_reference_cell(fid, sigma, epochs) else "")
+        svgplot.regression_panel(os.path.join(out_dir, f"reg_{_cell_name(fid, sigma)}.svg"),
+                                 cell["xs"], cell["ys_noisy"], cell["ys_true"],
                                  cell["preds"]["cdnn"], cell["preds"]["qdnn"],
-                                 f"{fid}, sigma={sigma:g}, {config['epochs']} epochs",
-                                 note=note)
-        svg_files.append(os.path.basename(svg_path))
-    _write_csv(os.path.join(out_dir, "ledger.csv"), LEDGER_COLUMNS, ledger_rows)
+                                 f"{fid}, sigma={sigma:g}, {epochs} epochs", note=note)
+    _write_csv(os.path.join(out_dir, "ledger.csv"), LEDGER_COLUMNS, result["ledger_rows"])
 
     lines = ["# Regression benchmark", "",
              f"- master seed: {config['seed']}",
              f"- grid: {len(config['functions'])} functions x "
-             f"{len(config['sigmas'])} noise levels = {len(jobs)} cells",
-             f"- training: {config['epochs']} epochs, adam, learning rate "
+             f"{len(config['sigmas'])} noise levels = {len(cells)} cells",
+             f"- training: {epochs} epochs, adam, learning rate "
              f"{config['learning_rate']:g}, full batch, mse on the noisy targets",
              f"- feature matrix: sampled x repeated across {config['n_features']} columns",
              f"- checkpoints: {sorted(set(config['checkpoints']))} (plus the final epoch)",
@@ -555,12 +559,10 @@ def cmd_bench_reg(config: dict) -> dict:
     for fid in config["functions"]:
         cells_s = []
         for sigma in config["sigmas"]:
-            v = final_xi.get((fid, float(sigma)))
+            v = result["final_xi"].get((fid, float(sigma)))
             cells_s.append("diverged" if v is None else f"{v:+.4f}")
         lines.append(f"| {fid} | " + " | ".join(cells_s) + " |")
-    if ("cos4x" in config["functions"]
-            and any(abs(float(s) - 1.0) < 1e-12 for s in config["sigmas"])
-            and config["epochs"] == 50):
+    if any(_is_reference_cell(cell["fid"], cell["sigma"], epochs) for cell in cells):
         lines += ["", "The cos4x / sigma=1.0 / 50-epoch cell is the flagged "
                       "reference cell (see its figure note)."]
     if failures:
@@ -568,10 +570,8 @@ def cmd_bench_reg(config: dict) -> dict:
     lines += ["", f"Positive xi means the QDNN tracks the true curve more "
                   f"closely than the CDNN at that checkpoint.", ""]
     _write_text(os.path.join(out_dir, "report.md"), "\n".join(lines))
-    return {"cells": len(jobs), "failures": failures, "final_xi": final_xi,
-            "svg_files": svg_files,
-            "summary": [f"bench-reg: {len(ledger_rows)} ledger rows over "
-                        f"{len(jobs)} cells, {len(failures)} aborted"]}
+    return [f"bench-reg: {len(result['ledger_rows'])} ledger rows over "
+            f"{len(cells)} cells, {len(failures)} aborted"]
 
 
 # ---------------------------------------------------------------------------
@@ -653,19 +653,15 @@ def _refit_from_ledger(path: str):
     return fitted, diag, len(entries)
 
 
-def cmd_qualify(config: dict) -> dict:
-    from .complexity import METRIC_NAMES, characterize
-    from .qualifier import eval_qualifier, reference_table, save_table, sign_of_qualifier
+def compute_qualify(config: dict, workers: int) -> dict:
+    from .complexity import characterize
+    from .qualifier import eval_qualifier, reference_table, sign_of_qualifier
 
-    out_dir = config["out_dir"]
+    # the refit ledger is user input: a bad one is a config error before any training
+    refit = _refit_from_ledger(config["refit_ledger"]) if config["refit_ledger"] else None
     table = reference_table()
     epochs = [int(e) for e in config["epochs"]]
-    # the refit ledger is user input: reject it before the ledger and figure are written
-    refit = _refit_from_ledger(config["refit_ledger"]) if config["refit_ledger"] else None
-
-    header = ["dataset", "epoch", *METRIC_NAMES, "xi_hat", "sign"]
-    rows = []
-    groups = []
+    rows, groups = [], []
     centered = np.array(table.centerings)
     for ep in epochs:
         rows.append(["centered_reference", ep, *[_fmt(v) for v in centered],
@@ -686,27 +682,30 @@ def cmd_qualify(config: dict) -> dict:
                 xi_hats.append(xi_hat)
             eps_arr = np.array(epochs, dtype=float)
             groups.append((label, eps_arr, np.array(xi_hats), eps_arr, np.array(xi_hats)))
-    _write_csv(os.path.join(out_dir, "ledger.csv"), header, rows)
-    svgplot.trend_panel(os.path.join(out_dir, "predictions.svg"), groups,
+    round_trip = _round_trip_check(table, config["seed"]) if config["round_trip"] else None
+    return {"alpha": table.alpha, "epochs": epochs, "rows": rows, "groups": groups,
+            "round_trip": round_trip, "refit": refit}
+
+
+def render_qualify(config: dict, result: dict, out_dir: str) -> List[str]:
+    from .complexity import METRIC_NAMES
+    from .qualifier import save_table
+
+    rows, round_trip = result["rows"], result["round_trip"]
+    _write_csv(os.path.join(out_dir, "ledger.csv"),
+               ["dataset", "epoch", *METRIC_NAMES, "xi_hat", "sign"], rows)
+    svgplot.trend_panel(os.path.join(out_dir, "predictions.svg"), result["groups"],
                         "predicted outperformance by training budget",
                         "epochs", "predicted xi",
                         note="positive favors the quantum family")
 
-    round_trip = _round_trip_check(table, config["seed"]) if config["round_trip"] else None
-    refit_result = None
-    if refit is not None:
-        fitted, diag, n_entries = refit
-        save_table(fitted, os.path.join(out_dir, "qualifier_refit.json"))
-        refit_result = {"n_entries": n_entries, "excluded": diag["excluded"],
-                        "warnings": diag["warnings"], "alpha": fitted.alpha}
-
     lines = ["# Data-characteristic qualifier",
              "",
-             f"Reference table: decay constant alpha = {table.alpha:g}, "
+             f"Reference table: decay constant alpha = {result['alpha']:g}, "
              f"5 metrics x 5 polynomial coefficients per epoch slope.",
              "",
              f"- master seed: {config['seed']}",
-             f"- epochs evaluated: {epochs}",
+             f"- epochs evaluated: {result['epochs']}",
              f"- datasets: centered reference + {len(config['functions'])} functions x "
              f"{len(config['sigmas'])} noise levels",
              "",
@@ -721,21 +720,21 @@ def cmd_qualify(config: dict) -> dict:
         if round_trip["excluded"]:
             lines.append(f"Excluded metrics: {', '.join(round_trip['excluded'])}.")
         lines.append("")
-    if refit_result is not None:
+    if result["refit"] is not None:
+        fitted, diag, n_entries = result["refit"]
+        save_table(fitted, os.path.join(out_dir, "qualifier_refit.json"))
         lines += ["## Ledger refit", "",
-                  f"Refit from {config['refit_ledger']}: {refit_result['n_entries']} corpus "
-                  f"entries, alpha = {refit_result['alpha']:g}, saved to qualifier_refit.json."]
-        if refit_result["excluded"]:
-            lines.append(f"Excluded metrics: {', '.join(refit_result['excluded'])}.")
-        for w in refit_result["warnings"]:
+                  f"Refit from {config['refit_ledger']}: {n_entries} corpus "
+                  f"entries, alpha = {fitted.alpha:g}, saved to qualifier_refit.json."]
+        if diag["excluded"]:
+            lines.append(f"Excluded metrics: {', '.join(diag['excluded'])}.")
+        for w in diag["warnings"]:
             lines.append(f"- warning: {w}")
         lines.append("")
     _write_text(os.path.join(out_dir, "report.md"), "\n".join(lines))
-    rt_pass = None if round_trip is None else round_trip["pass"]
-    return {"round_trip_pass": rt_pass, "refit": refit_result, "rows": len(rows),
-            "summary": [f"qualify: {len(rows)} prediction rows"
-                        + ("" if round_trip is None
-                           else f", round-trip {'PASS' if rt_pass else 'FAIL'}")]}
+    return [f"qualify: {len(rows)} prediction rows"
+            + ("" if round_trip is None
+               else f", round-trip {'PASS' if round_trip['pass'] else 'FAIL'}")]
 
 
 # ---------------------------------------------------------------------------
@@ -770,23 +769,17 @@ def _subsample_sets(sets: list, max_sets: int, seed: int) -> list:
     return sorted(chosen, key=lambda s: s.set_id)
 
 
-def cmd_dvcs(config: dict) -> dict:
+def compute_dvcs(config: dict, workers: int) -> dict:
     # imported before run_campaign starts its pool, so workers inherit scipy
     from . import dvcs as dv
-    from .geometry import (ScatterField, area_fractions, build_surface, sign_agreement,
-                           zero_contour)
-    from .qualifier import eval_qualifier, fit_qualifier, save_table
+    from .geometry import ScatterField, area_fractions, build_surface, sign_agreement
+    from .qualifier import eval_qualifier, fit_qualifier
 
-    out_dir = config["out_dir"]
-    model = dv.ToyHarmonicModel()
-    warnings: List[str] = []
     if config["data"]:
         sets = [s for path in config["data"] for s in dv.ingest(path)[0]]
     else:
         sets = dv.synthetic_corpus(seed=config["seed"])
-    issues = []
-    for s in sets:
-        issues.extend(f"{s.set_id}: {msg}" for msg in dv.envelope_issues(s))
+    issues = [f"{s.set_id}: {msg}" for s in sets for msg in dv.envelope_issues(s)]
     n_ingested = len(sets)
     sets = _subsample_sets(sets, config["max_sets"], config["seed"])
 
@@ -796,71 +789,43 @@ def cmd_dvcs(config: dict) -> dict:
         checkpoints = sorted({max(1, epochs // 3), max(1, (2 * epochs) // 3), epochs})
     cfg = TrainConfig(epochs=epochs, learning_rate=config["learning_rate"],
                       seed=config["seed"])
-    workers = worker_count(config["workers"])
     lams = [float(v) for v in config["lams"]]
-    outcomes, campaign = dv.run_campaign(sets, model, lams, config["ensemble"], cfg,
+    outcomes, campaign = dv.run_campaign(sets, dv.ToyHarmonicModel(), lams,
+                                         config["ensemble"], cfg,
                                          epoch_checkpoints=checkpoints or None,
                                          n_workers=workers)
 
-    refit_table = None
-    refit_diag = None
+    warnings: List[str] = []
+    refit_table = refit_diag = None
     try:
         refit_table, refit_diag = fit_qualifier(campaign["qualifier_corpus"])
     except ValueError as exc:
         warnings.append(f"qualifier refit skipped: {exc}")
     if refit_table is not None and epochs >= 1:
-        save_table(refit_table, os.path.join(out_dir, "qualifier_refit.json"))
         for o in outcomes:
             o.qualifier_hat = eval_qualifier(refit_table, np.array(o.metrics), epochs)
-    dv.outcomes_to_csv(outcomes, os.path.join(out_dir, "ledger.csv"))
 
-    stats_rows = []
-    areas_pos: Dict[float, float] = {}
-    areas_hat: Dict[float, float] = {}
-    agreements: Dict[float, float] = {}
-    crossings_by_lam: Dict[float, tuple] = {}
-    control_notes: List[str] = []
+    maps, control_notes = [], []
     for lam in lams:
         sub = [o for o in outcomes if o.lam == lam]
         if len(sub) < 3:
             warnings.append(f"lam={lam:g}: only {len(sub)} outcomes, maps skipped")
             continue
-        xs = np.array([o.q2 for o in sub])
-        ys = np.array([o.xb for o in sub])
+        xs, ys = np.array([o.q2 for o in sub]), np.array([o.xb for o in sub])
         xi_grid = build_surface(ScatterField(xs, ys, np.array([o.xi_dvcs for o in sub])),
                                 config["resolution"], config["smoothing"])
-        xi_contours = zero_contour(xi_grid)
-        pos_xi, neg_xi = area_fractions(xi_grid)
-        areas_pos[lam] = pos_xi
-        stats_rows.append([_fmt(lam), "area_xi_positive", _fmt(pos_xi)])
-        stats_rows.append([_fmt(lam), "area_xi_negative", _fmt(neg_xi)])
-        stats_lines = [f"lam = {lam:g}", f"area(xi>0) = {pos_xi:.2f}"]
-        hat_contours = []
-        have_hat = refit_table is not None and all(o.qualifier_hat is not None for o in sub)
-        if have_hat:
+        # keyed by stats.csv statistic name, in stats.csv row order
+        stats = dict(zip(("area_xi_positive", "area_xi_negative"), area_fractions(xi_grid)))
+        hat_grid = None
+        if refit_table is not None and all(o.qualifier_hat is not None for o in sub):
             hat_grid = build_surface(ScatterField(xs, ys,
                                                   np.array([o.qualifier_hat for o in sub])),
                                      config["resolution"], config["smoothing"])
-            hat_contours = zero_contour(hat_grid)
-            pos_hat, neg_hat = area_fractions(hat_grid)
-            agree = sign_agreement(xi_grid, hat_grid)
-            areas_hat[lam] = pos_hat
-            agreements[lam] = agree
-            stats_rows.append([_fmt(lam), "area_xi_hat_positive", _fmt(pos_hat)])
-            stats_rows.append([_fmt(lam), "area_xi_hat_negative", _fmt(neg_hat)])
-            stats_rows.append([_fmt(lam), "sign_agreement_xi_vs_xi_hat", _fmt(agree)])
-            stats_lines += [f"area(xi_hat>0) = {pos_hat:.2f}", f"agreement = {agree:.2f}"]
-        stats_rows.append([_fmt(lam), "sign_agreement_xi_vs_xi_self_check",
-                           _fmt(sign_agreement(xi_grid, xi_grid))])
-        svgplot.regime_map(
-            os.path.join(out_dir, f"map_lam{str(lam).replace('.', 'p')}.svg"),
-            xi_grid, xi_contours, hat_contours,
-            f"outperformance regime map (lam = {lam:g})", stats_lines,
-            "Q^2 (GeV^2)", "x_B")
-
+            stats.update(zip(("area_xi_hat_positive", "area_xi_hat_negative"),
+                             area_fractions(hat_grid)))
+            stats["sign_agreement_xi_vs_xi_hat"] = sign_agreement(xi_grid, hat_grid)
+        stats["sign_agreement_xi_vs_xi_self_check"] = sign_agreement(xi_grid, xi_grid)
         trend = dv.t_trend(sub, bandwidth=config["bandwidth"])
-        crossings_by_lam[lam] = trend.crossings
-        groups = [("all sets", trend.ts, trend.xis, trend.grid, trend.trend)]
         q_trends, q_notes = dv.matched_controls(sub, "uncertainty_quantiles",
                                                 k=config["quantile_bins"],
                                                 bandwidth=config["bandwidth"])
@@ -868,26 +833,61 @@ def cmd_dvcs(config: dict) -> dict:
                                                 fraction=config["density_fraction"],
                                                 bandwidth=config["bandwidth"])
         control_notes += [f"lam={lam:g}: {n}" for n in q_notes + d_notes]
-        for label, tr in list(q_trends.items()) + list(d_trends.items()):
-            groups.append((label, tr.ts, tr.xis, tr.grid, tr.trend))
-        svgplot.trend_panel(os.path.join(out_dir, f"trend_lam{str(lam).replace('.', 'p')}.svg"),
-                            groups, f"outperformance vs t (lam={lam:g})",
+        maps.append({"lam": lam, "xi_grid": xi_grid, "hat_grid": hat_grid, "stats": stats,
+                     "crossings": trend.crossings,
+                     "trends": [("all sets", trend), *q_trends.items(), *d_trends.items()]})
+    return {"n_sets": len(sets), "n_ingested": n_ingested, "issues": issues, "lams": lams,
+            "checkpoints": checkpoints, "outcomes": outcomes, "campaign": campaign,
+            "refit_table": refit_table, "refit_diag": refit_diag, "maps": maps,
+            "control_notes": control_notes, "warnings": warnings}
+
+
+def render_dvcs(config: dict, result: dict, out_dir: str) -> List[str]:
+    from . import dvcs as dv
+    from .geometry import zero_contour
+    from .qualifier import save_table
+
+    campaign, refit_diag = result["campaign"], result["refit_diag"]
+    if result["refit_table"] is not None and config["epochs"] >= 1:
+        save_table(result["refit_table"], os.path.join(out_dir, "qualifier_refit.json"))
+    dv.outcomes_to_csv(result["outcomes"], os.path.join(out_dir, "ledger.csv"))
+
+    stats_rows = []
+    for m in result["maps"]:
+        lam, stats = m["lam"], m["stats"]
+        stats_rows += [[_fmt(lam), name, _fmt(v)] for name, v in stats.items()]
+        stats_lines = [f"lam = {lam:g}", f"area(xi>0) = {stats['area_xi_positive']:.2f}"]
+        hat_contours = []
+        if m["hat_grid"] is not None:
+            hat_contours = zero_contour(m["hat_grid"])
+            stats_lines += [f"area(xi_hat>0) = {stats['area_xi_hat_positive']:.2f}",
+                            f"agreement = {stats['sign_agreement_xi_vs_xi_hat']:.2f}"]
+        tag = str(lam).replace(".", "p")
+        svgplot.regime_map(os.path.join(out_dir, f"map_lam{tag}.svg"),
+                           m["xi_grid"], zero_contour(m["xi_grid"]), hat_contours,
+                           f"outperformance regime map (lam = {lam:g})", stats_lines,
+                           "Q^2 (GeV^2)", "x_B")
+        svgplot.trend_panel(os.path.join(out_dir, f"trend_lam{tag}.svg"),
+                            [(label, tr.ts, tr.xis, tr.grid, tr.trend)
+                             for label, tr in m["trends"]],
+                            f"outperformance vs t (lam={lam:g})",
                             "t (GeV^2)", "xi", note="matched controls overlaid")
     _write_csv(os.path.join(out_dir, "stats.csv"), ["lam", "statistic", "value"],
                stats_rows)
 
-    ordered = [areas_pos[lam] for lam in sorted(areas_pos)]
+    by_lam = {m["lam"]: m for m in result["maps"]}
+    ordered = [by_lam[lam]["stats"]["area_xi_positive"] for lam in sorted(by_lam)]
     monotone = all(b >= a - 1e-12 for a, b in zip(ordered, ordered[1:])) if len(ordered) > 1 else None
     lines = ["# Harmonic-extraction campaign", "",
              f"- master seed: {config['seed']}",
-             f"- sets: {len(sets)} used (of {n_ingested} ingested), "
-             f"noise scales {lams}, ensemble {config['ensemble']}",
-             f"- training: {epochs} epochs, learning rate {config['learning_rate']:g}, "
-             f"checkpoints {checkpoints}",
+             f"- sets: {result['n_sets']} used (of {result['n_ingested']} ingested), "
+             f"noise scales {result['lams']}, ensemble {config['ensemble']}",
+             f"- training: {config['epochs']} epochs, learning rate "
+             f"{config['learning_rate']:g}, checkpoints {result['checkpoints']}",
              f"- surfaces: {config['resolution']}x{config['resolution']} grid, "
              f"smoothing {config['smoothing']:g} cells", ""]
-    if issues:
-        lines += [f"Envelope issues on ingested sets: {len(issues)} "
+    if result["issues"]:
+        lines += [f"Envelope issues on ingested sets: {len(result['issues'])} "
                   f"(validation belongs to validate-data; campaign continued).", ""]
     if campaign["failed_fits"]:
         lines += ["## Skipped sets (model fit failed)", ""]
@@ -897,13 +897,14 @@ def cmd_dvcs(config: dict) -> dict:
     lines += ["## Regime statistics", "",
               "| lam | area(xi>0) | area(xi_hat>0) | sign agreement | t-crossings |",
               "|---|---|---|---|---|"]
-    for lam in lams:
-        if lam not in areas_pos:
+    for lam in result["lams"]:
+        if lam not in by_lam:
             continue
-        hat_s = f"{areas_hat[lam]:.3f}" if lam in areas_hat else "n/a"
-        agr_s = f"{agreements[lam]:.3f}" if lam in agreements else "n/a"
-        cross = ", ".join(f"{c:.2f}" for c in crossings_by_lam.get(lam, ())) or "none"
-        lines.append(f"| {lam:g} | {areas_pos[lam]:.3f} | {hat_s} | {agr_s} | {cross} |")
+        stats = by_lam[lam]["stats"]
+        hat_s, agr_s = (f"{stats[k]:.3f}" if k in stats else "n/a"
+                        for k in ("area_xi_hat_positive", "sign_agreement_xi_vs_xi_hat"))
+        cross = ", ".join(f"{c:.2f}" for c in by_lam[lam]["crossings"]) or "none"
+        lines.append(f"| {lam:g} | {stats['area_xi_positive']:.3f} | {hat_s} | {agr_s} | {cross} |")
     if monotone is not None:
         lines += ["", f"Area(xi>0) ordered by lam: "
                   + " -> ".join(f"{v:.3f}" for v in ordered)
@@ -916,30 +917,24 @@ def cmd_dvcs(config: dict) -> dict:
                       f"excluded metrics: {refit_diag['excluded'] or 'none'}."]
         for w in refit_diag["warnings"]:
             lines.append(f"- warning: {w}")
-    if control_notes:
-        lines += ["", "## Control notes", ""] + [f"- {n}" for n in control_notes]
-    if warnings:
-        lines += ["", "## Warnings", ""] + [f"- {w}" for w in warnings]
+    if result["control_notes"]:
+        lines += ["", "## Control notes", ""] + [f"- {n}" for n in result["control_notes"]]
+    if result["warnings"]:
+        lines += ["", "## Warnings", ""] + [f"- {w}" for w in result["warnings"]]
     lines.append("")
     _write_text(os.path.join(out_dir, "report.md"), "\n".join(lines))
-    return {"areas_pos": areas_pos, "agreements": agreements, "monotone": monotone,
-            "n_outcomes": len(outcomes), "warnings": warnings,
-            "summary": [f"dvcs: {len(outcomes)} outcomes, "
-                        f"areas {['%.3f' % areas_pos[l] for l in sorted(areas_pos)]}, "
-                        f"monotone={monotone}"]}
+    return [f"dvcs: {len(result['outcomes'])} outcomes, "
+            f"areas {['%.3f' % v for v in ordered]}, monotone={monotone}"]
 
 
 # ---------------------------------------------------------------------------
 # validate-data
 
 
-def cmd_validate_data(config: dict) -> dict:
+def compute_validate_data(config: dict, workers: int) -> dict:
     from . import dvcs as dv
 
-    out_dir = config["out_dir"]
-    issues: List[str] = []
-    warnings: List[str] = []
-    sets = []
+    issues, warnings, sets = [], [], []
     if config["paths"]:
         for path in config["paths"]:
             try:
@@ -964,40 +959,44 @@ def cmd_validate_data(config: dict) -> dict:
         issues.extend(f"{s.set_id}: {msg}" for msg in set_issues)
     rows = [[exp, per_exp[exp]["n_sets"], per_exp[exp]["n_points"], per_exp[exp]["n_issues"]]
             for exp in sorted(per_exp)]
-    total_points = sum(r[2] for r in rows)
-    rows.append(["TOTAL", sum(r[1] for r in rows), total_points, len(issues)])
+    rows.append(["TOTAL", sum(r[1] for r in rows), sum(r[2] for r in rows), len(issues)])
+    return {"source": source, "n_sets": len(sets), "rows": rows, "issues": issues,
+            "warnings": warnings, "clean": not issues}
+
+
+def render_validate_data(config: dict, result: dict, out_dir: str) -> List[str]:
+    rows, issues, clean = result["rows"], result["issues"], result["clean"]
+    total_points = rows[-1][2]
     _write_csv(os.path.join(out_dir, "ledger.csv"),
                ["experiment", "n_sets", "n_points", "n_issues"], rows)
-
-    clean = not issues
     lines = ["# Measurement-data validation", "",
-             f"- source: {source}",
-             f"- kinematic sets: {len(sets)}, points: {total_points}", "",
+             f"- source: {result['source']}",
+             f"- kinematic sets: {result['n_sets']}, points: {total_points}", "",
              "| experiment | sets | points | issues |", "|---|---|---|---|"]
     lines += [f"| {r[0]} | {r[1]} | {r[2]} | {r[3]} |" for r in rows]
     lines += ["", f"Verdict: {'CLEAN' if clean else 'ISSUES FOUND'}."]
     if issues:
         lines += ["", "## Issues", ""] + [f"- {i}" for i in issues]
-    if warnings:
-        lines += ["", "## Warnings", ""] + [f"- {w}" for w in warnings]
+    if result["warnings"]:
+        lines += ["", "## Warnings", ""] + [f"- {w}" for w in result["warnings"]]
     lines.append("")
     _write_text(os.path.join(out_dir, "report.md"), "\n".join(lines))
-    return {"clean": clean, "issues": issues, "warnings": warnings,
-            "counts": {r[0]: r[2] for r in rows[:-1]}, "total_points": total_points,
-            "summary": [f"validate-data: {total_points} points, "
-                        f"{len(issues)} issues, {'clean' if clean else 'NOT clean'}"]}
+    return [f"validate-data: {total_points} points, "
+            f"{len(issues)} issues, {'clean' if clean else 'NOT clean'}"]
 
 
 # ---------------------------------------------------------------------------
 # entry point
 
 
+# each command: compute(config, workers) -> result, which writes no file, and
+# render(config, result, out_dir) -> summary lines, which writes every output
 COMMANDS = {
-    "bench-class": cmd_bench_class,
-    "bench-reg": cmd_bench_reg,
-    "qualify": cmd_qualify,
-    "dvcs": cmd_dvcs,
-    "validate-data": cmd_validate_data,
+    "bench-class": (compute_bench_class, render_bench_class),
+    "bench-reg": (compute_bench_reg, render_bench_reg),
+    "qualify": (compute_qualify, render_qualify),
+    "dvcs": (compute_dvcs, render_dvcs),
+    "validate-data": (compute_validate_data, render_validate_data),
 }
 
 
@@ -1030,31 +1029,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    compute, render = COMMANDS[args.command]
     try:
         config = resolve_config(args.command, args)
-        if "workers" in config:
-            worker_count(config["workers"])  # surface env errors before running
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    os.makedirs(config["out_dir"], exist_ok=True)
-    with open(os.path.join(config["out_dir"], "resolved_config.json"), "w") as fh:
-        json.dump({"command": args.command, "config": config}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    try:
-        report = COMMANDS[args.command](config)
+        workers = worker_count(config["workers"]) if "workers" in config else 1
+        out_dir = config["out_dir"]
+        os.makedirs(out_dir, exist_ok=True)
+        with open(os.path.join(out_dir, "resolved_config.json"), "w") as fh:
+            json.dump({"command": args.command, "config": config}, fh, indent=2,
+                      sort_keys=True)
+            fh.write("\n")
+        result = compute(config, workers)
+        summary = render(config, result, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # deliberate catch-all: map to the runtime exit code
         print(f"runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    for line in report.get("summary", []):
+    for line in summary:
         print(line)
-    print(f"outputs written to {config['out_dir']}")
-    if args.command == "validate-data" and not report["clean"]:
+    print(f"outputs written to {out_dir}")
+    if args.command == "validate-data" and not result["clean"]:
         return EXIT_VALIDATION
-    if args.command == "qualify" and report.get("round_trip_pass") is False:
+    if args.command == "qualify" and result["round_trip"] and not result["round_trip"]["pass"]:
         return EXIT_VALIDATION
     return EXIT_OK
 

@@ -117,8 +117,6 @@ def mutual_information(xs, ys) -> float:
     n = len(xs)
     if n < 20:
         raise ValueError("need >= 20 points")
-    if n < _KSG_K + 1:
-        raise ValueError(f"need more than k={_KSG_K} points")
     x = (xs - xs.mean()) / xs.std() if xs.std() > 0 else np.zeros(n)
     y = (ys - ys.mean()) / ys.std() if ys.std() > 0 else np.zeros(n)
     rng = np.random.default_rng(12345)

@@ -364,8 +364,7 @@ def run_campaign(sets: Sequence[KinematicSet], model, lams: Sequence[float],
         raise ValueError("n_workers must be >= 1")
     checkpoints = sorted(set(int(c) for c in epoch_checkpoints)) if epoch_checkpoints else []
     outcomes: List[DvcsOutcome] = []
-    report: Dict = {"failed_fits": [], "diverged": [], "qualifier_corpus": [],
-                    "checkpoints": checkpoints}
+    report: Dict = {"failed_fits": [], "diverged": [], "qualifier_corpus": []}
     jobs = []
     for kset in sets:
         try:

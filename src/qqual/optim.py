@@ -14,6 +14,10 @@ import numpy as np
 
 LOSS_KINDS = ("mse", "bce")
 _BCE_EPS = 1e-7
+# Adam moment decay rates and denominator guard
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
 
 
 class TrainingDivergence(RuntimeError):
@@ -30,9 +34,6 @@ class TrainConfig:
     epochs: int = 50
     learning_rate: float = 0.05
     optimizer: str = "adam"  # "adam" or "sgd"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch_size: Optional[int] = None  # None = full batch
     seed: int = 0
 
@@ -72,28 +73,25 @@ class _Sgd:
 
 
 class _Adam:
-    def __init__(self, lr: float, beta1: float, beta2: float, eps: float, n_params: int):
+    def __init__(self, lr: float, n_params: int):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = np.zeros(n_params)
         self.v = np.zeros(n_params)
         self.t = 0
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad ** 2
-        m_hat = self.m / (1.0 - self.beta1 ** self.t)
-        v_hat = self.v / (1.0 - self.beta2 ** self.t)
-        return params - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m = _ADAM_BETA1 * self.m + (1.0 - _ADAM_BETA1) * grad
+        self.v = _ADAM_BETA2 * self.v + (1.0 - _ADAM_BETA2) * grad ** 2
+        m_hat = self.m / (1.0 - _ADAM_BETA1 ** self.t)
+        v_hat = self.v / (1.0 - _ADAM_BETA2 ** self.t)
+        return params - self.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
 
 def make_optimizer(cfg: TrainConfig, n_params: int):
     if cfg.optimizer == "sgd":
         return _Sgd(cfg.learning_rate)
-    return _Adam(cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps, n_params)
+    return _Adam(cfg.learning_rate, n_params)
 
 
 def fit(

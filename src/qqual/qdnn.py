@@ -24,21 +24,17 @@ class QdnnModel:
     """
 
     def __init__(self, circuit: qsim.CircuitSpec, theta: np.ndarray, readout: str,
-                 scale: float = 1.0, offset: float = 0.0, trainable_map: bool = True,
-                 readout_qubit: int = 0):
+                 scale: float = 1.0, offset: float = 0.0, trainable_map: bool = True):
         if readout not in READOUTS:
             raise ValueError(f"unknown readout {readout!r}")
-        if readout == "single_z" and not 0 <= readout_qubit < circuit.n_qubits:
-            raise ValueError("readout qubit out of range")
-        if readout == "single_z" and circuit.observables != (readout_qubit,):
-            raise ValueError("single_z circuit must observe only the readout qubit")
+        if readout == "single_z" and len(circuit.observables) != 1:
+            raise ValueError("a single_z circuit must observe exactly one qubit")
         theta = np.asarray(theta, dtype=np.float64)
         if theta.shape != (circuit.n_params,):
             raise ValueError(f"expected {circuit.n_params} circuit params, got {theta.shape}")
         self.circuit = circuit
         self.theta = theta.copy()
         self.readout = readout
-        self.readout_qubit = readout_qubit
         self.scale = float(scale)
         self.offset = float(offset)
         self.trainable_map = trainable_map
@@ -66,7 +62,7 @@ class QdnnModel:
             self.offset = float(flat[p + 1])
 
     def _readout(self, vals: np.ndarray) -> np.ndarray:
-        # single_z circuits observe one column, the readout qubit
+        # a single_z circuit observes one qubit: one column
         if self.readout == "mean_z":
             return vals.mean(axis=1)
         return vals[:, 0]
@@ -116,13 +112,7 @@ def _ring_layers(n_qubits: int, n_layers: int) -> List[List[qsim.Gate]]:
     return layers
 
 
-def _observables(n_qubits: int, readout: str, readout_qubit: int):
-    if readout == "single_z":
-        return (readout_qubit,)
-    return tuple(range(n_qubits))
-
-
-def _finish_build(n_qubits, embed, n_layers, task, seed, readout_qubit) -> QdnnModel:
+def _finish_build(n_qubits, embed, n_layers, task, seed) -> QdnnModel:
     if task == "classification":
         readout, scale, offset, trainable = "single_z", -0.5, 0.5, False
     elif task == "regression":
@@ -130,10 +120,11 @@ def _finish_build(n_qubits, embed, n_layers, task, seed, readout_qubit) -> QdnnM
     else:
         raise ValueError(f"unknown task {task!r}")
     layers = [embed] + _ring_layers(n_qubits, n_layers)
-    circuit = qsim.CircuitSpec(n_qubits, layers, _observables(n_qubits, readout, readout_qubit))
+    observables = (0,) if readout == "single_z" else tuple(range(n_qubits))
+    circuit = qsim.CircuitSpec(n_qubits, layers, observables)
     rng = np.random.default_rng(seed)
     theta = rng.uniform(-np.pi / 10, np.pi / 10, size=circuit.n_params)
-    return QdnnModel(circuit, theta, readout, scale, offset, trainable, readout_qubit)
+    return QdnnModel(circuit, theta, readout, scale, offset, trainable)
 
 
 def build_default_qdnn(n_features: int, n_layers: int = 2, task: str = "regression",
@@ -143,7 +134,7 @@ def build_default_qdnn(n_features: int, n_layers: int = 2, task: str = "regressi
     if not 1 <= n_features <= qsim.MAX_QUBITS:
         raise ValueError(f"n_features must be in 1..{qsim.MAX_QUBITS}")
     embed = [qsim.rx(q, feature=q) for q in range(n_features)]
-    return _finish_build(n_features, embed, n_layers, task, seed, 0)
+    return _finish_build(n_features, embed, n_layers, task, seed)
 
 
 def build_paired_feature_qdnn(n_features: int, n_layers: int = 2, task: str = "regression",
@@ -155,4 +146,4 @@ def build_paired_feature_qdnn(n_features: int, n_layers: int = 2, task: str = "r
         raise ValueError(f"{n_features} features need {n_qubits} qubits, cap is {qsim.MAX_QUBITS}")
     embed = [qsim.rx(q, feature=q) for q in range(n_qubits)]
     embed += [qsim.rz(i - n_qubits, feature=i) for i in range(n_qubits, n_features)]
-    return _finish_build(n_qubits, embed, n_layers, task, seed, 0)
+    return _finish_build(n_qubits, embed, n_layers, task, seed)

@@ -1,5 +1,6 @@
 """Config resolution, subcommand outputs, and exit codes of the qqual CLI."""
 
+import copy
 import csv
 import json
 import os
@@ -338,6 +339,50 @@ class TestDvcs:
         cfg = write_cfg(tmp_path, {"dvcs": {"data": [str(tmp_path / "nope.csv")]}})
         code = cli.main(["dvcs", "--config", cfg, "--out", str(tmp_path / "dv")])
         assert code == cli.EXIT_RUNTIME
+
+    def test_failed_run_leaves_only_resolved_config(self, tmp_path):
+        # three sets whose (Q2, xB) points lie on one line: the campaign
+        # trains, then the regime-map surface cannot be built
+        path = tmp_path / "line.csv"
+        lines = ["experiment,E_beam,Q2,xB,t,phi,F,sigma_F"]
+        for q2, xb in ((1.0, 0.25), (2.0, 0.5), (3.0, 0.75)):
+            for k in range(8):
+                lines.append(f"toy,5.75,{q2},{xb},-0.25,{22.5 + 45.0 * k},{0.1 + 0.01 * k},0.01")
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "dv"
+        cfg = write_cfg(tmp_path, {"dvcs": {"data": [str(path)], "ensemble": 1, "epochs": 1,
+                                            "lams": [1.0]}})
+        assert cli.main(["dvcs", "--config", cfg, "--out", str(out)]) == cli.EXIT_RUNTIME
+        assert sorted(p.name for p in out.iterdir()) == ["resolved_config.json"]
+
+
+class TestComputeWritesNothing:
+    TINY = {
+        "bench-class": {"ensemble": 1, "epochs": 0, "n_eval": 30},
+        "bench-reg": {"functions": ["quad"], "sigmas": [0.1], "n_features": 2, "epochs": 1,
+                      "n_points": 24},
+        "qualify": {"functions": ["quad"], "sigmas": [0.1], "epochs": [5]},
+        "dvcs": {"max_sets": 4, "lams": [1.0], "ensemble": 1, "epochs": 1, "resolution": 30},
+        "validate-data": {},
+    }
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_compute_writes_no_file(self, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "out"
+        config = dict(copy.deepcopy(cli.DEFAULTS[command]), **self.TINY[command],
+                      out_dir=str(out))
+        cli.check_values(command, config)
+        compute, render = cli.COMMANDS[command]
+        result = compute(config, 1)
+        assert list(tmp_path.iterdir()) == []
+        if command == "dvcs":
+            out.mkdir()
+            render(config, result, str(out))
+            rendered = [float(r[2]) for r in read_csv(out / "stats.csv")[1:]
+                        if r[1] == "area_xi_positive"]
+            assert rendered
+            assert rendered == [m["stats"]["area_xi_positive"] for m in result["maps"]]
 
 
 class TestScipyLoading:

@@ -72,8 +72,8 @@ class TestLosses:
 
 class TestAdam:
     def test_first_steps_match_hand_computation(self):
-        lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
-        opt = optim._Adam(lr, b1, b2, eps, 1)
+        lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8  # eps and betas: the module constants
+        opt = optim._Adam(lr, 1)
         p = np.array([1.0])
         g1 = np.array([2.0])
         p = opt.step(p, g1)

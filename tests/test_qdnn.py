@@ -114,7 +114,7 @@ class TestSingleReadout:
         circuit = qsim.CircuitSpec(3, layers, [2])
         theta = np.array([0.3, -0.7, 1.1, 0.4])
         return qdnn.QdnnModel(circuit, theta, "single_z", scale=-0.5, offset=0.5,
-                              trainable_map=False, readout_qubit=2)
+                              trainable_map=False)
 
     def test_forward_reads_the_readout_qubit(self):
         m = self._model()
@@ -133,10 +133,10 @@ class TestSingleReadout:
         oracle = m.scale * dpred @ qsim.parameter_shift_grad(m.circuit, m.theta, X)
         assert np.max(np.abs(g - oracle)) <= 1e-12
 
-    def test_observable_must_match_readout_qubit(self):
-        circuit = qsim.CircuitSpec(3, [[qsim.ry(0, param=0)]], [0])
-        with pytest.raises(ValueError, match="readout qubit"):
-            qdnn.QdnnModel(circuit, [0.1], "single_z", readout_qubit=2)
+    def test_single_z_must_observe_exactly_one_qubit(self):
+        circuit = qsim.CircuitSpec(3, [[qsim.ry(0, param=0)]], [0, 2])
+        with pytest.raises(ValueError, match="exactly one qubit"):
+            qdnn.QdnnModel(circuit, [0.1], "single_z")
 
 
 class TestTrain:
