@@ -185,18 +185,25 @@ def check_values(command: str, config: dict) -> None:
                  for v in config[key])
         need(key, ok, "a list of numbers" if lo == -math.inf else f"a list of numbers >= {lo:g}")
 
+    def distinct(key: str) -> None:
+        # a repeated value would train and report the same cells twice
+        need(key, len(set(config[key])) == len(config[key]), "a list without repeats")
+
     for key in ("functions", "data", "paths"):
         if key in config:
             need(key, all(isinstance(v, str) for v in config[key]), "a list of strings")
     for fid in config.get("functions", []):
         if fid not in REGRESSION_FUNCTIONS:
             raise ConfigError(f"unknown function id {fid!r}")
+    if "functions" in config:
+        distinct("functions")
     if "learning_rate" in config:
         need("learning_rate", config["learning_rate"] > 0, "> 0")
     if "checkpoints" in config:
         numbers("checkpoints")
     if "sigmas" in config:
         numbers("sigmas", 0)
+        distinct("sigmas")
     if "x_range" in config:
         numbers("x_range")
         lo_hi = config["x_range"]
@@ -204,6 +211,7 @@ def check_values(command: str, config: dict) -> None:
     if command == "qualify":
         numbers("epochs", 1)
         need("epochs", len(config["epochs"]) > 0, "a nonempty list")
+        distinct("epochs")
         # the complexity metrics need 32 points (fractal_dimension)
         need("n_points", config["n_points"] >= 32, ">= 32")
     elif "epochs" in config:
@@ -215,6 +223,7 @@ def check_values(command: str, config: dict) -> None:
         need("n_features", 1 <= config["n_features"] <= MAX_QUBITS, f"in 1..{MAX_QUBITS}")
     if command == "dvcs":
         numbers("lams", 0)
+        distinct("lams")
         need("ensemble", config["ensemble"] >= 1, ">= 1")
         need("resolution", config["resolution"] >= 2, ">= 2")
         need("bandwidth", config["bandwidth"] > 0, "> 0")

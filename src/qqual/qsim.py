@@ -1,23 +1,40 @@
 """Dense statevector simulator for small qubit registers.
 
-States are flat complex128 arrays of length 2**n (optionally with one
-leading batch axis), updated in place by strided pair operations; no gate
-is ever materialized as a 2**n x 2**n matrix.  Qubit 0 is the leftmost
-(most significant) bit of the computational basis index, so after
-``state.reshape([2] * n)`` axis i addresses qubit i.
+States are flat complex128 arrays of length 2**n (with one leading batch
+axis in a circuit run); no gate is ever materialized as a 2**n x 2**n
+matrix.  Qubit 0 is the leftmost (most significant) bit of the
+computational basis index, so after ``state.reshape([2] * n)`` axis i
+addresses qubit i.
 
 Circuits are the ones the quantum networks build: every rotation angle is
 an input feature or a trainable parameter, and every observable is Pauli-Z
 on one qubit.
 
-Gradients come from ``vjp``, one adjoint sweep back through the circuit;
-``parameter_shift_grad`` is the slower exact reference it is tested against.
+Each ``CircuitSpec`` compiles its gate list once into a plan of blocks
+that alternate between single-qubit rotations and CNOTs (gate fusion as in
+Qulacs, arXiv:2011.13524):
+
+- the rotations before the first CNOT act on a product state, so they run
+  on per-qubit 2-vectors and the full state is built from those by
+  broadcast outer products;
+- each later run of rotations becomes one 2x2 matrix per qubit, the
+  product of that qubit's gates in gate order (per row when a feature
+  drives one of them), applied by one in-place kernel;
+- each run of CNOTs becomes one basis-index permutation, applied as one
+  gather;
+- every <Z_q> is read from |psi|^2, computed once.
+
+Gradients come from ``vjp``, one adjoint sweep back through the same
+blocks; ``parameter_shift_grad`` is the slower exact reference it is
+tested against, and ``apply_gate`` runs the kernels one gate at a time as
+the sequential reference for the plan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Tuple
+from itertools import groupby
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,6 +96,148 @@ def cnot(control: int, target: int) -> Gate:
     return Gate("cnot", target, control=control)
 
 
+_EYE = np.eye(2, dtype=np.complex128)
+# the generator P of each rotation exp(-i theta P / 2)
+_PAULI = {
+    "rx": np.array([[0, 1], [1, 0]], dtype=np.complex128),
+    "ry": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
+    "rz": np.array([[1, 0], [0, -1]], dtype=np.complex128),
+}
+
+
+def _infer_n_qubits(state: np.ndarray) -> int:
+    dim = state.shape[-1]
+    n = int(round(np.log2(dim)))
+    if 2 ** n != dim:
+        raise ValueError(f"state length {dim} is not a power of two")
+    return n
+
+
+def _on_qubit(block: np.ndarray, n_qubits: int, qubit: int) -> np.ndarray:
+    """View of flat states (..., 2**n) as (..., L, 2, R) with ``qubit`` on
+    axis -2: L indexes the qubits above it, R the qubits below."""
+    return block.reshape(block.shape[:-1] + (2 ** qubit, 2, 2 ** (n_qubits - qubit - 1)))
+
+
+# 2x2 matrices keep their matrix axes first: (2, 2) for one matrix, or
+# (2, 2, B) for one per feature row, so that products and the kernel
+# broadcast the row axis without a per-row loop.
+
+def _rotation_matrices(paulis: np.ndarray, angles) -> np.ndarray:
+    """exp(-i a P / 2) = cos(a/2) I - i sin(a/2) P for K gates at once:
+    (2, 2, K) generators with (K,) angles give (2, 2, K); with (K, B)
+    angles, one per feature row, they give (2, 2, K, B)."""
+    half = np.asarray(angles, dtype=np.float64) / 2.0
+    paulis = paulis.reshape(paulis.shape + (1,) * (half.ndim - 1))
+    eye = _EYE.reshape((2, 2) + (1,) * half.ndim)
+    return np.cos(half) * eye - 1j * np.sin(half) * paulis
+
+
+def _mul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ij...,jk...->ik...", a, b)
+
+
+def _dagger(u: np.ndarray) -> np.ndarray:
+    return np.conj(np.swapaxes(u, 0, 1))
+
+
+def _apply_2x2(psi: np.ndarray, u: np.ndarray) -> None:
+    """psi[..., i, :] <- sum_j u[i, j] psi[..., j, :] in place, for a
+    (..., L, 2, R) view from ``_on_qubit``; the row axis of a (2, 2, B)
+    ``u`` lines up with the axis before L."""
+    u = u[..., None, None]
+    a0 = psi[..., 0, :]
+    a1 = psi[..., 1, :]
+    b0 = u[0, 0] * a0
+    b0 += u[0, 1] * a1
+    a1 *= u[1, 1]
+    a1 += u[1, 0] * a0
+    a0[...] = b0
+
+
+def _cnot_permutation(n_qubits: int, cnots: Sequence[Gate]) -> np.ndarray:
+    """Basis gather of a CNOT run: after the run, state[..., i] holds what
+    was state[..., perm[i]] before it."""
+    idx = np.arange(2 ** n_qubits)
+    perm = idx
+    for gate in cnots:
+        control = 1 << (n_qubits - 1 - gate.control)
+        target = 1 << (n_qubits - 1 - gate.target)
+        perm = perm[np.where(idx & control, idx ^ target, idx)]
+    return perm
+
+
+def _z_signs(n_qubits: int, qubits: Sequence[int]) -> np.ndarray:
+    """(len(qubits), 2**n): the eigenvalue of Z_q on each basis state."""
+    idx = np.arange(2 ** n_qubits)
+    bits = [(idx >> (n_qubits - 1 - q)) & 1 for q in qubits]
+    return 1.0 - 2.0 * np.array(bits, dtype=np.float64).reshape(len(qubits), 2 ** n_qubits)
+
+
+class _CnotRun(NamedTuple):
+    """A run of CNOTs as one basis gather, and the gather that undoes it."""
+
+    perm: np.ndarray
+    inverse: np.ndarray
+
+
+class _Plan(NamedTuple):
+    # rotation blocks and _CnotRun blocks in turn.  A rotation block is a
+    # tuple of (qubit, chain) pairs, one per qubit it touches, and a chain
+    # lists that qubit's gates in gate order as (k, gate), k numbering the
+    # circuit's rotations.  blocks[0] holds the rotations before the first
+    # CNOT (the product-state prefix) and may be empty.
+    blocks: tuple
+    # indices of the blocks that hold a trainable gate
+    trainable: Tuple[int, ...]
+    # slots[k] = (is_feature, j): rotation k's matrix is entry j of the
+    # param stack (j is its param index) or of the feature stack
+    slots: Tuple[Tuple[bool, int], ...]
+    param_paulis: np.ndarray  # (2, 2, P) in param-index order
+    feature_paulis: np.ndarray  # (2, 2, F)
+    feature_cols: np.ndarray  # (F,) feature index of each feature gate
+    z_signs: np.ndarray  # (n_observables, 2**n)
+
+
+def _stack_paulis(gates: Sequence[Gate]) -> np.ndarray:
+    paulis = np.array([_PAULI[g.kind] for g in gates], dtype=np.complex128)
+    return paulis.reshape(-1, 2, 2).transpose(1, 2, 0)
+
+
+def _build_plan(n_qubits: int, gates: Sequence[Gate], observables: Sequence[int]) -> _Plan:
+    blocks = []
+    slots = []
+    feature_gates = []
+    for is_cnot, run in groupby(gates, key=lambda g: g.kind == "cnot"):
+        run = list(run)
+        if is_cnot:
+            if not blocks:
+                blocks.append(())
+            perm = _cnot_permutation(n_qubits, run)
+            blocks.append(_CnotRun(perm, np.argsort(perm)))
+            continue
+        numbered = []
+        for gate in run:
+            numbered.append((len(slots), gate))
+            if gate.param is None:
+                slots.append((True, len(feature_gates)))
+                feature_gates.append(gate)
+            else:
+                slots.append((False, gate.param))
+        qubits = sorted({g.target for g in run})
+        blocks.append(tuple(
+            (q, tuple((k, g) for k, g in numbered if g.target == q)) for q in qubits))
+    if not blocks:
+        blocks.append(())
+    trainable = tuple(i for i, block in enumerate(blocks) if not isinstance(block, _CnotRun)
+                      and any(g.param is not None for _, chain in block for _, g in chain))
+    param_gates = sorted((g for g in gates if g.param is not None), key=lambda g: g.param)
+    return _Plan(tuple(blocks), trainable, tuple(slots),
+                 _stack_paulis(param_gates), _stack_paulis(feature_gates),
+                 np.array([g.feature for g in feature_gates], dtype=np.intp),
+                 _z_signs(n_qubits, observables))
+
+
 @dataclass(frozen=True)
 class CircuitSpec:
     """Layered gate program with declared observables: the qubits whose
@@ -89,6 +248,12 @@ class CircuitSpec:
     to one gate: the adjoint sweep in ``vjp`` writes it at that gate, and
     the two-point shift rule that checks it stays exact (a reused index
     would need a sum over gates and over shifts).
+
+    Construction also compiles the gates into the plan that ``run_circuit``
+    and ``vjp`` execute (see the module docstring): a product-state prefix
+    of the rotations before the first CNOT, then alternating rotation
+    blocks, one fused 2x2 gate per qubit each, and CNOT runs, one
+    permutation each.  The plan depends only on the gates, not on angles.
     """
 
     n_qubits: int
@@ -96,6 +261,7 @@ class CircuitSpec:
     observables: Tuple[int, ...] = ()
     n_params: int = field(init=False)
     n_features: int = field(init=False)
+    _plan: _Plan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.n_qubits <= MAX_QUBITS:
@@ -123,101 +289,30 @@ class CircuitSpec:
                 raise ValueError(f"observable qubit {q} out of range")
         object.__setattr__(self, "n_params", len(params))
         object.__setattr__(self, "n_features", n_feat)
+        object.__setattr__(self, "_plan",
+                           _build_plan(self.n_qubits, list(self.gates()), self.observables))
 
     def gates(self) -> Iterable[Gate]:
         for layer in self.layers:
             yield from layer
 
 
-def zero_state(n_qubits: int, batch: Optional[int] = None) -> np.ndarray:
-    """|0...0> as a flat complex array, shape (2**n,) or (batch, 2**n)."""
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise ValueError(f"n_qubits must be in 1..{MAX_QUBITS}, got {n_qubits}")
-    dim = 2 ** n_qubits
-    if batch is None:
-        state = np.zeros(dim, dtype=np.complex128)
-        state[0] = 1.0
-    else:
-        state = np.zeros((batch, dim), dtype=np.complex128)
-        state[:, 0] = 1.0
-    return state
-
-
-def _infer_n_qubits(state: np.ndarray) -> int:
-    dim = state.shape[-1]
-    n = int(round(np.log2(dim)))
-    if 2 ** n != dim:
-        raise ValueError(f"state length {dim} is not a power of two")
-    return n
-
-
-def _axis_pair(psi: np.ndarray, axis: int):
-    i0 = [slice(None)] * psi.ndim
-    i1 = [slice(None)] * psi.ndim
-    i0[axis] = 0
-    i1[axis] = 1
-    return tuple(i0), tuple(i1)
-
-
-def _apply_rotation(psi: np.ndarray, nbatch: int, kind: str, target: int, angle) -> None:
-    i0, i1 = _axis_pair(psi, nbatch + target)
-    half = np.asarray(angle, dtype=np.float64) / 2.0
-    c = np.cos(half)
-    s = np.sin(half)
-    if c.ndim:
-        # per-sample angles broadcast over the remaining qubit axes
-        bshape = (-1,) + (1,) * (psi.ndim - 1 - nbatch)
-        c = c.reshape(bshape)
-        s = s.reshape(bshape)
-    if kind == "rz":
-        psi[i0] *= c - 1j * s
-        psi[i1] *= c + 1j * s
-        return
-    a0 = psi[i0].copy()
-    a1 = psi[i1]
-    if kind == "rx":
-        psi[i0] = c * a0 - 1j * s * a1
-        psi[i1] = c * a1 - 1j * s * a0
-    else:  # ry
-        psi[i0] = c * a0 - s * a1
-        psi[i1] = s * a0 + c * a1
-
-
-def _apply_cnot(psi: np.ndarray, nbatch: int, control: int, target: int) -> None:
-    idx = [slice(None)] * psi.ndim
-    idx[nbatch + control] = 1
-    sub = psi[tuple(idx)]  # view of the control=1 subspace; control axis is dropped
-    t_axis = nbatch + target - (1 if target > control else 0)
-    i0, i1 = _axis_pair(sub, t_axis)
-    tmp = sub[i0].copy()
-    sub[i0] = sub[i1]
-    sub[i1] = tmp
-
-
 def apply_gate(state: np.ndarray, gate: Gate, angle: Optional[float] = None) -> np.ndarray:
     """Apply one gate to a flat statevector, returning a new state.  A
-    rotation needs its resolved ``angle``; a CNOT takes none."""
+    rotation needs its resolved ``angle``; a CNOT takes none.  It runs the
+    kernels of ``run_circuit`` one gate at a time, so it is the sequential
+    reference for the fused plan."""
     n = _infer_n_qubits(state)
     if gate.target >= n or (gate.control is not None and gate.control >= n):
         raise ValueError(f"gate qubit out of range for {n}-qubit state")
     out = np.array(state, dtype=np.complex128)
-    psi = out.reshape((2,) * n)
     if gate.kind == "cnot":
-        _apply_cnot(psi, 0, gate.control, gate.target)
-    elif angle is None:
+        return out[..., _cnot_permutation(n, [gate])]
+    if angle is None:
         raise ValueError("rotation gate needs a resolved angle")
-    else:
-        _apply_rotation(psi, 0, gate.kind, gate.target, angle)
-    return out.reshape(state.shape)
-
-
-def _expval(psi: np.ndarray, nbatch: int, qubit: int):
-    """<Z_qubit>, one value per leading batch index."""
-    i0, i1 = _axis_pair(psi, nbatch + qubit)
-    a0 = psi[i0]
-    a1 = psi[i1]
-    reduce_axes = tuple(range(nbatch, a0.ndim))
-    return (a0.real ** 2 + a0.imag ** 2 - a1.real ** 2 - a1.imag ** 2).sum(axis=reduce_axes)
+    u = _rotation_matrices(_PAULI[gate.kind][:, :, None], [angle])[:, :, 0]
+    _apply_2x2(_on_qubit(out, n, gate.target), u)
+    return out
 
 
 def expectation(state: np.ndarray, qubit: int) -> float:
@@ -225,27 +320,45 @@ def expectation(state: np.ndarray, qubit: int) -> float:
     n = _infer_n_qubits(state)
     if not 0 <= qubit < n:
         raise ValueError(f"qubit {qubit} out of range for {n}-qubit state")
-    psi = np.asarray(state, dtype=np.complex128).reshape((2,) * n)
-    return float(_expval(psi, 0, qubit))
+    psi = np.asarray(state, dtype=np.complex128)
+    return float(np.einsum("i,i->", psi.real ** 2 + psi.imag ** 2, _z_signs(n, [qubit])[0]))
 
 
-def _resolve_angle(gate: Gate, params: np.ndarray, features: np.ndarray):
-    if gate.param is not None:
-        return params[gate.param]
-    # feature column: scalar for a single sample, (B,) for a batch
-    return features[..., gate.feature]
+def _gate_matrices(plan: _Plan, params: np.ndarray, features: np.ndarray) -> list:
+    """Each rotation's matrix, numbered as in the plan: (2, 2) for a param
+    gate, (2, 2, B) for a feature gate."""
+    by_param = _rotation_matrices(plan.param_paulis, params)
+    by_feature = _rotation_matrices(plan.feature_paulis, features[:, plan.feature_cols].T)
+    return [by_feature[:, :, j] if is_feature else by_param[:, :, j]
+            for is_feature, j in plan.slots]
+
+
+def _fused(chain, mats: list) -> np.ndarray:
+    """One qubit's chain multiplied into one matrix, later gates to the left."""
+    u = mats[chain[-1][0]]
+    for k, _ in reversed(chain[:-1]):
+        u = _mul2(u, mats[k])
+    return u
 
 
 def _execute(spec: CircuitSpec, params: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """Run the circuit on a batch of feature rows; returns (B, 2**n) states."""
+    """Run the circuit's plan on a batch of feature rows; returns (B, 2**n) states."""
+    plan = spec._plan
     batch = features.shape[0]
-    state = zero_state(spec.n_qubits, batch=batch)
-    psi = state.reshape((batch,) + (2,) * spec.n_qubits)
-    for gate in spec.gates():
-        if gate.kind == "cnot":
-            _apply_cnot(psi, 1, gate.control, gate.target)
+    n = spec.n_qubits
+    mats = _gate_matrices(plan, params, features)
+    prefix, *rest = plan.blocks
+    kets = {q: _fused(chain, mats)[:, 0] for q, chain in prefix}
+    state = np.ones((batch, 1), dtype=np.complex128)
+    for q in range(n):
+        ket = kets.get(q, _EYE[:, 0]).T  # (2,), or (B, 2) when a feature drives it
+        state = (state[:, :, None] * ket[..., None, :]).reshape(batch, -1)
+    for block in rest:
+        if isinstance(block, _CnotRun):
+            state = state[:, block.perm]
         else:
-            _apply_rotation(psi, 1, gate.kind, gate.target, _resolve_angle(gate, params, features))
+            for q, chain in block:
+                _apply_2x2(_on_qubit(state, n, q), _fused(chain, mats))
     return state
 
 
@@ -277,36 +390,22 @@ def run_circuit(spec: CircuitSpec, params: Sequence[float] = (), features: Seque
     """
     params, feats, single = _check_args(spec, params, features)
     states = _execute(spec, params, feats)
-    psi = states.reshape((feats.shape[0],) + (2,) * spec.n_qubits)
-    if spec.observables:
-        vals = np.stack([_expval(psi, 1, q) for q in spec.observables], axis=-1)
-    else:
-        vals = np.zeros((feats.shape[0], 0))
+    probs = states.real ** 2 + states.imag ** 2
+    vals = np.einsum("bi,oi->bo", probs, spec._plan.z_signs)
     if single:
         return states[0], vals[0]
     return states, vals
 
 
-def _seed_cotangent(lam: np.ndarray, psi: np.ndarray, observables, cot: np.ndarray) -> None:
-    """lam += sum_o cot[:, o] * Z_o psi for (B, 2, ..., 2) state blocks."""
-    bshape = (-1,) + (1,) * (psi.ndim - 2)
-    for qubit, w in zip(observables, cot.T):
-        i0, i1 = _axis_pair(psi, 1 + qubit)
-        w = w.reshape(bshape)
-        lam[i0] += w * psi[i0]
-        lam[i1] -= w * psi[i1]
-
-
-def _im_overlap(lam: np.ndarray, psi: np.ndarray, qubit: int, axis: str) -> float:
-    """Im <lam| P_axis(qubit) |psi>, summed over the batch axis; the axis
-    is the generator of the rotation being differentiated."""
-    i0, i1 = _axis_pair(psi, 1 + qubit)
-    l0, l1, a0, a1 = lam[i0], lam[i1], psi[i0], psi[i1]
-    if axis == "z":
-        return np.vdot(l0, a0).imag - np.vdot(l1, a1).imag
-    if axis == "x":
-        return (np.vdot(l0, a1) + np.vdot(l1, a0)).imag
-    return (np.vdot(l1, a0) - np.vdot(l0, a1)).real  # y
+def _overlap(lam_conj: np.ndarray, psi: np.ndarray, n_qubits: int, qubit: int) -> np.ndarray:
+    """(2, 2, B) overlaps R[i, j, b] = sum conj(lam_b) psi_b over the basis
+    states with ``qubit`` at i in lam and at j in psi, so that
+    <lam_b|M|psi_b> = sum_ij M[i, j] R[i, j, b] for any 2x2 M on that qubit."""
+    lc = _on_qubit(lam_conj, n_qubits, qubit)
+    ps = _on_qubit(psi, n_qubits, qubit)
+    rows = [np.einsum("blr,blr->b", lc[:, :, i, :], ps[:, :, j, :])
+            for i in (0, 1) for j in (0, 1)]
+    return np.stack(rows).reshape(2, 2, -1)
 
 
 def vjp(spec: CircuitSpec, params: Sequence[float], features: Sequence[float],
@@ -316,43 +415,59 @@ def vjp(spec: CircuitSpec, params: Sequence[float], features: Sequence[float],
     Adjoint method (Jones & Gacon, arXiv:2009.02823).  ``state`` is the
     final state ``run_circuit`` returned for the same params and features,
     and ``cotangent`` weights its expectations: shape (n_observables,) for
-    one feature row, (B, n_observables) for a batch.  One backward sweep
-    un-applies each gate to both psi and lam = sum_o c_o Z_o psi; a gate
-    exp(-i theta P / 2) contributes Im <lam|P|psi>.  The sweep stops at the
-    earliest trainable gate, so the gates before it (a feature embedding)
-    are never undone.  Returns shape (P,), summed over the batch.
+    one feature row, (B, n_observables) for a batch.  The sweep walks the
+    plan's blocks backward with psi and lam = sum_o c_o Z_o psi.  A gate
+    exp(-i theta P / 2) contributes Im <lam|P|psi> just after it; at the end
+    of its rotation block that is Im <lam|W P W^dagger|psi>, W being the
+    later gates of its qubit's chain, so one overlap matrix per qubit
+    (``_overlap``) serves every gate of the chain.  The sweep then un-applies
+    each fused chain once, and a CNOT run by its inverse gather.  It stops
+    in the earliest block with a trainable gate, so the gates before it (a
+    feature embedding) are never undone.  Returns shape (P,), summed over
+    the batch.
     """
     params, feats, single = _check_args(spec, params, features)
     batch = feats.shape[0]
+    n = spec.n_qubits
     n_obs = len(spec.observables)
     state = np.asarray(state, dtype=np.complex128)
     cot = np.asarray(cotangent, dtype=np.float64)
     lead = () if single else (batch,)
-    if state.shape != lead + (2 ** spec.n_qubits,):
+    if state.shape != lead + (2 ** n,):
         raise ValueError(f"state shape {state.shape} does not match the circuit and features")
     if cot.shape != lead + (n_obs,):
         raise ValueError(f"expected cotangent shape {lead + (n_obs,)}, got {cot.shape}")
     grad = np.zeros(spec.n_params)
-    gates = list(spec.gates())
-    trainable = [i for i, g in enumerate(gates) if g.param is not None]
-    if not trainable:
+    plan = spec._plan
+    if not plan.trainable:
         return grad
-    # psi and lam share one block so each gate is un-applied in one call
-    pair = np.zeros((2, batch) + (2,) * spec.n_qubits, dtype=np.complex128)
-    psi, lam = pair
-    psi[...] = state.reshape(psi.shape)
-    _seed_cotangent(lam, psi, spec.observables, cot.reshape(batch, n_obs))
-    for i in range(len(gates) - 1, trainable[0] - 1, -1):
-        gate = gates[i]
-        if gate.param is not None:
-            grad[gate.param] = _im_overlap(lam, psi, gate.target, gate.kind[1])
-            if i == trainable[0]:
-                break
-        if gate.kind == "cnot":
-            _apply_cnot(pair, 2, gate.control, gate.target)
-        else:
-            _apply_rotation(pair, 2, gate.kind, gate.target,
-                            -_resolve_angle(gate, params, feats))
+    mats = _gate_matrices(plan, params, feats)
+    # psi and lam share one block so each step un-applies both in one call
+    psi = state.reshape(batch, -1)
+    weights = np.einsum("bo,oi->bi", cot.reshape(batch, n_obs), plan.z_signs)
+    pair = np.stack([psi, weights * psi])
+    first = plan.trainable[0]
+    for i in range(len(plan.blocks) - 1, first - 1, -1):
+        block = plan.blocks[i]
+        if isinstance(block, _CnotRun):
+            pair = pair[:, :, block.inverse]
+            continue
+        lam_conj = pair[1].conj() if i in plan.trainable else None
+        fused = []
+        for q, chain in block:
+            w = _EYE  # the chain's gates after the current one
+            overlap = None
+            for k, gate in reversed(chain):
+                if gate.param is not None:
+                    if overlap is None:
+                        overlap = _overlap(lam_conj, pair[0], n, q)
+                    gen = _mul2(_mul2(w, _PAULI[gate.kind]), _dagger(w))
+                    grad[gate.param] = np.einsum("ij...,ij...->...", gen, overlap).sum().imag
+                w = _mul2(w, mats[k])
+            fused.append((q, w))
+        if i > first:
+            for q, u in fused:
+                _apply_2x2(_on_qubit(pair, n, q), _dagger(u))
     return grad
 
 

@@ -103,8 +103,14 @@ class TestConfigResolution:
         ("dvcs", {"lams": ["a"]}),
         ("bench-class", {"learning_rate": 0}),
         ("qualify", {"n_points": 10}),
+        ("bench-reg", {"functions": ["quad", "cos4x", "quad"]}),
+        ("bench-reg", {"sigmas": [0.1, 0.1]}),
+        ("dvcs", {"lams": [1.0, 1.0, 0.0]}),
+        ("qualify", {"epochs": [10, 25, 10]}),
     ], ids=["bench-reg-negative-epochs", "bench-reg-text-sigma", "bench-reg-one-bound-x-range",
-            "dvcs-text-lam", "bench-class-zero-learning-rate", "qualify-10-points"])
+            "dvcs-text-lam", "bench-class-zero-learning-rate", "qualify-10-points",
+            "bench-reg-repeated-function", "bench-reg-repeated-sigma", "dvcs-repeated-lam",
+            "qualify-repeated-epoch"])
     def test_bad_value_is_config_error_before_any_output(self, tmp_path, command, block):
         out = tmp_path / "o"
         cfg = write_cfg(tmp_path, {command: block})
@@ -483,3 +489,23 @@ class TestReproducibility:
     def test_worker_pool_does_not_change_bench_class_ledger(self, tmp_path, monkeypatch):
         self.assert_ledger_same_for_1_and_2_workers(
             tmp_path, monkeypatch, "bench-class", {"ensemble": 2, "epochs": 0, "n_eval": 30})
+
+    def test_blas_thread_count_does_not_change_ledger(self, tmp_path):
+        # OpenBLAS splits reductions over 100 rows of 8-qubit states across
+        # threads, so any that went through BLAS would move m_qdnn in the
+        # last digits; on a one-core machine both runs use one thread
+        cfg = write_cfg(tmp_path, {"bench-reg": {
+            "functions": ["quad"], "sigmas": [0.1], "n_features": 8, "n_points": 100,
+            "epochs": 3, "checkpoints": [3], "workers": 1, "seed": 0}})
+        src = str(Path(qqual.__file__).resolve().parents[1])
+        blobs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run(
+                [sys.executable, "-m", "qqual.cli", "bench-reg", "--config", cfg,
+                 "--out", str(out)], env=env, capture_output=True, text=True, timeout=600)
+            assert proc.returncode == cli.EXIT_OK, proc.stderr
+            blobs.append((out / "ledger.csv").read_bytes())
+        assert blobs[0] == blobs[1]

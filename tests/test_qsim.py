@@ -5,6 +5,12 @@ from hypothesis import given, settings, strategies as st
 from qqual import qsim
 
 
+def zero_state(n):
+    s = np.zeros(2 ** n, dtype=complex)
+    s[0] = 1.0
+    return s
+
+
 def rand_state(n, seed):
     rng = np.random.default_rng(seed)
     v = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
@@ -41,7 +47,7 @@ class TestApplyGate:
             assert np.allclose(out, s, atol=1e-14)
 
     def test_rx_pi_on_zero_state(self):
-        out = rotate(qsim.zero_state(1), "rx", 0, np.pi)
+        out = rotate(zero_state(1), "rx", 0, np.pi)
         assert np.allclose(out, [0.0, -1.0j], atol=1e-12)
 
     def test_cnot_truth_table(self):
@@ -65,7 +71,7 @@ class TestApplyGate:
 
     def test_qubit_out_of_range(self):
         with pytest.raises(ValueError):
-            rotate(qsim.zero_state(2), "rx", 5, 0.3)
+            rotate(zero_state(2), "rx", 5, 0.3)
 
     def test_rotation_needs_angle_source(self):
         with pytest.raises(ValueError):
@@ -73,7 +79,7 @@ class TestApplyGate:
         with pytest.raises(ValueError):
             qsim.Gate("rx", 0, feature=1, param=0)
         with pytest.raises(ValueError, match="angle"):
-            qsim.apply_gate(qsim.zero_state(1), qsim.rx(0, param=0))
+            qsim.apply_gate(zero_state(1), qsim.rx(0, param=0))
 
     def test_unitarity_round_trip(self):
         s = rand_state(4, 7)
@@ -97,7 +103,7 @@ class TestExpectation:
     def test_z_basis_states(self):
         one = np.array([0.0, 1.0], dtype=complex)
         assert qsim.expectation(one, 0) == pytest.approx(-1.0)
-        assert qsim.expectation(qsim.zero_state(1), 0) == pytest.approx(1.0)
+        assert qsim.expectation(zero_state(1), 0) == pytest.approx(1.0)
 
     def test_plus_state(self):
         plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
@@ -107,7 +113,7 @@ class TestExpectation:
     def test_y_after_rx(self):
         # RX(theta)|0> has <Y> = -sin(theta)
         for theta in (0.3, 1.2, 2.5):
-            s = rotate(qsim.zero_state(1), "rx", 0, theta)
+            s = rotate(zero_state(1), "rx", 0, theta)
             assert expect_y(s, 0) == pytest.approx(-np.sin(theta), abs=1e-12)
 
     def test_bounds_on_random_states(self):
@@ -169,6 +175,11 @@ class TestRunCircuit:
             s_i, v_i = qsim.run_circuit(spec, params, X[i])
             assert np.allclose(s_i, states[i], atol=1e-13)
             assert np.allclose(v_i, vals[i], atol=1e-13)
+
+    def test_no_observables_gives_empty_values(self):
+        spec = qsim.CircuitSpec(2, [[qsim.ry(0, param=0), qsim.cnot(0, 1)]])
+        state, vals = qsim.run_circuit(spec, [0.4], np.zeros((3, 0)))
+        assert state.shape == (3, 4) and vals.shape == (3, 0)
 
     def test_param_count_checked(self):
         spec = qsim.CircuitSpec(1, [[qsim.ry(0, param=0)]], [0])
@@ -251,6 +262,72 @@ def gate_tags(spec):
         else:
             tags.add((g.kind, "param" if g.param is not None else "feature"))
     return tags
+
+
+def sequential_run(spec, params, x):
+    """The circuit gate by gate through apply_gate, for one feature row."""
+    state = zero_state(spec.n_qubits)
+    for g in spec.gates():
+        if g.kind == "cnot":
+            state = qsim.apply_gate(state, g)
+        else:
+            angle = params[g.param] if g.param is not None else x[g.feature]
+            state = qsim.apply_gate(state, g, angle)
+    return state, np.array([qsim.expectation(state, q) for q in spec.observables])
+
+
+def plan_tags(spec):
+    """Which paths of the fused plan a circuit exercises, read from its gates."""
+    gates = list(spec.gates())
+    tags = {("qubits", spec.n_qubits)}
+    runs = [[]]  # alternating rotation and CNOT runs, starting with rotations
+    for g in gates:
+        if (g.kind == "cnot") != (len(runs) % 2 == 0):
+            runs.append([])
+        runs[-1].append(g)
+    if len(runs) == 1:
+        tags.add("no cnot")
+    prefix = runs[0]
+    if {g.param is None for g in prefix} == {True, False}:
+        tags.add("prefix with param and feature gates")
+    for i, run in enumerate(runs):
+        if i % 2 == 0:
+            targets = [g.target for g in run]
+            if len(set(targets)) < len(targets):
+                where = "in the prefix" if i == 0 else "after a cnot"
+                tags.add(f"several gates on one qubit {where}")
+            if i > 0 and any(g.feature is not None for g in run):
+                tags.add("feature rotation after a cnot")
+        elif len(run) >= 2:
+            tags |= {("cnot run", "control above" if g.control < g.target else "control below")
+                     for g in run}
+    return tags
+
+
+class TestFusedPlan:
+    def test_matches_gate_by_gate_application(self):
+        seen = set()
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            n = {7: 1, 17: 12, 37: 12}.get(seed, int(rng.integers(1, 6)))
+            n_feat = int(rng.integers(1, 4))
+            spec = random_mixed_circuit(rng, n, int(rng.integers(4, 24)), n_feat)
+            params = rng.uniform(-np.pi, np.pi, size=spec.n_params)
+            batched = seed % 2 == 1
+            X = rng.normal(size=(int(rng.integers(2, 5)), n_feat) if batched else n_feat)
+            states, vals = qsim.run_circuit(spec, params, X)
+            rows = X if batched else [X]
+            states, vals = np.atleast_2d(states), np.atleast_2d(vals)
+            for b, x in enumerate(rows):
+                ref_state, ref_vals = sequential_run(spec, params, x)
+                assert np.max(np.abs(states[b] - ref_state)) <= 1e-12
+                assert np.max(np.abs(vals[b] - ref_vals)) <= 1e-12
+            seen |= plan_tags(spec) | {"batch" if batched else "single row"}
+        assert seen >= {
+            "prefix with param and feature gates", "several gates on one qubit in the prefix",
+            "several gates on one qubit after a cnot", "feature rotation after a cnot",
+            ("cnot run", "control above"), ("cnot run", "control below"), "no cnot",
+            ("qubits", 1), ("qubits", 12), "single row", "batch"}
 
 
 class TestAdjointGradient:
