@@ -33,7 +33,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-# dvcs, complexity, geometry and qualifier load scipy: only the commands using them import them
+# dvcs, complexity, geometry and qualifier are imported by the commands that use
+# them, so that bench-reg and bench-class start without loading them
 from . import svgplot
 from .cdnn import build_default_cdnn
 from .datagen import REGRESSION_FUNCTIONS, gen_classification_set, gen_regression_curve
@@ -779,7 +780,6 @@ def _subsample_sets(sets: list, max_sets: int, seed: int) -> list:
 
 
 def compute_dvcs(config: dict, workers: int) -> dict:
-    # imported before run_campaign starts its pool, so workers inherit scipy
     from . import dvcs as dv
     from .geometry import ScatterField, area_fractions, build_surface, sign_agreement
     from .qualifier import eval_qualifier, fit_qualifier

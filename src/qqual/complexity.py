@@ -13,15 +13,20 @@ noise is 4999.5.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.special import digamma
 
 _FOURIER_BINS = 10_000
 _KSG_K = 3
 _JITTER_SCALE = 1e-10
+_KSG_BLOCK = 1 << 18  # pairwise distances held at once by the KSG pass
+_EULER = 0.577215664901532860606512090082402431
+# cephes' asymptotic-series coefficients of psi, highest power first
+_PSI_A = (8.33333333333333333333e-2, -2.10927960927960927961e-2, 7.57575757575757575758e-3,
+          -4.16666666666666666667e-3, 3.96825396825396825397e-3, -8.33333333333333333333e-3,
+          8.33333333333333333333e-2)
 
 
 @dataclass(frozen=True)
@@ -122,16 +127,40 @@ def mutual_information(xs, ys) -> float:
     rng = np.random.default_rng(12345)
     x = x + rng.standard_normal(n) * (_JITTER_SCALE * max(np.ptp(x), 1.0))
     y = y + rng.standard_normal(n) * (_JITTER_SCALE * max(np.ptp(y), 1.0))
-    joint = np.column_stack([x, y])
-    eps = cKDTree(joint).query(joint, k=_KSG_K + 1, p=np.inf)[0][:, _KSG_K]
-    # strict inequality: count marginal neighbors at distance < eps_i
-    radius = np.nextafter(eps, 0.0)
-    nx = cKDTree(x[:, None]).query_ball_point(x[:, None], radius, p=np.inf,
-                                              return_length=True) - 1
-    ny = cKDTree(y[:, None]).query_ball_point(y[:, None], radius, p=np.inf,
-                                              return_length=True) - 1
-    return float(digamma(_KSG_K) + digamma(n)
-                 - np.mean(digamma(nx + 1) + digamma(ny + 1)))
+    nx = np.empty(n, dtype=np.intp)
+    ny = np.empty(n, dtype=np.intp)
+    rows = max(1, _KSG_BLOCK // n)
+    for start in range(0, n, rows):
+        block = slice(start, start + rows)
+        dx = np.abs(x[block, None] - x)
+        dy = np.abs(y[block, None] - y)
+        # max-norm distance to the k-th neighbor; column 0 of the order is the point itself
+        eps = np.partition(np.maximum(dx, dy), _KSG_K, axis=1)[:, _KSG_K]
+        # strict inequality: count marginal neighbors at distance < eps_i
+        radius = np.nextafter(eps, 0.0)[:, None]
+        nx[block] = np.count_nonzero(dx <= radius, axis=1) - 1
+        ny[block] = np.count_nonzero(dy <= radius, axis=1) - 1
+    counts, index = np.unique(np.concatenate([nx, ny]) + 1, return_inverse=True)
+    psi = np.array([_digamma(int(c)) for c in counts])[index]
+    return float(_digamma(_KSG_K) + _digamma(n) - np.mean(psi[:n] + psi[n:]))
+
+
+def _digamma(n: int) -> float:
+    """psi(n) for an integer n >= 1 by cephes' steps, so it equals
+    scipy.special.digamma bit for bit: the harmonic sum up to 10, the
+    asymptotic series above.  math.log, not np.log, which can differ by
+    an ulp."""
+    if n <= 10:
+        y = 0.0
+        for i in range(1, n):
+            y += 1.0 / i
+        return y - _EULER
+    x = float(n)
+    z = 1.0 / (x * x)
+    poly = _PSI_A[0]
+    for a in _PSI_A[1:]:
+        poly = poly * z + a
+    return math.log(x) - 0.5 / x - z * poly
 
 
 def fourier_complexity(ys) -> float:

@@ -13,8 +13,8 @@ from zlib import crc32
 
 import numpy as np
 
-# complexity and qualifier load scipy: they are imported where they run,
-# so that ingesting and validating data does not pay for them
+# complexity and qualifier are imported where they run, so that ingesting
+# and validating data does not load them
 from . import cdnn as cdnn_mod
 from . import qdnn as qdnn_mod
 from .optim import TrainConfig, TrainingDivergence, fit, pool_map

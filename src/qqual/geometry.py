@@ -1,7 +1,7 @@
 """Regime-map construction over a scattered 2-D field: convex hull,
-hull-masked linear interpolation with edge-renormalized Gaussian
-smoothing, zero-level-set extraction, area fractions, and the
-sign-agreement score between two fields on one grid."""
+Delaunay triangulation, hull-masked linear interpolation with
+edge-renormalized Gaussian smoothing, zero-level-set extraction, area
+fractions, and the sign-agreement score between two fields on one grid."""
 
 from __future__ import annotations
 
@@ -9,12 +9,11 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
-from scipy.interpolate import LinearNDInterpolator
-from scipy.ndimage import gaussian_filter
-from scipy.spatial import cKDTree
 
 DEFAULT_RESOLUTION = 200
 DEFAULT_SMOOTHING = 3.0
+_INF = -1  # the vertex at infinity of the ghost triangles
+_BARY_EPS = 100 * np.finfo(np.float64).eps  # in-triangle slack on barycentric coordinates
 
 
 @dataclass
@@ -96,6 +95,174 @@ def points_in_hull(hull: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarr
     return inside
 
 
+def delaunay(points) -> np.ndarray:
+    """Delaunay triangles of a 2-D point set, as (m, 3) indices into
+    `points` in counter-clockwise order.
+
+    Bowyer-Watson insertion in (x, y) order, with exact predicates on the
+    coordinates scaled to integers.  The hull is exact: each hull edge
+    bounds a ghost triangle whose third vertex is at infinity, and whose
+    circumcircle is the open outer half-plane.  A repeated point is
+    skipped, so triangles use its first occurrence.  A new point's cavity
+    holds the triangles whose circumcircle contains it strictly, so on
+    cocircular points (a regular grid, say) the diagonal that was there
+    first stays: the triangles depend on the point set, not its order."""
+    pts = np.asarray(points, dtype=np.float64)
+    ratios = [v.as_integer_ratio() for v in pts.ravel().tolist()]
+    scale = max(d for _, d in ratios)
+    ints = [n * (scale // d) for n, d in ratios]
+    X, Y = ints[0::2], ints[1::2]
+
+    def orient(a, b, p):
+        return (X[b] - X[a]) * (Y[p] - Y[a]) - (Y[b] - Y[a]) * (X[p] - X[a])
+
+    def conflicts(t, p):
+        if _INF in V[t]:
+            # points go in (x, y) order, so p never lies inside a hull edge
+            # (it would come between the edge's ends); p on the edge's line
+            # outside the edge is not in conflict
+            k = V[t].index(_INF)
+            return orient(V[t][k - 2], V[t][k - 1], p) > 0
+        a, b, c = V[t]
+        adx, ady = X[a] - X[p], Y[a] - Y[p]
+        bdx, bdy = X[b] - X[p], Y[b] - Y[p]
+        cdx, cdy = X[c] - X[p], Y[c] - Y[p]
+        return ((adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
+                + (bdx * bdx + bdy * bdy) * (cdx * ady - adx * cdy)
+                + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady)) > 0
+
+    first = {}
+    for i, p in enumerate(map(tuple, pts.tolist())):
+        first.setdefault(p, i)
+    order = [first[p] for p in sorted(first)]
+    a, b = order[0], order[1]
+    c = next((c for c in order[2:] if orient(a, b, c)), None)
+    if c is None:
+        raise ValueError("all points are collinear")
+    if orient(a, b, c) < 0:
+        a, b = b, a
+    # one triangle and the three ghosts on its edges; neighbor k of a
+    # triangle lies across the edge opposite its vertex k
+    V = [[a, b, c], [b, a, _INF], [c, b, _INF], [a, c, _INF]]
+    N = [[2, 3, 1], [3, 2, 0], [1, 3, 0], [2, 1, 0]]
+    alive = [True] * 4
+    start = 0
+    for p in order[2:]:
+        if p == c:
+            continue
+        # visibility walk to a triangle holding p, or to a ghost that sees it
+        t = start
+        while _INF not in V[t]:
+            for k in range(3):
+                if orient(V[t][k - 2], V[t][k - 1], p) < 0:
+                    t = N[t][k]
+                    break
+            else:
+                break
+        cavity, seen, stack = [t], {t}, [t]
+        while stack:
+            for u in N[stack.pop()]:
+                if u not in seen:
+                    seen.add(u)
+                    if conflicts(u, p):
+                        cavity.append(u)
+                        stack.append(u)
+        # join p to each edge of the cavity's boundary, a closed fan around p
+        inside = set(cavity)
+        new, starts, ends = [], {}, {}
+        for t in cavity:
+            alive[t] = False
+            for k in range(3):
+                u = N[t][k]
+                if u in inside:
+                    continue
+                e0, e1 = V[t][k - 2], V[t][k - 1]
+                s = len(V)
+                V.append([e0, e1, p])
+                N.append([e1, e0, u])  # fan ends for now, triangle ids below
+                alive.append(True)
+                N[u][N[u].index(t)] = s
+                starts[e0], ends[e1] = s, s
+                new.append(s)
+        for s in new:
+            N[s][0], N[s][1] = starts[N[s][0]], ends[N[s][1]]
+        start = next(t for t in new if _INF not in V[t])
+    return np.array([v for v, ok in zip(V, alive) if ok and _INF not in v],
+                    dtype=np.intp).reshape(-1, 3)
+
+
+def _interpolate(fld: ScatterField, x_axis: np.ndarray, y_axis: np.ndarray) -> np.ndarray:
+    """Barycentric-linear values of the field on a uniform grid, NaN
+    outside the triangulation.  A grid point is in a triangle when none of
+    its barycentric coordinates is below -100 DBL_EPSILON, the slack of
+    scipy's LinearNDInterpolator.  Each triangle visits only the rows of
+    its bounding box; in each row its three coordinates are linear in x,
+    so the grid points it holds there are one run of columns."""
+    tri = delaunay(np.column_stack([fld.xs, fld.ys]))
+    px, py, pv = fld.xs[tri], fld.ys[tri], fld.values[tri]
+    # coordinate j of (x, y) is s_j (x - x_2) + t_j (y - y_2), plus 1 for j = 2
+    ax, ay = px[:, :2] - px[:, 2:], py[:, :2] - py[:, 2:]
+    det = ax[:, 0] * ay[:, 1] - ax[:, 1] * ay[:, 0]
+    keep = det != 0  # an area below float resolution holds no grid point
+    px, py, pv, ax, ay, det = (v[keep] for v in (px, py, pv, ax, ay, det))
+    s = np.stack([ay[:, 1], -ay[:, 0]]) / det
+    t = np.stack([-ax[:, 1], ax[:, 0]]) / det
+    s = np.vstack([s, -(s[0] + s[1])])
+    # the value along a row is c + g (x - x_2): g per triangle, c per row
+    dv = pv[:, :2] - pv[:, 2:]
+    g = s[0] * dv[:, 0] + s[1] * dv[:, 1]
+    # (triangle, row) pairs over each bounding box, one row wider each side
+    ny, nx = len(y_axis), len(x_axis)
+    r0 = np.maximum(np.searchsorted(y_axis, py.min(axis=1)) - 1, 0)
+    r1 = np.minimum(np.searchsorted(y_axis, py.max(axis=1), side="right") + 1, ny)
+    k = np.repeat(np.arange(len(det)), r1 - r0)
+    rows = np.arange(len(k)) + np.repeat(r0 - np.cumsum(r1 - r0) + (r1 - r0), r1 - r0)
+    # along the pair's row, coordinate j is s_j (x - x_2) + b_j, and it is
+    # >= -eps on one side of x_2 + (-eps - b_j) / s_j
+    dy = y_axis[rows] - py[k, 2]
+    b = np.stack([t[0, k] * dy, t[1, k] * dy])
+    b = np.vstack([b, 1.0 - b[0] - b[1]])
+    sk = s[:, k]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        edge = px[k, 2] + (-_BARY_EPS - b) / sk
+    lo = np.max(np.where(sk > 0, edge, -np.inf), axis=0)
+    hi = np.min(np.where(sk < 0, edge, np.inf), axis=0)
+    # a coordinate constant along the row admits all of it or none
+    lo[np.any((sk == 0) & (b < -_BARY_EPS), axis=0)] = np.inf
+    c0 = np.searchsorted(x_axis, lo)
+    c1 = np.maximum(np.searchsorted(x_axis, hi, side="right"), c0)
+    n = c1 - c0
+    c = pv[k, 2] + b[0] * dv[k, 0] + b[1] * dv[k, 1]
+    cols = np.arange(n.sum()) + np.repeat(c0 - np.cumsum(n) + n, n)
+    vals = np.repeat(c, n) + np.repeat(g[k], n) * (x_axis[cols] - np.repeat(px[k, 2], n))
+    out = np.full(ny * nx, np.nan)
+    out[cols + np.repeat(rows * nx, n)] = vals
+    return out.reshape(ny, nx)
+
+
+def _gaussian_smooth(a: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian smoothing of a 2-D array with zeros beyond the edge, bit
+    for bit as scipy.ndimage.gaussian_filter(mode="constant"): the same
+    truncated kernel, axis 0 then axis 1, and per output point the centre
+    tap first, then each symmetric pair of taps from the outermost inward."""
+    radius = int(4.0 * sigma + 0.5)
+    weights = np.exp(-0.5 / (sigma * sigma) * np.arange(-radius, radius + 1) ** 2)
+    weights = weights / weights.sum()
+    for axis in (0, 1):
+        n = a.shape[axis]
+        padded = np.pad(a, [(radius, radius) if d == axis else (0, 0) for d in (0, 1)])
+        taps = [padded[(slice(None),) * axis + (slice(j, j + n),)]
+                for j in range(2 * radius + 1)]
+        out = a * weights[radius]
+        pair = np.empty_like(out)
+        for k in range(radius, 0, -1):
+            np.add(taps[radius - k], taps[radius + k], out=pair)
+            pair *= weights[radius - k]
+            out += pair
+        a = out
+    return a
+
+
 def build_surface(fld: ScatterField, resolution: int = DEFAULT_RESOLUTION,
                   smoothing: float = DEFAULT_SMOOTHING) -> GridField:
     """Barycentric-linear interpolation onto a uniform grid masked to the
@@ -108,20 +275,16 @@ def build_surface(fld: ScatterField, resolution: int = DEFAULT_RESOLUTION,
     y_axis = np.linspace(fld.ys.min(), fld.ys.max(), resolution)
     gx, gy = np.meshgrid(x_axis, y_axis)
     mask = points_in_hull(hull, gx, gy)
-    interp = LinearNDInterpolator(np.column_stack([fld.xs, fld.ys]), fld.values)
-    values = interp(gx, gy)
+    values = _interpolate(fld, x_axis, y_axis)
     # FP wobble at the hull edge can leave masked points just outside the
-    # triangulation; fill those few from the nearest sample
+    # triangulation; fill those few from the nearest sample (lowest index on a tie)
     holes = mask & ~np.isfinite(values)
     if np.any(holes):
-        tree = cKDTree(np.column_stack([fld.xs, fld.ys]))
-        _, idx = tree.query(np.column_stack([gx[holes], gy[holes]]))
-        values[holes] = fld.values[idx]
+        d2 = (gx[holes][:, None] - fld.xs) ** 2 + (gy[holes][:, None] - fld.ys) ** 2
+        values[holes] = fld.values[np.argmin(d2, axis=1)]
     if smoothing > 0:
-        m = mask.astype(np.float64)
-        filled = np.where(mask, values, 0.0)
-        num = gaussian_filter(filled, smoothing, mode="constant", cval=0.0)
-        den = gaussian_filter(m, smoothing, mode="constant", cval=0.0)
+        num = _gaussian_smooth(np.where(mask, values, 0.0), smoothing)
+        den = _gaussian_smooth(mask.astype(np.float64), smoothing)
         sm = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
         values = np.where(mask, sm, np.nan)
     else:

@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-if TYPE_CHECKING:  # geometry loads scipy; annotations alone need no import
+if TYPE_CHECKING:  # annotations alone need no import of geometry
     from .geometry import GridField
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
@@ -155,17 +155,16 @@ class Axes:
                         rotate=-90)
 
 
-def diverging_color(v: float, vmax: float) -> str:
-    """Blue-white-red map: negative values blue, positive red, zero white."""
+def diverging_colors(values, vmax: float) -> List[str]:
+    """Blue-white-red map, one color per value: negative values blue,
+    positive red, zero white."""
     if vmax <= 0:
         raise ValueError("vmax must be > 0")
-    t = max(-1.0, min(1.0, float(v) / vmax))
-    if t >= 0:
-        r, g, b = 1.0 - 0.30 * t, 1.0 - 0.90 * t, 1.0 - 0.83 * t
-    else:
-        r, g, b = 1.0 + 0.87 * t, 1.0 + 0.60 * t, 1.0 + 0.33 * t
-    channels = (min(1.0, max(0.0, c)) for c in (r, g, b))
-    return "#%02x%02x%02x" % tuple(int(round(255 * c)) for c in channels)
+    t = np.clip(np.asarray(values, dtype=np.float64) / vmax, -1.0, 1.0)[:, None]
+    slope = np.where(t >= 0, [-0.30, -0.90, -0.83], [0.87, 0.60, 0.33])
+    # np.rint rounds half to even, as round does
+    channels = np.rint(255 * np.clip(1.0 + slope * t, 0.0, 1.0)).astype(int)
+    return ["#%02x%02x%02x" % tuple(c) for c in channels.tolist()]
 
 
 def heatmap(canvas: SvgCanvas, axes: Axes, grid: GridField, max_cells: int = 120) -> float:
@@ -190,16 +189,19 @@ def heatmap(canvas: SvgCanvas, axes: Axes, grid: GridField, max_cells: int = 120
     vblocks = np.pad(np.where(mask, vals, 0.0), pad).reshape(nby, fy, nbx, fx)
     counts = mblocks.sum(axis=(1, 3))
     means = vblocks.sum(axis=(1, 3)) / np.maximum(counts, 1)
-    # pixel edges per block column and per block row
+    # pixel edges per block column and per block row, each formatted once
     x0 = axes.px(grid.x_axis[::fx] - sx / 2)
     x1 = axes.px(grid.x_axis[np.minimum(np.arange(fx, nx + fx, fx), nx) - 1] + sx / 2)
     y0 = axes.py(grid.y_axis[np.minimum(np.arange(fy, ny + fy, fy), ny) - 1] + sy / 2)
     y1 = axes.py(grid.y_axis[::fy] - sy / 2)
+    xs, widths = [_fmt(v) for v in x0], [_fmt(v) for v in x1 - x0]
+    ys, heights = [_fmt(v) for v in y0], [_fmt(v) for v in y1 - y0]
+    filled_i, filled_j = np.nonzero(counts)
+    fills = diverging_colors(means[filled_i, filled_j], vmax)
     cells = ['<g shape-rendering="crispEdges">']
-    for i, j in zip(*np.nonzero(counts)):
-        cells.append(f'<rect x="{_fmt(x0[j])}" y="{_fmt(y0[i])}" '
-                     f'width="{_fmt(x1[j] - x0[j])}" height="{_fmt(y1[i] - y0[i])}" '
-                     f'fill="{diverging_color(means[i, j], vmax)}"/>')
+    for i, j, fill in zip(filled_i.tolist(), filled_j.tolist(), fills):
+        cells.append(f'<rect x="{xs[j]}" y="{ys[i]}" width="{widths[j]}" '
+                     f'height="{heights[i]}" fill="{fill}"/>')
     cells.append("</g>")
     canvas.raw("\n".join(cells))
     return vmax
@@ -209,9 +211,9 @@ def colorbar(canvas: SvgCanvas, x: float, y: float, w: float, h: float,
              vmax: float) -> None:
     n = 40
     step = h / n
-    for i in range(n):
-        v = vmax * (1.0 - 2.0 * (i + 0.5) / n)
-        canvas.rect(x, y + i * step, w, step + 0.5, fill=diverging_color(v, vmax))
+    fills = diverging_colors(vmax * (1.0 - 2.0 * (np.arange(n) + 0.5) / n), vmax)
+    for i, fill in enumerate(fills):
+        canvas.rect(x, y + i * step, w, step + 0.5, fill=fill)
     canvas.rect(x, y, w, h, fill="none", stroke="#444444")
     for frac, v in ((0.0, vmax), (0.5, 0.0), (1.0, -vmax)):
         canvas.text(x + w + 5, y + frac * h + 3.5, _tick_label(v), size=10)

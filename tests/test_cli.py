@@ -392,60 +392,44 @@ class TestComputeWritesNothing:
 
 
 class TestScipyLoading:
-    """scipy takes most of a fresh interpreter's import time, so the
-    commands that call none of it must not load it."""
+    """qqual runs on numpy alone; scipy is a test-only reference, and
+    importing it would cost a fresh process most of its start-up time."""
 
-    def test_bench_commands_never_load_scipy(self, tmp_path):
-        cfg = write_cfg(tmp_path, {
-            "bench-reg": {"functions": ["quad"], "sigmas": [0.1], "n_features": 4,
-                          "epochs": 2, "n_points": 24},
-            "bench-class": {"ensemble": 2, "epochs": 0, "n_eval": 30}})
-        loaded = run_fresh_interpreter("""
+    ON_THEIR_OWN = ("bench-class", "bench-reg", "validate-data")
+
+    def scipy_loaded_by(self, tmp_path, commands):
+        """Run `commands` in one fresh interpreter on tiny configs; return
+        the scipy modules loaded after the import and after each command."""
+        cfg = write_cfg(tmp_path, TestComputeWritesNothing.TINY)
+        return run_fresh_interpreter("""
 import json, sys
 from qqual import cli
-cfg, out = sys.argv[1:]
-seen = {"import": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}
-for command in ("bench-reg", "bench-class"):
+cfg, out, *commands = sys.argv[1:]
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+seen = {"import": scipy_modules()}
+for command in commands:
     assert cli.main([command, "--config", cfg, "--out", out + "/" + command]) == 0
-    seen[command] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    seen[command] = scipy_modules()
 print(json.dumps(seen))
-""", cfg, tmp_path)
+""", cfg, tmp_path, *commands)
+
+    def test_bench_commands_never_load_scipy(self, tmp_path):
+        loaded = self.scipy_loaded_by(tmp_path, ["bench-reg", "bench-class"])
         assert loaded == {"import": [], "bench-reg": [], "bench-class": []}
 
     def test_validate_data_never_loads_scipy(self, tmp_path):
-        loaded = run_fresh_interpreter("""
-import json, sys
-from qqual import cli
-assert cli.main(["validate-data", "--out", sys.argv[1]]) == 0
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
-""", tmp_path / "vd")
-        assert loaded == []
+        loaded = self.scipy_loaded_by(tmp_path, ["validate-data"])
+        assert loaded == {"import": [], "validate-data": []}
 
-    def test_dvcs_pool_workers_inherit_scipy(self, tmp_path):
-        # workers fork from the command's process: scipy loaded before the
-        # pool starts is not imported again by every worker
-        cfg = write_cfg(tmp_path, {"dvcs": {"max_sets": 4, "lams": [1.0], "ensemble": 1,
-                                            "epochs": 1, "resolution": 40, "workers": 2}})
-        starts = run_fresh_interpreter("""
-import json, sys
-from qqual import cli, optim
-cfg, out = sys.argv[1:]
-starts = []
-pool_map = optim.pool_map
-
-def spy(fn, jobs, workers):
-    starts.append({"workers": workers, "jobs": len(jobs),
-                   "loaded": [m for m in ("scipy.spatial", "scipy.special")
-                              if m in sys.modules]})
-    return pool_map(fn, jobs, workers)
-
-assert "qqual.dvcs" not in sys.modules
-optim.pool_map = spy  # the name qqual.dvcs imports when the command loads it
-assert cli.main(["dvcs", "--config", cfg, "--out", out]) == 0
-print(json.dumps(starts))
-""", cfg, tmp_path / "dv")
-        assert starts == [{"workers": 2, "jobs": 4,
-                           "loaded": ["scipy.spatial", "scipy.special"]}]
+    def test_other_commands_never_load_scipy(self, tmp_path):
+        # every command the two tests above leave out, dvcs and qualify among them
+        others = sorted(set(cli.COMMANDS) - set(self.ON_THEIR_OWN))
+        assert {"dvcs", "qualify"} <= set(others)
+        loaded = self.scipy_loaded_by(tmp_path, others)
+        assert loaded == {name: [] for name in ["import", *others]}
 
 
 class TestReproducibility:

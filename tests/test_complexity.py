@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
+from scipy.special import digamma
 
 from qqual import complexity as cx
 from qqual import datagen
@@ -135,6 +137,56 @@ class TestMutualInformation:
         dep = cx.mutual_information(xs, np.sin(3 * xs))
         ind = cx.mutual_information(xs, rng.standard_normal(400))
         assert dep > ind + 0.5
+
+
+class TestKsgOracle:
+    """The KSG pass reproduces the k-d tree estimator bit for bit."""
+
+    @staticmethod
+    def kdtree_mi(xs, ys):
+        # the estimator as computed with scipy's cKDTree and digamma
+        n = len(xs)
+        x = (xs - xs.mean()) / xs.std() if xs.std() > 0 else np.zeros(n)
+        y = (ys - ys.mean()) / ys.std() if ys.std() > 0 else np.zeros(n)
+        rng = np.random.default_rng(12345)
+        x = x + rng.standard_normal(n) * (1e-10 * max(np.ptp(x), 1.0))
+        y = y + rng.standard_normal(n) * (1e-10 * max(np.ptp(y), 1.0))
+        joint = np.column_stack([x, y])
+        eps = cKDTree(joint).query(joint, k=4, p=np.inf)[0][:, 3]
+        radius = np.nextafter(eps, 0.0)
+        nx = cKDTree(x[:, None]).query_ball_point(x[:, None], radius, p=np.inf,
+                                                  return_length=True) - 1
+        ny = cKDTree(y[:, None]).query_ball_point(y[:, None], radius, p=np.inf,
+                                                  return_length=True) - 1
+        return float(digamma(3) + digamma(n) - np.mean(digamma(nx + 1) + digamma(ny + 1)))
+
+    def test_digamma_matches_scipy(self):
+        ns = np.arange(1, 20002)
+        ours = np.array([cx._digamma(int(n)) for n in ns])
+        assert ours.tobytes() == digamma(ns.astype(np.float64)).tobytes()
+
+    def test_matches_kdtree_estimator(self):
+        rng = np.random.default_rng(2024)
+        kinds = ("noise", "ties", "constant_y", "linspace_x", "integer_grid", "dependent")
+        for trial in range(300):
+            n = int(np.exp(rng.uniform(np.log(20), np.log(1000))))
+            if trial < len(kinds):
+                n = (20, 1000, 20, 1000, 57, 400)[trial]
+            kind = kinds[trial % len(kinds)]
+            xs = rng.standard_normal(n)
+            ys = rng.standard_normal(n)
+            if kind == "ties":
+                xs, ys = np.round(xs, 1), np.round(xs + ys, 1)
+            elif kind == "constant_y":
+                ys = np.full(n, 1.5)
+            elif kind == "linspace_x":
+                xs = np.linspace(-2.0, 4.0, n)
+                ys = np.cos(4 * xs) + 0.1 * ys
+            elif kind == "integer_grid":
+                xs, ys = np.floor(3 * xs), np.floor(2 * ys)
+            elif kind == "dependent":
+                ys = xs ** 2 + 0.05 * ys
+            assert cx.mutual_information(xs, ys) == self.kdtree_mi(xs, ys), (trial, kind, n)
 
 
 class TestFourierComplexity:

@@ -1,6 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from scipy.ndimage import binary_erosion
+from scipy.interpolate import LinearNDInterpolator
+from scipy.ndimage import binary_erosion, gaussian_filter
+from scipy.spatial import Delaunay
 
 from qqual import geometry as g
 
@@ -32,6 +36,165 @@ class TestConvexHull:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             g.convex_hull([[0, 0], [1, 1]])
+
+
+def sorted_triangles(tri):
+    return sorted(tuple(sorted(t)) for t in np.asarray(tri).tolist())
+
+
+def doubled_areas(p):
+    # signed, of each (3, 2) vertex block of p
+    return ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+            - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0]))
+
+
+def strictly_in_circumcircle(a, b, c, p):
+    # exact, for a counter-clockwise triangle abc
+    rows = [[Fraction(v[0]) - Fraction(p[0]), Fraction(v[1]) - Fraction(p[1])] for v in (a, b, c)]
+    (ax, ay), (bx, by), (cx, cy) = rows
+    det = ((ax * ax + ay * ay) * (bx * cy - cx * by) + (bx * bx + by * by) * (cx * ay - ax * cy)
+           + (cx * cx + cy * cy) * (ax * by - bx * ay))
+    return det > 0
+
+
+class TestDelaunay:
+    def general_position_sets(self):
+        rng = np.random.default_rng(77)
+        for trial in range(200):
+            n = int(rng.integers(3, 201))
+            pts = rng.uniform(-1.0, 3.0, size=(n, 2)) * rng.uniform(0.01, 100.0, size=2)
+            if trial % 3 == 0 and n >= 6:
+                # a third of the points are hull vertices on a flat arc below
+                # the rest: sagitta 1e-3 to 1e-7 of the width (below ~1e-9
+                # Qhull's merging of nearly coplanar facets gives other triangles)
+                m = n // 3
+                u = rng.uniform(0.0, 1.0, m)
+                lo, span = pts.min(axis=0), np.ptp(pts, axis=0)
+                sagitta = 10.0 ** -(3 + 2 * (trial % 9 // 3))
+                pts[:m, 0] = lo[0] + span[0] * u
+                pts[:m, 1] = lo[1] - 4 * sagitta * span[0] * u * (1 - u)
+            yield trial, pts, rng.standard_normal(n) * rng.uniform(0.1, 10.0)
+
+    def test_matches_qhull_and_linear_interpolator(self):
+        checked = 0
+        for trial, pts, vals in self.general_position_sets():
+            assert sorted_triangles(g.delaunay(pts)) == sorted_triangles(Delaunay(pts).simplices), trial
+            x_axis = np.linspace(pts[:, 0].min(), pts[:, 0].max(), 41)
+            y_axis = np.linspace(pts[:, 1].min(), pts[:, 1].max(), 37)
+            gx, gy = np.meshgrid(x_axis, y_axis)
+            want = LinearNDInterpolator(pts, vals)(gx, gy)
+            got = g._interpolate(g.ScatterField(pts[:, 0], pts[:, 1], vals), x_axis, y_axis)
+            finite = np.isfinite(want)
+            assert np.array_equal(np.isfinite(got), finite), trial
+            scale = np.abs(vals).max()
+            assert np.abs(got[finite] - want[finite]).max() <= 1e-12 * scale, trial
+            checked += 1
+        assert checked == 200
+
+    def test_counter_clockwise_and_every_point_used(self):
+        for _, pts, _ in self.general_position_sets():
+            tri = g.delaunay(pts)
+            assert (doubled_areas(pts[tri]) > 0).all()
+            assert set(tri.ravel().tolist()) == set(range(len(pts)))
+
+    def test_duplicates_keep_first_occurrence(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            n = int(rng.integers(4, 40))
+            base = rng.uniform(0.0, 1.0, size=(n, 2))
+            base_vals = rng.standard_normal(n)
+            copies = rng.integers(0, n, size=int(rng.integers(1, 6)))
+            pts = np.concatenate([base, base[copies]])
+            vals = np.concatenate([base_vals, rng.standard_normal(len(copies))])
+            tri = g.delaunay(pts)
+            assert tri.max() < n  # only the first occurrence is a vertex
+            assert sorted_triangles(tri) == sorted_triangles(g.delaunay(base))
+            axis = np.linspace(0.0, 1.0, 30)
+            with_copies = g._interpolate(g.ScatterField(pts[:, 0], pts[:, 1], vals), axis, axis)
+            without = g._interpolate(g.ScatterField(base[:, 0], base[:, 1], base_vals),
+                                     axis, axis)
+            assert np.array_equal(with_copies, without, equal_nan=True)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (4, 7), (6, 5), (9, 9)])
+    def test_cocircular_grid_tiles_hull(self, shape):
+        # every square of a regular grid is a tie between its two diagonals
+        rng = np.random.default_rng(sum(shape))
+        for extra in (0, 3):
+            gx, gy = np.meshgrid(np.arange(shape[1]) * 0.25 + 1.0,
+                                 np.arange(shape[0]) * 0.05 + 0.1)
+            pts = np.column_stack([gx.ravel(), gy.ravel()])
+            pts = np.concatenate([pts, rng.uniform(pts.min(0), pts.max(0), size=(extra, 2))])
+            pts = pts[rng.permutation(len(pts))]
+            tri = g.delaunay(pts)
+            assert set(tri.ravel().tolist()) == set(range(len(pts)))
+            p = pts[tri]
+            areas = doubled_areas(p)
+            assert (areas > 0).all()
+            hull_area = signed_area2(g.convex_hull(pts))
+            assert abs(areas.sum() - hull_area) <= 1e-12 * hull_area
+            for a, b, c in p.tolist():
+                assert not any(strictly_in_circumcircle(a, b, c, q) for q in pts.tolist())
+            # the same point set in another order gives the same triangles
+            again = pts[rng.permutation(len(pts))]
+            assert sorted(map(sorted, again[g.delaunay(again)].tolist())) == \
+                sorted(map(sorted, p.tolist()))
+
+    def test_grid_values_match_per_point_search(self):
+        # every grid point against every triangle; the grid rows and columns
+        # run along the horizontal and vertical edges of a lattice of samples
+        rng = np.random.default_rng(8)
+        eps = 100 * np.finfo(np.float64).eps
+        for trial in range(30):
+            if trial % 2:
+                pts = rng.uniform(0.0, 6.0, size=(int(rng.integers(3, 40)), 2))
+            else:
+                ny, nx = (int(v) for v in rng.integers(2, 7, size=2))
+                pts = np.column_stack([a.ravel() for a in np.meshgrid(np.arange(nx) * 1.0,
+                                                                      np.arange(ny) * 1.0)])
+            vals = np.sin(3.0 * pts[:, 0]) + pts[:, 1] ** 2
+            x_axis = np.linspace(pts[:, 0].min(), pts[:, 0].max(), 4 * int(np.ptp(pts[:, 0])) + 1)
+            y_axis = np.linspace(pts[:, 1].min(), pts[:, 1].max(), 4 * int(np.ptp(pts[:, 1])) + 1)
+            got = g._interpolate(g.ScatterField(pts[:, 0], pts[:, 1], vals), x_axis, y_axis)
+            tri = g.delaunay(pts)
+            p = pts[tri]
+            gx, gy = (a.ravel()[:, None] for a in np.meshgrid(x_axis, y_axis))
+            ax, ay = p[:, :2, 0] - p[:, 2:, 0], p[:, :2, 1] - p[:, 2:, 1]
+            det = ax[:, 0] * ay[:, 1] - ax[:, 1] * ay[:, 0]
+            b0 = (ay[:, 1] * (gx - p[:, 2, 0]) - ax[:, 1] * (gy - p[:, 2, 1])) / det
+            b1 = (-ay[:, 0] * (gx - p[:, 2, 0]) + ax[:, 0] * (gy - p[:, 2, 1])) / det
+            b2 = 1.0 - b0 - b1
+            inside = (b0 >= -eps) & (b1 >= -eps) & (b2 >= -eps)
+            found = inside.any(axis=1)
+            assert np.array_equal(np.isfinite(got).ravel(), found), trial
+            k = inside.argmax(axis=1)[found]
+            v = vals[tri]
+            rows = np.flatnonzero(found)
+            want = (b0[rows, k] * v[k, 0] + b1[rows, k] * v[k, 1] + b2[rows, k] * v[k, 2])
+            assert np.abs(got.ravel()[found] - want).max() <= 1e-12 * np.abs(vals).max(), trial
+
+    def test_tie_keeps_first_diagonal(self):
+        # the unit square's four corners are cocircular; in (x, y) order the
+        # triangle (0,0) (0,1) (1,0) comes first, and (1,1) does not break it
+        square = np.array([[1.0, 1.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        assert sorted_triangles(g.delaunay(square)) == [(0, 2, 3), (1, 2, 3)]
+
+    def test_collinear_rejected(self):
+        with pytest.raises(ValueError):
+            g.delaunay([[0, 0], [1, 1], [2, 2], [0, 0]])
+
+
+class TestGaussianSmoothing:
+    def test_bitwise_equal_to_gaussian_filter(self):
+        rng = np.random.default_rng(31)
+        for trial in range(240):
+            shape = tuple(int(v) for v in rng.integers(1, 60, size=2))
+            grid = rng.standard_normal(shape) * (rng.uniform(size=shape) < 0.7)
+            if trial % 4 == 0:
+                grid = (grid != 0).astype(np.float64)  # a mask, as build_surface smooths
+            sigma = [float(rng.uniform(0.05, 6.0)), float(rng.integers(1, 5)),
+                     float(rng.uniform(0.3, 1.0) * max(shape))][trial % 3]
+            want = gaussian_filter(grid, sigma, mode="constant", cval=0.0)
+            assert g._gaussian_smooth(grid, sigma).tobytes() == want.tobytes(), (trial, sigma)
 
 
 class TestBuildSurface:
@@ -86,6 +249,32 @@ class TestBuildSurface:
             if tv(g1) < tv(g0):
                 wins += 1
         assert wins >= 18
+
+    def test_holes_take_nearest_sample_lowest_index(self, monkeypatch):
+        # masked points the triangulation misses take the nearest sample's
+        # value; of equally near samples, the first
+        fld, pts = self.make_plane_field(seed=2, n=40)
+        fld = g.ScatterField(np.append(fld.xs, pts[7, 0]), np.append(fld.ys, pts[7, 1]),
+                             np.append(fld.values, 99.0))  # a later copy of sample 7
+        interpolate = g._interpolate
+        punched = []
+
+        def with_holes(field, x_axis, y_axis):
+            out = interpolate(field, x_axis, y_axis)
+            rows = np.searchsorted(y_axis, field.ys[:10])
+            cols = np.searchsorted(x_axis, field.xs[:10])
+            punched.extend(zip(rows.tolist(), cols.tolist()))
+            out[rows, cols] = np.nan
+            return out
+
+        monkeypatch.setattr(g, "_interpolate", with_holes)
+        grid = g.build_surface(fld, resolution=50, smoothing=0.0)
+        punched = [(i, j) for i, j in punched if grid.mask[i, j]]
+        assert len(punched) >= 5
+        for i, j in punched:
+            d2 = (grid.x_axis[j] - fld.xs) ** 2 + (grid.y_axis[i] - fld.ys) ** 2
+            assert grid.values[i, j] == fld.values[np.flatnonzero(d2 == d2.min())[0]]
+        assert any(grid.values[i, j] == fld.values[7] for i, j in punched)
 
     def test_default_parameters(self):
         fld, _ = self.make_plane_field(seed=5, n=30)

@@ -82,11 +82,22 @@ class TestAxes:
         assert lo < 3.0 < hi
 
 
+def reference_color(v, vmax):
+    # the palette one value at a time, in Python floats
+    t = max(-1.0, min(1.0, float(v) / vmax))
+    if t >= 0:
+        r, g, b = 1.0 - 0.30 * t, 1.0 - 0.90 * t, 1.0 - 0.83 * t
+    else:
+        r, g, b = 1.0 + 0.87 * t, 1.0 + 0.60 * t, 1.0 + 0.33 * t
+    channels = (min(1.0, max(0.0, c)) for c in (r, g, b))
+    return "#%02x%02x%02x" % tuple(int(round(255 * c)) for c in channels)
+
+
 class TestDivergingColor:
     def test_anchor_points(self):
-        assert svgplot.diverging_color(0.0, 1.0) == "#ffffff"
-        for v in (-1.0, -0.3, 0.3, 1.0):
-            color = svgplot.diverging_color(v, 1.0)
+        assert svgplot.diverging_colors([0.0], 1.0) == ["#ffffff"]
+        for v, color in zip((-1.0, -0.3, 0.3, 1.0),
+                            svgplot.diverging_colors([-1.0, -0.3, 0.3, 1.0], 1.0)):
             assert len(color) == 7
             r, b = int(color[1:3], 16), int(color[5:7], 16)
             if v > 0:
@@ -95,12 +106,28 @@ class TestDivergingColor:
                 assert b > r
 
     def test_clips_beyond_scale(self):
-        assert svgplot.diverging_color(9.0, 1.0) == svgplot.diverging_color(1.0, 1.0)
-        assert svgplot.diverging_color(-9.0, 1.0) == svgplot.diverging_color(-1.0, 1.0)
+        assert svgplot.diverging_colors([9.0, -9.0], 1.0) == \
+            svgplot.diverging_colors([1.0, -1.0], 1.0)
 
     def test_requires_positive_scale(self):
         with pytest.raises(ValueError):
-            svgplot.diverging_color(0.5, 0.0)
+            svgplot.diverging_colors([0.5], 0.0)
+
+    def test_matches_reference_at_half_steps(self):
+        # channels that land exactly on k + 0.5 round to even in both
+        values, half_steps = [-1.5, -0.0, 0.0, 1.5], 0
+        for sign, slopes in ((1.0, (0.30, 0.90, 0.83)), (-1.0, (0.87, 0.60, 0.33))):
+            for a in slopes:
+                for k in range(255):
+                    t = sign * (1.0 - (k + 0.5) / 255) / a
+                    for u in (t, *np.nextafter(t, [-2.0, 2.0]).tolist()):
+                        values.append(u)
+                        half_steps += 255 * (1.0 - a * abs(u)) == k + 0.5
+        assert half_steps > 500
+        values = np.array(values)
+        for vmax in (1.0, 0.37):
+            assert svgplot.diverging_colors(values * vmax, vmax) == \
+                [reference_color(v, vmax) for v in values * vmax]
 
 
 class TestHeatmap:
@@ -122,26 +149,61 @@ class TestHeatmap:
         cells = ET.fromstring(canvas.render()).findall(f"{NS}g/{NS}rect")
         assert 0 < len(cells) <= 20 * 20
 
+    @staticmethod
+    def per_block_rects(axes, grid, max_cells):
+        # each block formatted and colored on its own, as a plain scan
+        ny, nx = grid.values.shape
+        fx, fy = max(1, -(-nx // max_cells)), max(1, -(-ny // max_cells))
+        sx = grid.x_axis[1] - grid.x_axis[0] if nx > 1 else 1.0
+        sy = grid.y_axis[1] - grid.y_axis[0] if ny > 1 else 1.0
+        masked = np.abs(grid.values[grid.mask])
+        vmax = float(masked.max()) if masked.size and masked.max() > 0 else 1.0
+        rects = []
+        for by in range(0, ny, fy):
+            for bx in range(0, nx, fx):
+                m = grid.mask[by:by + fy, bx:bx + fx]
+                if not m.any():
+                    continue
+                v = grid.values[by:by + fy, bx:bx + fx][m].sum() / m.sum()
+                x0 = axes.px(grid.x_axis[bx] - sx / 2)
+                x1 = axes.px(grid.x_axis[min(bx + fx, nx) - 1] + sx / 2)
+                y0 = axes.py(grid.y_axis[min(by + fy, ny) - 1] + sy / 2)
+                y1 = axes.py(grid.y_axis[by] - sy / 2)
+                rects.append(f'<rect x="{svgplot._fmt(x0)}" y="{svgplot._fmt(y0)}" '
+                             f'width="{svgplot._fmt(x1 - x0)}" '
+                             f'height="{svgplot._fmt(y1 - y0)}" '
+                             f'fill="{reference_color(v, vmax)}"/>')
+        return rects
+
     @pytest.mark.parametrize("resolution,max_cells", [(61, 20), (60, 7), (45, 200)])
     def test_blocks_match_per_block_scan(self, resolution, max_cells):
         # ragged edge blocks included: 61 and 60 do not divide into the blocks
         grid = make_grid(seed=3, resolution=resolution)
         axes = svgplot.Axes((0.0, 4.0), (0.0, 4.0), (20, 20, 260, 260))
         canvas = svgplot.SvgCanvas(300, 300)
-        vmax = svgplot.heatmap(canvas, axes, grid, max_cells=max_cells)
-        cells = ET.fromstring(canvas.render()).findall(f"{NS}g/{NS}rect")
-        ny, nx = grid.values.shape
-        f = max(1, -(-nx // max_cells))
-        sx = grid.x_axis[1] - grid.x_axis[0]
-        want = []
-        for by in range(0, ny, f):
-            for bx in range(0, nx, f):
-                m = grid.mask[by:by + f, bx:bx + f]
-                if m.any():
-                    v = np.mean(grid.values[by:by + f, bx:bx + f][m])
-                    x0 = axes.px(grid.x_axis[bx] - sx / 2)
-                    want.append((svgplot._fmt(x0), svgplot.diverging_color(v, vmax)))
-        assert [(c.get("x"), c.get("fill")) for c in cells] == want
+        svgplot.heatmap(canvas, axes, grid, max_cells=max_cells)
+        rects = canvas.parts[-1].split("\n")[1:-1]
+        assert rects == self.per_block_rects(axes, grid, max_cells)
+
+    def test_random_grids_match_per_block_scan(self):
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            ny, nx = (int(v) for v in rng.integers(2, 90, size=2))
+            x_axis = rng.uniform(-5.0, 5.0) + np.arange(nx) * rng.uniform(0.01, 2.0)
+            y_axis = rng.uniform(-5.0, 5.0) + np.arange(ny) * rng.uniform(0.01, 2.0)
+            mask = rng.uniform(size=(ny, nx)) < rng.uniform(0.2, 1.0)
+            values = rng.standard_normal((ny, nx)) * rng.uniform(1e-3, 1e3)
+            values[rng.uniform(size=(ny, nx)) < 0.1] = 0.0  # exact zeros
+            if rng.uniform() < 0.2:
+                values[:] = 0.0  # the vmax = 1 fallback
+            grid = geometry.GridField(x_axis, y_axis, np.where(mask, values, np.nan), mask)
+            axes = svgplot.Axes((x_axis[0], x_axis[-1]), (y_axis[0], y_axis[-1]),
+                                tuple(rng.uniform(5.0, 400.0, size=4)))
+            max_cells = int(rng.integers(3, 130))
+            canvas = svgplot.SvgCanvas(300, 300)
+            svgplot.heatmap(canvas, axes, grid, max_cells=max_cells)
+            rects = canvas.parts[-1].split("\n")[1:-1]
+            assert rects == self.per_block_rects(axes, grid, max_cells)
 
 
 class TestFigures:
