@@ -198,6 +198,12 @@ def check_values(command: str, config: dict) -> None:
             raise ConfigError(f"unknown function id {fid!r}")
     if "functions" in config:
         distinct("functions")
+    if command == "bench-reg":
+        # an empty grid writes an empty ledger
+        need("functions", len(config["functions"]) > 0, "a nonempty list")
+        need("sigmas", len(config["sigmas"]) > 0, "a nonempty list")
+    if "ensemble" in config:
+        need("ensemble", config["ensemble"] >= 1, ">= 1")
     if "learning_rate" in config:
         need("learning_rate", config["learning_rate"] > 0, "> 0")
     if "checkpoints" in config:
@@ -224,9 +230,11 @@ def check_values(command: str, config: dict) -> None:
         need("n_features", 1 <= config["n_features"] <= MAX_QUBITS, f"in 1..{MAX_QUBITS}")
     if command == "dvcs":
         numbers("lams", 0)
+        need("lams", len(config["lams"]) > 0, "a nonempty list")
         distinct("lams")
-        need("ensemble", config["ensemble"] >= 1, ">= 1")
         need("resolution", config["resolution"] >= 2, ">= 2")
+        # a negative width would leave the maps unsmoothed while the report names it
+        need("smoothing", config["smoothing"] >= 0, ">= 0")
         need("bandwidth", config["bandwidth"] > 0, "> 0")
         need("quantile_bins", config["quantile_bins"] >= 1, ">= 1")
         need("density_fraction", 0 < config["density_fraction"] <= 1, "in (0, 1]")
@@ -313,7 +321,7 @@ def _class_replica(job: tuple) -> tuple:
                                    cond["noise"], seed=t_seed)
     test = gen_classification_set(cond["kind"], n_eval, cond["n_features"],
                                   cond["noise"], seed=e_seed)
-    cfg = TrainConfig(epochs=epochs, learning_rate=lr, seed=n_seed)
+    cfg = TrainConfig(epochs=epochs, learning_rate=lr)
     effs = {"cdnn": math.nan, "qdnn": math.nan}
     reasons = []
     for family in ("cdnn", "qdnn"):
@@ -478,7 +486,7 @@ def _reg_job(job: tuple) -> dict:
     n_seed = _derived_seed(seed, fid, int(round(sigma * 1e6)), 1)
     curve = gen_regression_curve(fid, n_points, tuple(x_range), sigma, seed=d_seed)
     X = np.repeat(curve.xs[:, None], n_features, axis=1)
-    cfg = TrainConfig(epochs=epochs, learning_rate=lr, seed=n_seed)
+    cfg = TrainConfig(epochs=epochs, learning_rate=lr)
     marks = sorted({int(c) for c in checkpoints if 0 < int(c) <= epochs} | ({epochs} if epochs > 0 else {0}))
     ms: Dict[str, Dict[int, float]] = {}
     preds: Dict[str, np.ndarray] = {}
@@ -588,8 +596,15 @@ def render_bench_reg(config: dict, result: dict, out_dir: str) -> List[str]:
 # qualify
 
 
-def _round_trip_check(table, seed: int, epochs=(1, 5, 10, 20, 40),
-                      per_epoch: int = 80, active: int = 3, spread: float = 0.3) -> dict:
+# the round trip's corpus: per_epoch entries at each epoch, where metric
+# `active` varies uniformly within +-spread of its centering
+_ROUND_TRIP_EPOCHS = (1, 5, 10, 20, 40)
+_ROUND_TRIP_PER_EPOCH = 80
+_ROUND_TRIP_ACTIVE = 3
+_ROUND_TRIP_SPREAD = 0.3
+
+
+def _round_trip_check(table, seed: int) -> dict:
     """Self-generated corpus: one metric varies around its centering, the
     others stay centered, and xi comes from the table plus 1e-6 noise.
     The refit must reproduce the table's predictions on that corpus.
@@ -600,10 +615,10 @@ def _round_trip_check(table, seed: int, epochs=(1, 5, 10, 20, 40),
 
     rng = np.random.default_rng(seed + 7)
     entries = []
-    for ep in epochs:
-        for _ in range(per_epoch):
+    for ep in _ROUND_TRIP_EPOCHS:
+        for _ in range(_ROUND_TRIP_PER_EPOCH):
             m = np.array(table.centerings, dtype=float)
-            m[active] += rng.uniform(-spread, spread)
+            m[_ROUND_TRIP_ACTIVE] += rng.uniform(-_ROUND_TRIP_SPREAD, _ROUND_TRIP_SPREAD)
             xi = eval_qualifier(table, m, ep) + rng.normal(0.0, 1e-6)
             entries.append(QualifierCorpusEntry(tuple(m), xi, ep))
     fitted, diag = fit_qualifier(entries)
@@ -649,7 +664,7 @@ def _refit_from_ledger(path: str):
                                              (float(meta["x_lo"]), float(meta["x_hi"])),
                                              float(meta["sigma"]), seed=int(meta["seed"]))
                 try:
-                    cache[row["dataset"]] = characterize(curve.xs, curve.ys_noisy).as_array()
+                    cache[row["dataset"]] = characterize(curve.xs, curve.ys_noisy)
                 except ValueError as exc:
                     raise ConfigError(f"cannot refit from {path}: {exc}")
             epoch = int(row["epoch"])
@@ -682,7 +697,7 @@ def compute_qualify(config: dict, workers: int) -> dict:
             d_seed = _derived_seed(config["seed"], fid, int(round(float(sigma) * 1e6)), 0)
             curve = gen_regression_curve(fid, config["n_points"], tuple(config["x_range"]),
                                          float(sigma), seed=d_seed)
-            arr = characterize(curve.xs, curve.ys_noisy).as_array()
+            arr = characterize(curve.xs, curve.ys_noisy)
             label = f"{fid};sigma={float(sigma):g}"
             xi_hats = []
             for ep in epochs:
@@ -779,6 +794,17 @@ def _subsample_sets(sets: list, max_sets: int, seed: int) -> list:
     return sorted(chosen, key=lambda s: s.set_id)
 
 
+def _span_issue(points) -> str:
+    """Why (Q2, xB) points span no area to map on, or "" when they do."""
+    from .geometry import convex_hull
+
+    try:
+        convex_hull(points)
+    except ValueError as exc:
+        return str(exc)
+    return ""
+
+
 def compute_dvcs(config: dict, workers: int) -> dict:
     from . import dvcs as dv
     from .geometry import ScatterField, area_fractions, build_surface, sign_agreement
@@ -791,6 +817,11 @@ def compute_dvcs(config: dict, workers: int) -> dict:
     issues = [f"{s.set_id}: {msg}" for s in sets for msg in dv.envelope_issues(s)]
     n_ingested = len(sets)
     sets = _subsample_sets(sets, config["max_sets"], config["seed"])
+    # known before training: no lam's map can be built on points without area
+    if len(sets) >= 3:
+        issue = _span_issue([(s.q2, s.xb) for s in sets])
+        if issue:
+            raise ConfigError(f"dvcs: the chosen sets' (Q2, xB) points cannot be mapped: {issue}")
 
     epochs = config["epochs"]
     checkpoints = sorted({int(c) for c in config["checkpoints"] if 1 <= int(c) <= epochs})
@@ -821,6 +852,11 @@ def compute_dvcs(config: dict, workers: int) -> dict:
             warnings.append(f"lam={lam:g}: only {len(sub)} outcomes, maps skipped")
             continue
         xs, ys = np.array([o.q2 for o in sub]), np.array([o.xb for o in sub])
+        issue = _span_issue(np.column_stack([xs, ys]))
+        if issue:
+            warnings.append(f"lam={lam:g}: outcome points cannot be mapped ({issue}), "
+                            "maps skipped")
+            continue
         xi_grid = build_surface(ScatterField(xs, ys, np.array([o.xi_dvcs for o in sub])),
                                 config["resolution"], config["smoothing"])
         # keyed by stats.csv statistic name, in stats.csv row order

@@ -14,7 +14,6 @@ noise is 4999.5.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,20 +28,7 @@ _PSI_A = (8.33333333333333333333e-2, -2.10927960927960927961e-2, 7.5757575757575
           8.33333333333333333333e-2)
 
 
-@dataclass(frozen=True)
-class MetricVector:
-    nonlinearity: float
-    frequency_complexity: float
-    fractal_dimension: float
-    mutual_information: float
-    fourier_complexity: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.nonlinearity, self.frequency_complexity,
-                         self.fractal_dimension, self.mutual_information,
-                         self.fourier_complexity])
-
-
+# the order of the metric vector that ``characterize`` returns
 METRIC_NAMES = ("nonlinearity", "frequency_complexity", "fractal_dimension",
                 "mutual_information", "fourier_complexity")
 
@@ -185,18 +171,15 @@ def fourier_complexity(ys) -> float:
     return float(np.arange(_FOURIER_BINS) @ power / total)
 
 
-def characterize(xs, ys) -> MetricVector:
-    """All five metrics of one dataset.  Pairs are sorted by x first, so
-    the result is invariant under reordering of the input points."""
+def characterize(xs, ys) -> np.ndarray:
+    """All five metrics of one dataset as a (5,) array in METRIC_NAMES
+    order.  Pairs are sorted by x first, so the result is invariant under
+    reordering of the input points."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     order = np.argsort(xs, kind="stable")
     xs = xs[order]
     ys = ys[order]
-    return MetricVector(
-        nonlinearity=nonlinearity(xs, ys),
-        frequency_complexity=frequency_complexity(ys),
-        fractal_dimension=fractal_dimension(xs, ys),
-        mutual_information=mutual_information(xs, ys),
-        fourier_complexity=fourier_complexity(ys),
-    )
+    return np.array([nonlinearity(xs, ys), frequency_complexity(ys),
+                     fractal_dimension(xs, ys), mutual_information(xs, ys),
+                     fourier_complexity(ys)])

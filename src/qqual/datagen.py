@@ -72,10 +72,6 @@ class LabeledDataset:
         if not np.all(np.isin(self.y, (0, 1))):
             raise ValueError("labels must be 0/1")
 
-    @property
-    def n_features(self) -> int:
-        return self.X.shape[1]
-
 
 def gen_regression_curve(function_id: str, n_points: int = 100,
                          x_range: Tuple[float, float] = (-2.0, 4.0),
@@ -96,9 +92,8 @@ def gen_regression_curve(function_id: str, n_points: int = 100,
 
 
 def gen_classification_set(kind: str = "3func", n_pairs: int = 250, n_features: int = 8,
-                           noise_level: float = 0.05, seed: int = 0,
-                           delta: float = _CLASS_OFFSET) -> LabeledDataset:
-    """Two-class set: X_j = g_k(t + phi_j) + class * delta + noise.
+                           noise_level: float = 0.05, seed: int = 0) -> LabeledDataset:
+    """Two-class set: X_j = g_k(t + phi_j) + class * _CLASS_OFFSET + noise.
 
     Latent t is uniform per sample; phases phi_j are equally spaced with a
     seeded global shift; ``1func`` uses one generator, ``3func`` draws k
@@ -127,7 +122,7 @@ def gen_classification_set(kind: str = "3func", n_pairs: int = 250, n_features: 
         sel = ks == k
         if np.any(sel):
             clean[sel] = _class_generator(k, t[sel, None] + phases[None, :])
-    clean = clean + labels[:, None] * delta
+    clean = clean + labels[:, None] * _CLASS_OFFSET
     if noise_level > 0:
         sd = clean.std(axis=0)
         X = clean + rng.standard_normal(clean.shape) * (noise_level * sd)

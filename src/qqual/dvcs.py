@@ -200,7 +200,7 @@ def set_metrics(phi, f) -> np.ndarray:
     f = np.asarray(f, dtype=np.float64)
     order = np.argsort(phi, kind="stable")
     dense = np.linspace(phi[order][0], phi[order][-1], METRIC_RESAMPLE_N)
-    return characterize(dense, np.interp(dense, phi[order], f[order])).as_array()
+    return characterize(dense, np.interp(dense, phi[order], f[order]))
 
 
 @dataclass
@@ -538,19 +538,6 @@ def ingest(path) -> Tuple[List[KinematicSet], Dict]:
     report = {"per_experiment": counts, "total": int(sum(counts.values())),
               "n_sets": len(sets)}
     return sets, report
-
-
-def serialize_sets(sets: Sequence[KinematicSet], path) -> None:
-    """Inverse of ingest: one point per row under the exact header."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for s in sets:
-            for phi, f, sigma in zip(s.phi, s.f, s.sigma_f):
-                writer.writerow([s.experiment, repr(float(s.e_beam)),
-                                 repr(float(s.q2)), repr(float(s.xb)),
-                                 repr(float(s.t)), repr(float(phi)),
-                                 repr(float(f)), repr(float(sigma))])
 
 
 def synthetic_experiment(experiment: str, seed: int = 0) -> List[KinematicSet]:

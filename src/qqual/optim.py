@@ -1,5 +1,5 @@
-"""Shared training loop: config, SGD/Adam updates, loss primitives, and
-the process pool that parallel commands train through.
+"""Shared training loop: config, full-batch Adam updates, loss
+primitives, and the process pool that parallel commands train through.
 
 Both model families train through the same loop so that paired benchmark
 runs differ only in the model, never in the optimizer.
@@ -33,19 +33,13 @@ class TrainingDivergence(RuntimeError):
 class TrainConfig:
     epochs: int = 50
     learning_rate: float = 0.05
-    optimizer: str = "adam"  # "adam" or "sgd"
-    batch_size: Optional[int] = None  # None = full batch
-    seed: int = 0
+    seed: int = 0  # seeds the networks that dvcs builds per replica; fit does not read it
 
     def __post_init__(self):
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
 
 
 def loss_and_output_grad(kind: str, pred: np.ndarray, target: np.ndarray):
@@ -64,14 +58,6 @@ def loss_and_output_grad(kind: str, pred: np.ndarray, target: np.ndarray):
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
-class _Sgd:
-    def __init__(self, lr: float):
-        self.lr = lr
-
-    def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        return params - self.lr * grad
-
-
 class _Adam:
     def __init__(self, lr: float, n_params: int):
         self.lr = lr
@@ -88,12 +74,6 @@ class _Adam:
         return params - self.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
 
-def make_optimizer(cfg: TrainConfig, n_params: int):
-    if cfg.optimizer == "sgd":
-        return _Sgd(cfg.learning_rate)
-    return _Adam(cfg.learning_rate, n_params)
-
-
 def fit(
     model,
     X: np.ndarray,
@@ -106,8 +86,8 @@ def fit(
 
     The model exposes ``params`` (flat float vector, settable) and
     ``loss_and_grad(X, y, loss)`` evaluated at its current params.  Each
-    epoch is one full pass; history records the mean pre-update batch
-    loss.  Mini-batch order reshuffles per epoch from the config seed.
+    epoch is one Adam step on the full batch; history records each
+    epoch's pre-update loss.
     """
     if loss not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {loss!r}")
@@ -117,30 +97,21 @@ def fit(
         raise ValueError("empty dataset")
     if len(X) != len(y):
         raise ValueError("feature/label length mismatch")
-    n = len(X)
-    bs = n if cfg.batch_size is None else min(cfg.batch_size, n)
-    opt = make_optimizer(cfg, model.params.size)
-    rng = np.random.default_rng(cfg.seed)
+    opt = _Adam(cfg.learning_rate, model.params.size)
     history: List[float] = []
     for epoch in range(cfg.epochs):
-        order = np.arange(n) if bs == n else rng.permutation(n)
-        batch_losses = []
-        for start in range(0, n, bs):
-            idx = order[start:start + bs]
-            value, grad = model.loss_and_grad(X[idx], y[idx], loss)
-            if not np.isfinite(value):
-                raise TrainingDivergence(epoch, float(np.linalg.norm(model.params)))
-            batch_losses.append(value)
-            new_params = opt.step(model.params, grad)
-            if not np.all(np.isfinite(new_params)):
-                raise TrainingDivergence(
-                    epoch, float(np.linalg.norm(model.params)), "non-finite parameters"
-                )
-            model.params = new_params
-        epoch_loss = float(np.mean(batch_losses))
-        history.append(epoch_loss)
+        value, grad = model.loss_and_grad(X, y, loss)
+        if not np.isfinite(value):
+            raise TrainingDivergence(epoch, float(np.linalg.norm(model.params)))
+        new_params = opt.step(model.params, grad)
+        if not np.all(np.isfinite(new_params)):
+            raise TrainingDivergence(
+                epoch, float(np.linalg.norm(model.params)), "non-finite parameters"
+            )
+        model.params = new_params
+        history.append(float(value))
         if on_epoch is not None:
-            on_epoch(epoch + 1, model, epoch_loss)
+            on_epoch(epoch + 1, model, history[-1])
     return history
 
 

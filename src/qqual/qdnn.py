@@ -13,6 +13,8 @@ import numpy as np
 from . import optim, qsim
 
 READOUTS = ("single_z", "mean_z")
+# trainable [RY, RZ, CNOT ring] layers after the embedding
+N_LAYERS = 2
 
 
 class QdnnModel:
@@ -127,7 +129,7 @@ def _finish_build(n_qubits, embed, n_layers, task, seed) -> QdnnModel:
     return QdnnModel(circuit, theta, readout, scale, offset, trainable)
 
 
-def build_default_qdnn(n_features: int, n_layers: int = 2, task: str = "regression",
+def build_default_qdnn(n_features: int, n_layers: int = N_LAYERS, task: str = "regression",
                        seed: int = 0) -> QdnnModel:
     """One qubit per feature: RX(x_i) embedding on qubit i, then n_layers
     of [RY, RZ on every qubit, CNOT ring]."""
@@ -137,13 +139,14 @@ def build_default_qdnn(n_features: int, n_layers: int = 2, task: str = "regressi
     return _finish_build(n_features, embed, n_layers, task, seed)
 
 
-def build_paired_feature_qdnn(n_features: int, n_layers: int = 2, task: str = "regression",
+def build_paired_feature_qdnn(n_features: int, task: str = "regression",
                               seed: int = 0) -> QdnnModel:
     """Two features per qubit (RX then RZ), for feature counts past the
-    qubit cap; qubit i encodes features i and q+i."""
+    qubit cap; qubit i encodes features i and q+i.  N_LAYERS trainable
+    layers follow, as in ``build_default_qdnn``."""
     n_qubits = (n_features + 1) // 2
     if not 1 <= n_qubits <= qsim.MAX_QUBITS:
         raise ValueError(f"{n_features} features need {n_qubits} qubits, cap is {qsim.MAX_QUBITS}")
     embed = [qsim.rx(q, feature=q) for q in range(n_qubits)]
     embed += [qsim.rz(i - n_qubits, feature=i) for i in range(n_qubits, n_features)]
-    return _finish_build(n_qubits, embed, n_layers, task, seed)
+    return _finish_build(n_qubits, embed, N_LAYERS, task, seed)

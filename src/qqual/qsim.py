@@ -1,10 +1,10 @@
 """Dense statevector simulator for small qubit registers.
 
-States are flat complex128 arrays of length 2**n (with one leading batch
-axis in a circuit run); no gate is ever materialized as a 2**n x 2**n
-matrix.  Qubit 0 is the leftmost (most significant) bit of the
-computational basis index, so after ``state.reshape([2] * n)`` axis i
-addresses qubit i.
+A circuit runs on a (B, F) batch of feature rows, and its states are a
+(B, 2**n) complex128 block, one flat statevector per row; no gate is ever
+materialized as a 2**n x 2**n matrix.  Qubit 0 is the leftmost (most
+significant) bit of the computational basis index, so after
+``state.reshape([2] * n)`` axis i addresses qubit i.
 
 Circuits are the ones the quantum networks build: every rotation angle is
 an input feature or a trainable parameter, and every observable is Pauli-Z
@@ -25,9 +25,7 @@ Qulacs, arXiv:2011.13524):
 - every <Z_q> is read from |psi|^2, computed once.
 
 Gradients come from ``vjp``, one adjoint sweep back through the same
-blocks; ``parameter_shift_grad`` is the slower exact reference it is
-tested against, and ``apply_gate`` runs the kernels one gate at a time as
-the sequential reference for the plan.
+blocks.
 """
 
 from __future__ import annotations
@@ -103,14 +101,6 @@ _PAULI = {
     "ry": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
     "rz": np.array([[1, 0], [0, -1]], dtype=np.complex128),
 }
-
-
-def _infer_n_qubits(state: np.ndarray) -> int:
-    dim = state.shape[-1]
-    n = int(round(np.log2(dim)))
-    if 2 ** n != dim:
-        raise ValueError(f"state length {dim} is not a power of two")
-    return n
 
 
 def _on_qubit(block: np.ndarray, n_qubits: int, qubit: int) -> np.ndarray:
@@ -297,33 +287,6 @@ class CircuitSpec:
             yield from layer
 
 
-def apply_gate(state: np.ndarray, gate: Gate, angle: Optional[float] = None) -> np.ndarray:
-    """Apply one gate to a flat statevector, returning a new state.  A
-    rotation needs its resolved ``angle``; a CNOT takes none.  It runs the
-    kernels of ``run_circuit`` one gate at a time, so it is the sequential
-    reference for the fused plan."""
-    n = _infer_n_qubits(state)
-    if gate.target >= n or (gate.control is not None and gate.control >= n):
-        raise ValueError(f"gate qubit out of range for {n}-qubit state")
-    out = np.array(state, dtype=np.complex128)
-    if gate.kind == "cnot":
-        return out[..., _cnot_permutation(n, [gate])]
-    if angle is None:
-        raise ValueError("rotation gate needs a resolved angle")
-    u = _rotation_matrices(_PAULI[gate.kind][:, :, None], [angle])[:, :, 0]
-    _apply_2x2(_on_qubit(out, n, gate.target), u)
-    return out
-
-
-def expectation(state: np.ndarray, qubit: int) -> float:
-    """<psi| Z(qubit) |psi>; real, in [-1, 1]."""
-    n = _infer_n_qubits(state)
-    if not 0 <= qubit < n:
-        raise ValueError(f"qubit {qubit} out of range for {n}-qubit state")
-    psi = np.asarray(state, dtype=np.complex128)
-    return float(np.einsum("i,i->", psi.real ** 2 + psi.imag ** 2, _z_signs(n, [qubit])[0]))
-
-
 def _gate_matrices(plan: _Plan, params: np.ndarray, features: np.ndarray) -> list:
     """Each rotation's matrix, numbered as in the plan: (2, 2) for a param
     gate, (2, 2, B) for a feature gate."""
@@ -362,39 +325,29 @@ def _execute(spec: CircuitSpec, params: np.ndarray, features: np.ndarray) -> np.
     return state
 
 
-def _check_args(spec: CircuitSpec, params, features) -> Tuple[np.ndarray, np.ndarray, bool]:
+def _check_args(spec: CircuitSpec, params, features) -> Tuple[np.ndarray, np.ndarray]:
     params = np.asarray(params, dtype=np.float64)
     if params.shape != (spec.n_params,):
         raise ValueError(f"expected {spec.n_params} params, got shape {params.shape}")
     features = np.asarray(features, dtype=np.float64)
-    single = features.ndim <= 1
-    if features.ndim == 0:
-        features = features.reshape(1, 1)
-    elif features.ndim == 1:
-        features = features.reshape(1, -1)
-    elif features.ndim != 2:
-        raise ValueError("features must be a vector or a 2-D batch")
+    if features.ndim != 2:
+        raise ValueError(f"features must be a 2-D (B, F) batch, got shape {features.shape}")
     if features.shape[1] < spec.n_features:
         raise ValueError(
             f"circuit reads feature index {spec.n_features - 1}, "
             f"got {features.shape[1]} features"
         )
-    return params, features, single
+    return params, features
 
 
-def run_circuit(spec: CircuitSpec, params: Sequence[float] = (), features: Sequence[float] = ()):
-    """Run all layers from |0...0>; returns (state, expectation values).
-
-    ``features`` may be one row or a (B, F) batch; the batch form returns
-    a (B, 2**n) state block and (B, n_observables) expectations.
+def run_circuit(spec: CircuitSpec, params: Sequence[float], features: np.ndarray):
+    """Run all layers from |0...0> on each row of a (B, F) feature batch;
+    returns the (B, 2**n) states and the (B, n_observables) expectations.
     """
-    params, feats, single = _check_args(spec, params, features)
+    params, feats = _check_args(spec, params, features)
     states = _execute(spec, params, feats)
     probs = states.real ** 2 + states.imag ** 2
-    vals = np.einsum("bi,oi->bo", probs, spec._plan.z_signs)
-    if single:
-        return states[0], vals[0]
-    return states, vals
+    return states, np.einsum("bi,oi->bo", probs, spec._plan.z_signs)
 
 
 def _overlap(lam_conj: np.ndarray, psi: np.ndarray, n_qubits: int, qubit: int) -> np.ndarray:
@@ -408,44 +361,42 @@ def _overlap(lam_conj: np.ndarray, psi: np.ndarray, n_qubits: int, qubit: int) -
     return np.stack(rows).reshape(2, 2, -1)
 
 
-def vjp(spec: CircuitSpec, params: Sequence[float], features: Sequence[float],
+def vjp(spec: CircuitSpec, params: Sequence[float], features: np.ndarray,
         state: np.ndarray, cotangent) -> np.ndarray:
     """Gradient of sum(cotangent * expectations) over the trainable params.
 
     Adjoint method (Jones & Gacon, arXiv:2009.02823).  ``state`` is the
-    final state ``run_circuit`` returned for the same params and features,
-    and ``cotangent`` weights its expectations: shape (n_observables,) for
-    one feature row, (B, n_observables) for a batch.  The sweep walks the
-    plan's blocks backward with psi and lam = sum_o c_o Z_o psi.  A gate
-    exp(-i theta P / 2) contributes Im <lam|P|psi> just after it; at the end
-    of its rotation block that is Im <lam|W P W^dagger|psi>, W being the
-    later gates of its qubit's chain, so one overlap matrix per qubit
-    (``_overlap``) serves every gate of the chain.  The sweep then un-applies
+    final (B, 2**n) state ``run_circuit`` returned for the same params and
+    (B, F) features, and the (B, n_observables) ``cotangent`` weights its
+    expectations.  The sweep walks the plan's blocks backward with psi and
+    lam = sum_o c_o Z_o psi.  A gate exp(-i theta P / 2) contributes
+    Im <lam|P|psi> just after it; at the end of its rotation block that is
+    Im <lam|W P W^dagger|psi>, W being the later gates of its qubit's
+    chain, so one overlap matrix per qubit (``_overlap``) serves every gate
+    of the chain.  The sweep then un-applies
     each fused chain once, and a CNOT run by its inverse gather.  It stops
     in the earliest block with a trainable gate, so the gates before it (a
     feature embedding) are never undone.  Returns shape (P,), summed over
     the batch.
     """
-    params, feats, single = _check_args(spec, params, features)
+    params, feats = _check_args(spec, params, features)
     batch = feats.shape[0]
     n = spec.n_qubits
     n_obs = len(spec.observables)
     state = np.asarray(state, dtype=np.complex128)
     cot = np.asarray(cotangent, dtype=np.float64)
-    lead = () if single else (batch,)
-    if state.shape != lead + (2 ** n,):
+    if state.shape != (batch, 2 ** n):
         raise ValueError(f"state shape {state.shape} does not match the circuit and features")
-    if cot.shape != lead + (n_obs,):
-        raise ValueError(f"expected cotangent shape {lead + (n_obs,)}, got {cot.shape}")
+    if cot.shape != (batch, n_obs):
+        raise ValueError(f"expected cotangent shape {(batch, n_obs)}, got {cot.shape}")
     grad = np.zeros(spec.n_params)
     plan = spec._plan
     if not plan.trainable:
         return grad
     mats = _gate_matrices(plan, params, feats)
     # psi and lam share one block so each step un-applies both in one call
-    psi = state.reshape(batch, -1)
-    weights = np.einsum("bo,oi->bi", cot.reshape(batch, n_obs), plan.z_signs)
-    pair = np.stack([psi, weights * psi])
+    weights = np.einsum("bo,oi->bi", cot, plan.z_signs)
+    pair = np.stack([state, weights * state])
     first = plan.trainable[0]
     for i in range(len(plan.blocks) - 1, first - 1, -1):
         block = plan.blocks[i]
@@ -470,34 +421,3 @@ def vjp(spec: CircuitSpec, params: Sequence[float], features: Sequence[float],
                 _apply_2x2(_on_qubit(pair, n, q), _dagger(u))
     return grad
 
-
-def parameter_shift_grad(
-    spec: CircuitSpec,
-    params: Sequence[float],
-    features: Sequence[float] = (),
-    observable_index: int = 0,
-) -> np.ndarray:
-    """Exact gradient of one observable via the two-point shift rule.
-
-    grad[k] = (f(theta_k + pi/2) - f(theta_k - pi/2)) / 2.  Single feature
-    row -> shape (P,); feature batch -> shape (B, P).  It makes 2P circuit
-    runs and is kept as the reference that ``vjp`` is tested against.
-    """
-    if not spec.observables:
-        raise ValueError("circuit declares no observables")
-    if not 0 <= observable_index < len(spec.observables):
-        raise ValueError(f"observable index {observable_index} out of range")
-    params, feats, single = _check_args(spec, params, features)
-    grad = np.zeros((feats.shape[0], spec.n_params))
-    shifted = params.copy()
-    for k in range(spec.n_params):
-        theta = params[k]
-        shifted[k] = theta + np.pi / 2
-        plus = run_circuit(spec, shifted, feats)[1][:, observable_index]
-        shifted[k] = theta - np.pi / 2
-        minus = run_circuit(spec, shifted, feats)[1][:, observable_index]
-        shifted[k] = theta
-        grad[:, k] = 0.5 * (plus - minus)
-    if single:
-        return grad[0]
-    return grad

@@ -16,11 +16,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .complexity import METRIC_NAMES, MetricVector
+from .complexity import METRIC_NAMES
 
 QDNN_FAVORED = "QDNN_favored"
 CDNN_FAVORED = "CDNN_favored"
@@ -29,7 +29,7 @@ BOUNDARY = "boundary"
 SIGN_DEAD_BAND = 1e-9
 
 # per-epoch R^2 below this is treated as no usable signal for weighting
-DEFAULT_MIN_R2 = 0.05
+MIN_R2 = 0.05
 
 _ROW_DEGREES = (2, 4, 4, 4, 4)
 _REFERENCE_FILE = "qualifier_reference_v1.json"
@@ -62,7 +62,7 @@ class QualifierTable:
 
 @dataclass(frozen=True)
 class QualifierCorpusEntry:
-    metrics: MetricVector
+    metrics: Tuple[float, ...]  # in METRIC_NAMES order
     xi: float
     epoch: int
 
@@ -75,11 +75,9 @@ class QualifierCorpusEntry:
 
 
 def _metric_values(metrics) -> np.ndarray:
-    if isinstance(metrics, MetricVector):
-        return metrics.as_array()
     arr = np.asarray(metrics, dtype=np.float64)
     if arr.shape != (5,):
-        raise ValueError("metrics must be a MetricVector or 5 values")
+        raise ValueError("metrics must be 5 values in METRIC_NAMES order")
     return arr
 
 
@@ -177,37 +175,26 @@ def _fit_exp_poly(ns: np.ndarray, ys: np.ndarray, degree: int) -> Tuple[float, n
     return alpha, _fit_poly(ns, resid, degree)
 
 
-def fit_qualifier(
-    corpus: Sequence[QualifierCorpusEntry],
-    epoch_grid: Optional[Sequence[int]] = None,
-    centerings: Optional[Sequence[float]] = None,
-    min_r2: float = DEFAULT_MIN_R2,
-) -> Tuple[QualifierTable, Dict]:
+def fit_qualifier(corpus: Sequence[QualifierCorpusEntry]) -> Tuple[QualifierTable, Dict]:
     """Refit a coefficient table from a measured corpus.
 
-    Per epoch n and metric j: slope s_j(n) and R^2_j(n) of the 1-D
-    regression of Xi on X_j; the weighted series s_j(n) * w_j(n) with
-    w_j = R^2_j / sum_k R^2_k (rows under min_r2 dropped from the sum)
-    is then fit across epochs: exp(-alpha n) * degree-2 polynomial for
-    the nonlinearity row, plain degree-4 polynomials for the rest.
-    Metrics constant across the corpus are excluded with a warning and
-    their rows zeroed.
+    The epoch grid is the corpus's distinct epochs, and X_j is centred on
+    the reference table's offsets.  Per epoch n and metric j: slope
+    s_j(n) and R^2_j(n) of the 1-D regression of Xi on X_j; the weighted
+    series s_j(n) * w_j(n) with w_j = R^2_j / sum_k R^2_k (rows under
+    MIN_R2 dropped from the sum) is then fit across epochs:
+    exp(-alpha n) * degree-2 polynomial for the nonlinearity row, plain
+    degree-4 polynomials for the rest.  Metrics constant across the
+    corpus are excluded with a warning and their rows zeroed.
     """
-    if centerings is None:
-        centerings = reference_table().centerings
-    centerings = tuple(float(c) for c in centerings)
-    if len(centerings) != 5:
-        raise ValueError("need 5 centering offsets")
+    centerings = reference_table().centerings
     corpus = list(corpus)
-    if epoch_grid is None:
-        epoch_grid = sorted({e.epoch for e in corpus})
-    epoch_grid = [int(n) for n in epoch_grid]
-    if len(set(epoch_grid)) < 3:
+    epoch_grid = sorted({int(e.epoch) for e in corpus})
+    if len(epoch_grid) < 3:
         raise ValueError("need >= 3 distinct epochs in the grid")
     by_epoch: Dict[int, List[QualifierCorpusEntry]] = {n: [] for n in epoch_grid}
     for entry in corpus:
-        if entry.epoch in by_epoch:
-            by_epoch[entry.epoch].append(entry)
+        by_epoch[entry.epoch].append(entry)
     for n in epoch_grid:
         if len(by_epoch[n]) < 6:
             raise ValueError(f"epoch {n}: need >= 6 corpus entries, got {len(by_epoch[n])}")
@@ -219,7 +206,7 @@ def fit_qualifier(
     excluded = set()
     all_x = np.stack([_metric_values(e.metrics) - np.asarray(centerings) for e in corpus])
     for j in range(5):
-        if len(corpus) and np.ptp(all_x[:, j]) == 0.0:
+        if np.ptp(all_x[:, j]) == 0.0:
             excluded.add(METRIC_NAMES[j])
             warnings.append(f"metric {METRIC_NAMES[j]} is constant across the corpus; "
                             "row zeroed")
@@ -232,7 +219,7 @@ def fit_qualifier(
                 continue
             slopes[j, col], r2s[j, col] = _slope_and_r2(x[:, j], y)
 
-    usable = np.where(r2s >= min_r2, r2s, 0.0)
+    usable = np.where(r2s >= MIN_R2, r2s, 0.0)
     totals = usable.sum(axis=0)
     weights = np.divide(usable, totals, out=np.zeros_like(usable), where=totals > 0)
     weighted = slopes * weights
@@ -250,6 +237,5 @@ def fit_qualifier(
         "weights": weights,
         "excluded": sorted(excluded),
         "warnings": warnings,
-        "min_r2": min_r2,
     }
     return table, diagnostics

@@ -97,7 +97,11 @@ class SvgCanvas:
             fh.write(self.render())
 
 
-def nice_range(values, pad: float = 0.05) -> Tuple[float, float]:
+# margin added on each side of a data range, as a fraction of its width
+_RANGE_PAD = 0.05
+
+
+def nice_range(values) -> Tuple[float, float]:
     values = np.asarray(values, dtype=np.float64)
     finite = values[np.isfinite(values)]
     if finite.size == 0:
@@ -105,7 +109,7 @@ def nice_range(values, pad: float = 0.05) -> Tuple[float, float]:
     lo, hi = float(finite.min()), float(finite.max())
     if lo == hi:
         return (lo - 1.0, hi + 1.0)
-    margin = pad * (hi - lo)
+    margin = _RANGE_PAD * (hi - lo)
     return (lo - margin, hi + margin)
 
 

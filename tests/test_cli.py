@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import qqual
-from qqual import cli
+from qqual import cli, geometry
+from qqual import dvcs as dv
 
 
 def write_cfg(tmp_path, doc, name="cfg.json"):
@@ -107,10 +108,16 @@ class TestConfigResolution:
         ("bench-reg", {"sigmas": [0.1, 0.1]}),
         ("dvcs", {"lams": [1.0, 1.0, 0.0]}),
         ("qualify", {"epochs": [10, 25, 10]}),
+        ("dvcs", {"smoothing": -2.0}),
+        ("bench-class", {"ensemble": 0}),
+        ("bench-reg", {"functions": []}),
+        ("bench-reg", {"sigmas": []}),
+        ("dvcs", {"lams": []}),
     ], ids=["bench-reg-negative-epochs", "bench-reg-text-sigma", "bench-reg-one-bound-x-range",
             "dvcs-text-lam", "bench-class-zero-learning-rate", "qualify-10-points",
             "bench-reg-repeated-function", "bench-reg-repeated-sigma", "dvcs-repeated-lam",
-            "qualify-repeated-epoch"])
+            "qualify-repeated-epoch", "dvcs-negative-smoothing", "bench-class-zero-ensemble",
+            "bench-reg-no-function", "bench-reg-no-sigma", "dvcs-no-lam"])
     def test_bad_value_is_config_error_before_any_output(self, tmp_path, command, block):
         out = tmp_path / "o"
         cfg = write_cfg(tmp_path, {command: block})
@@ -346,20 +353,71 @@ class TestDvcs:
         code = cli.main(["dvcs", "--config", cfg, "--out", str(tmp_path / "dv")])
         assert code == cli.EXIT_RUNTIME
 
-    def test_failed_run_leaves_only_resolved_config(self, tmp_path):
-        # three sets whose (Q2, xB) points lie on one line: the campaign
-        # trains, then the regime-map surface cannot be built
+    @staticmethod
+    def count_campaigns(monkeypatch):
+        """Record each dvcs.run_campaign call, that is each training run."""
+        calls = []
+        run_campaign = dv.run_campaign
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return run_campaign(*args, **kwargs)
+
+        monkeypatch.setattr(dv, "run_campaign", counted)
+        return calls
+
+    @staticmethod
+    def write_line_sets(tmp_path, extra=()):
+        # three sets whose (Q2, xB) points lie on one line, then `extra` sets
+        # given as (Q2, xB, phi values)
         path = tmp_path / "line.csv"
         lines = ["experiment,E_beam,Q2,xB,t,phi,F,sigma_F"]
-        for q2, xb in ((1.0, 0.25), (2.0, 0.5), (3.0, 0.75)):
-            for k in range(8):
-                lines.append(f"toy,5.75,{q2},{xb},-0.25,{22.5 + 45.0 * k},{0.1 + 0.01 * k},0.01")
+        sets = [(q2, xb, [22.5 + 45.0 * k for k in range(8)])
+                for q2, xb in ((1.0, 0.25), (2.0, 0.5), (3.0, 0.75))]
+        for q2, xb, phis in sets + list(extra):
+            for k, phi in enumerate(phis):
+                lines.append(f"toy,5.75,{q2},{xb},-0.25,{phi},{0.1 + 0.01 * k},0.01")
         path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_failed_run_leaves_only_resolved_config(self, tmp_path, monkeypatch):
+        # a fault once the campaign has trained leaves no output behind
+        trained = self.count_campaigns(monkeypatch)
+
+        def broken_surface(*args, **kwargs):
+            raise ValueError("injected regime-map fault")
+
+        monkeypatch.setattr(geometry, "build_surface", broken_surface)
+        out = tmp_path / "dv"
+        cfg = write_cfg(tmp_path, {"dvcs": {"max_sets": 4, "ensemble": 1, "epochs": 1,
+                                            "lams": [1.0], "resolution": 30, "workers": 1}})
+        assert cli.main(["dvcs", "--config", cfg, "--out", str(out)]) == cli.EXIT_RUNTIME
+        assert trained == [1]
+        assert sorted(p.name for p in out.iterdir()) == ["resolved_config.json"]
+
+    def test_collinear_sets_are_config_error_before_training(self, tmp_path, monkeypatch):
+        # no regime map can be built on points without area
+        trained = self.count_campaigns(monkeypatch)
+        out = tmp_path / "dv"
+        cfg = write_cfg(tmp_path, {"dvcs": {"data": [str(self.write_line_sets(tmp_path))],
+                                            "ensemble": 1, "epochs": 1, "lams": [1.0]}})
+        assert cli.main(["dvcs", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert trained == []
+        assert sorted(p.name for p in out.iterdir()) == ["resolved_config.json"]
+
+    def test_collinear_outcomes_skip_their_map(self, tmp_path):
+        # the fourth set takes the points off the line, but cos(phi) has two
+        # values on its phi grid, so its model fit fails and the three
+        # outcomes left are collinear
+        path = self.write_line_sets(tmp_path, [(2.0, 0.3, [80.0, 100.0, 260.0, 280.0])])
         out = tmp_path / "dv"
         cfg = write_cfg(tmp_path, {"dvcs": {"data": [str(path)], "ensemble": 1, "epochs": 1,
-                                            "lams": [1.0]}})
-        assert cli.main(["dvcs", "--config", cfg, "--out", str(out)]) == cli.EXIT_RUNTIME
-        assert sorted(p.name for p in out.iterdir()) == ["resolved_config.json"]
+                                            "lams": [1.0], "workers": 1}})
+        assert cli.main(["dvcs", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+        assert len(read_csv_dicts(out / "ledger.csv")) == 3
+        assert not (out / "map_lam1p0.svg").exists()
+        report = (out / "report.md").read_text()
+        assert "rank" in report and "lam=1: outcome points cannot be mapped" in report
 
 
 class TestComputeWritesNothing:

@@ -92,10 +92,11 @@ class TestClassificationSet:
             datagen.gen_classification_set(kind="2func")
 
     def test_one_func_uses_single_generator(self):
-        # with no noise and no offset, all rows of a 1func set lie on one
-        # curve family: rank of centered X is at most 2 (sin and cos terms
-        # of two frequencies span a small space)
+        # with no noise and the class offset taken out, all rows of a 1func
+        # set lie on one curve family: rank of centered X is at most 2 (sin
+        # and cos terms of two frequencies span a small space)
         ds = datagen.gen_classification_set(kind="1func", n_pairs=100,
-                                            noise_level=0.0, delta=0.0, seed=1)
-        rank = np.linalg.matrix_rank(ds.X - ds.X.mean(axis=0), tol=1e-8)
+                                            noise_level=0.0, seed=1)
+        clean = ds.X - ds.y[:, None] * datagen._CLASS_OFFSET
+        rank = np.linalg.matrix_rank(clean - clean.mean(axis=0), tol=1e-8)
         assert rank <= 4

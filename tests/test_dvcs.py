@@ -21,6 +21,19 @@ def make_set(params=(2.5, 0.8, -0.4), n=24, rel_sigma=0.05, set_id="unit",
                              phi, f, rel_sigma * np.abs(f))
 
 
+def serialize_sets(sets, path):
+    """Inverse of dvcs.ingest: one point per row under the exact header."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(dvcs.CSV_HEADER)
+        for s in sets:
+            for phi, f, sigma in zip(s.phi, s.f, s.sigma_f):
+                writer.writerow([s.experiment, repr(float(s.e_beam)),
+                                 repr(float(s.q2)), repr(float(s.xb)),
+                                 repr(float(s.t)), repr(float(phi)),
+                                 repr(float(f)), repr(float(sigma))])
+
+
 def degenerate_set():
     # cos(phi) takes only two distinct values, so the model design has rank 2
     phi = np.array([80.0, 100.0, 260.0, 280.0])
@@ -479,7 +492,7 @@ class TestMatchedControls:
 class TestIngest:
     def write_experiment(self, tmp_path, experiment, seed):
         path = tmp_path / f"{experiment}.csv"
-        dvcs.serialize_sets(dvcs.synthetic_experiment(experiment, seed), path)
+        serialize_sets(dvcs.synthetic_experiment(experiment, seed), path)
         return path
 
     def test_full_corpus_counts(self, tmp_path):
@@ -506,7 +519,7 @@ class TestIngest:
         path = self.write_experiment(tmp_path, "Hall_A_E00-110", 1)
         first, _ = dvcs.ingest(path)
         again_path = tmp_path / "again.csv"
-        dvcs.serialize_sets(first, again_path)
+        serialize_sets(first, again_path)
         second, _ = dvcs.ingest(again_path)
         a = sorted(first, key=lambda s: s.set_id)
         b = sorted(second, key=lambda s: s.set_id)

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -27,19 +29,14 @@ class _Quadratic:
 class TestTrainConfig:
     def test_defaults(self):
         cfg = optim.TrainConfig()
-        assert cfg.optimizer == "adam"
+        assert [f.name for f in fields(cfg)] == ["epochs", "learning_rate", "seed"]
         assert cfg.learning_rate == 0.05
-        assert cfg.batch_size is None
 
     def test_validation(self):
         with pytest.raises(ValueError):
             optim.TrainConfig(epochs=-1)
         with pytest.raises(ValueError):
             optim.TrainConfig(learning_rate=0.0)
-        with pytest.raises(ValueError):
-            optim.TrainConfig(optimizer="rmsprop")
-        with pytest.raises(ValueError):
-            optim.TrainConfig(batch_size=0)
 
 
 class TestLosses:
@@ -103,13 +100,6 @@ class TestFit:
         assert hist == []
         assert model.params[0] == 0.5
 
-    def test_sgd_converges_on_quadratic(self):
-        X, y = self._data()
-        model = _Quadratic(0.0)
-        optim.fit(model, X, y, "mse", optim.TrainConfig(epochs=200, optimizer="sgd",
-                                                        learning_rate=0.1))
-        assert model.params[0] == pytest.approx(3.0, abs=0.01)
-
     def test_history_is_pre_update_loss(self):
         X, y = self._data()
         model = _Quadratic(0.0)
@@ -119,29 +109,25 @@ class TestFit:
         assert len(hist) == 3
 
     def test_tiny_learning_rate_barely_moves_params(self):
+        # Kingma & Ba 2015, sec. 2.1: an Adam step lr * m_hat / (sqrt(v_hat) + eps)
+        # stays within lr * (1 - beta1) / sqrt(1 - beta2) when 1 - beta1 > sqrt(1 - beta2),
+        # whatever the gradient's size
         X, y = self._data()
         model = _Quadratic(0.5)
-        g0 = np.linalg.norm(model.loss_and_grad(X, y, "mse")[1])
         epochs, lr = 5, 1e-9
-        optim.fit(model, X, y, "mse", optim.TrainConfig(
-            epochs=epochs, optimizer="sgd", learning_rate=lr))
-        assert abs(model.params[0] - 0.5) <= lr * epochs * 2 * g0
-
-    def test_minibatch_shuffle_is_seeded(self):
-        X, y = self._data(n=50, seed=4)
-        h1 = optim.fit(_Quadratic(0.1), X, y, "mse",
-                       optim.TrainConfig(epochs=4, batch_size=8, seed=11))
-        h2 = optim.fit(_Quadratic(0.1), X, y, "mse",
-                       optim.TrainConfig(epochs=4, batch_size=8, seed=11))
-        assert h1 == h2
+        optim.fit(model, X, y, "mse", optim.TrainConfig(epochs=epochs, learning_rate=lr))
+        step_bound = lr * (1 - optim._ADAM_BETA1) / np.sqrt(1 - optim._ADAM_BETA2)
+        assert 0 < abs(model.params[0] - 0.5) <= epochs * step_bound
 
     def test_divergence_reports_epoch_and_norm(self):
+        # Adam's first step moves w by about lr whatever the gradient, so at
+        # lr 1e300 the loss at epoch 1 overflows
         X, y = self._data()
         model = _Quadratic(0.0)
-        with pytest.raises(optim.TrainingDivergence) as err:
+        with pytest.raises(optim.TrainingDivergence, match="non-finite loss") as err:
             optim.fit(model, X, y, "mse",
-                      optim.TrainConfig(epochs=200, optimizer="sgd", learning_rate=1e12))
-        assert err.value.epoch >= 0
+                      optim.TrainConfig(epochs=200, learning_rate=1e300))
+        assert err.value.epoch == 1
         assert np.isfinite(err.value.param_norm) or err.value.param_norm == np.inf
 
     def test_on_epoch_callback_sees_each_epoch(self):

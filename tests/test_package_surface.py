@@ -1,22 +1,32 @@
-"""The package carries no function or class that only tests reach.
+"""The package carries no function, class or parameter that only tests reach.
 
 Every top-level def and class in ``src/qqual`` must be named somewhere in
 the package (as a name, an attribute or an import), unless it is one of
 the few kept for tests on purpose, each with its reason below.  Method
 names are not checked: they collide too often with unrelated attributes
 to be told apart statically.
+
+Every defaulted parameter of a top-level function must likewise be passed,
+by keyword or by position, at some call site in the package or in the
+benchmark under ``perfbench/``; a parameter that every caller leaves at its
+default is a constant.
 """
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qqual"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "qqual"
+BENCHMARK = ROOT / "perfbench"
 
-KEPT_FOR_TESTS = {
-    "apply_gate": "the only way tests apply one gate kernel to a state other than |0...0>",
-    "expectation": "reads Pauli-Z on those hand-built states (X and Y after a basis rotation)",
-    "parameter_shift_grad": "the oracle that the adjoint gradient qsim.vjp is checked against",
-    "serialize_sets": "the inverse of dvcs.ingest, and the writer of the ingest tests' files",
+# name -> why tests need it in the package; empty since the simulator's
+# reference implementations moved to tests/qsim_oracles.py
+KEPT_FOR_TESTS = {}
+
+# (function, parameter) pairs that only tests pass, each with its reason
+PARAMS_KEPT_FOR_TESTS = {
+    ("heatmap", "max_cells"): "tests shrink it so that grids of a few dozen cells "
+                              "exercise the block merging that a 200-cell map needs",
 }
 
 
@@ -48,3 +58,65 @@ def test_kept_names_are_still_test_only():
     # a kept name that the package now uses, or that is gone, leaves the list
     unused = {name for _, name in unreferenced_top_level_names()}
     assert sorted(set(KEPT_FOR_TESTS) - unused) == []
+
+
+def _defaulted_params(tree):
+    """(function, parameter, position or None) of every defaulted parameter
+    of the module's top-level functions."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        for i in range(first, len(positional)):
+            yield node.name, positional[i].arg, i
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield node.name, arg.arg, None
+
+
+def _passed_params(tree):
+    """(callee name, parameter name or positional count) of every call; a
+    call that unpacks *args or **kwargs may pass anything ("*")."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name is None:
+            continue
+        yield name, len(node.args)
+        for kw in node.keywords:
+            yield name, "*" if kw.arg is None else kw.arg
+        if any(isinstance(a, ast.Starred) for a in node.args):
+            yield name, "*"
+
+
+def params_no_caller_sets(package=PACKAGE, benchmark=BENCHMARK):
+    defaulted = []
+    passed = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defaulted += [(path.name, *entry) for entry in _defaulted_params(tree)]
+        passed.update(_passed_params(tree))
+    for path in sorted(benchmark.glob("*.py")):
+        passed.update(_passed_params(ast.parse(path.read_text(), filename=str(path))))
+    counts = {}
+    for name, what in passed:
+        if isinstance(what, int):
+            counts[name] = max(counts.get(name, 0), what)
+    return sorted((module, fn, param) for module, fn, param, pos in defaulted
+                  if (fn, param) not in passed and (fn, "*") not in passed
+                  and (pos is None or counts.get(fn, 0) <= pos))
+
+
+def test_every_defaulted_parameter_is_passed_by_some_caller():
+    unset = params_no_caller_sets()
+    assert [f"{module}:{fn}({param})" for module, fn, param in unset
+            if (fn, param) not in PARAMS_KEPT_FOR_TESTS] == []
+
+
+def test_kept_params_are_still_test_only():
+    unset = {(fn, param) for _, fn, param in params_no_caller_sets()}
+    assert sorted(set(PARAMS_KEPT_FOR_TESTS) - unset) == []

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qqual import optim, qdnn, qsim
+from qsim_oracles import expectation, parameter_shift_grad
 
 
 class TestBuild:
@@ -21,7 +22,7 @@ class TestBuild:
         assert np.array_equal(a.params, b.params)
 
     def test_paired_encoding_feature_capacity(self):
-        m = qdnn.build_paired_feature_qdnn(16, 2, task="classification")
+        m = qdnn.build_paired_feature_qdnn(16, task="classification")
         assert m.circuit.n_qubits == 8
         assert m.n_features == 16
 
@@ -120,7 +121,7 @@ class TestSingleReadout:
         m = self._model()
         X = np.random.default_rng(3).normal(size=(5, 3))
         states, _ = qsim.run_circuit(m.circuit, m.theta, X)
-        z2 = [qsim.expectation(s, 2) for s in states]
+        z2 = [expectation(s, 2) for s in states]
         assert np.allclose(m.forward(X), 0.5 - 0.5 * np.array(z2), atol=1e-14)
 
     def test_gradient_matches_parameter_shift(self):
@@ -130,7 +131,7 @@ class TestSingleReadout:
         y = rng.integers(0, 2, 7).astype(float)
         _, g = m.loss_and_grad(X, y, "bce")
         _, dpred = optim.loss_and_output_grad("bce", m.forward(X), y)
-        oracle = m.scale * dpred @ qsim.parameter_shift_grad(m.circuit, m.theta, X)
+        oracle = m.scale * dpred @ parameter_shift_grad(m.circuit, m.theta, X)
         assert np.max(np.abs(g - oracle)) <= 1e-12
 
     def test_single_z_must_observe_exactly_one_qubit(self):
@@ -171,12 +172,15 @@ class TestTrain:
         assert np.array_equal(runs[0][1], runs[1][1])
 
     def test_divergence_reports_epoch(self):
+        # the first Adam step moves every parameter by about lr, so at epoch 1
+        # the output map's gradient is of order lr and its square overflows
+        # Adam's second moment
         m = qdnn.build_default_qdnn(1, 1, seed=0)
         X = np.array([[0.3]])
         y = np.array([1.0])
-        with pytest.raises(optim.TrainingDivergence):
-            optim.fit(m, X, y, "mse", optim.TrainConfig(
-                epochs=2000, optimizer="sgd", learning_rate=1e150))
+        with pytest.raises(optim.TrainingDivergence, match="non-finite parameters") as err:
+            optim.fit(m, X, y, "mse", optim.TrainConfig(epochs=2000, learning_rate=1e150))
+        assert err.value.epoch == 1
 
 
 @pytest.mark.slow

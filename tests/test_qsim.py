@@ -3,6 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qqual import qsim
+from qsim_oracles import apply_gate, expectation, parameter_shift_grad
+
+# the (1, 0) batch of a circuit that reads no feature
+NO_FEATURES = np.zeros((1, 0))
 
 
 def zero_state(n):
@@ -36,7 +40,7 @@ def random_circuit(rng, n_qubits, n_layers, observables=None):
 
 
 def rotate(state, kind, qubit, angle):
-    return qsim.apply_gate(state, qsim.Gate(kind, qubit, param=0), angle)
+    return apply_gate(state, qsim.Gate(kind, qubit, param=0), angle)
 
 
 class TestApplyGate:
@@ -55,14 +59,14 @@ class TestApplyGate:
         for src, dst in [(0, 0), (1, 1), (2, 3), (3, 2)]:
             s = np.zeros(4, dtype=complex)
             s[src] = 1.0
-            out = qsim.apply_gate(s, qsim.cnot(0, 1))
+            out = apply_gate(s, qsim.cnot(0, 1))
             assert abs(out[dst] - 1.0) < 1e-14
 
     def test_cnot_reversed_roles(self):
         # control on qubit 1: |01> -> |11>
         s = np.zeros(4, dtype=complex)
         s[1] = 1.0
-        out = qsim.apply_gate(s, qsim.cnot(1, 0))
+        out = apply_gate(s, qsim.cnot(1, 0))
         assert abs(out[3] - 1.0) < 1e-14
 
     def test_control_equals_target_rejected(self):
@@ -79,7 +83,7 @@ class TestApplyGate:
         with pytest.raises(ValueError):
             qsim.Gate("rx", 0, feature=1, param=0)
         with pytest.raises(ValueError, match="angle"):
-            qsim.apply_gate(zero_state(1), qsim.rx(0, param=0))
+            apply_gate(zero_state(1), qsim.rx(0, param=0))
 
     def test_unitarity_round_trip(self):
         s = rand_state(4, 7)
@@ -91,23 +95,23 @@ class TestApplyGate:
 
 def expect_x(state, qubit):
     # RY(-pi/2) turns the X axis onto Z
-    return qsim.expectation(rotate(state, "ry", qubit, -np.pi / 2), qubit)
+    return expectation(rotate(state, "ry", qubit, -np.pi / 2), qubit)
 
 
 def expect_y(state, qubit):
     # RX(pi/2) turns the Y axis onto Z
-    return qsim.expectation(rotate(state, "rx", qubit, np.pi / 2), qubit)
+    return expectation(rotate(state, "rx", qubit, np.pi / 2), qubit)
 
 
 class TestExpectation:
     def test_z_basis_states(self):
         one = np.array([0.0, 1.0], dtype=complex)
-        assert qsim.expectation(one, 0) == pytest.approx(-1.0)
-        assert qsim.expectation(zero_state(1), 0) == pytest.approx(1.0)
+        assert expectation(one, 0) == pytest.approx(-1.0)
+        assert expectation(zero_state(1), 0) == pytest.approx(1.0)
 
     def test_plus_state(self):
         plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
-        assert qsim.expectation(plus, 0) == pytest.approx(0.0, abs=1e-14)
+        assert expectation(plus, 0) == pytest.approx(0.0, abs=1e-14)
         assert expect_x(plus, 0) == pytest.approx(1.0)
 
     def test_y_after_rx(self):
@@ -120,7 +124,7 @@ class TestExpectation:
         for seed in range(20):
             s = rand_state(3, seed)
             for q in range(3):
-                for v in (expect_x(s, q), expect_y(s, q), qsim.expectation(s, q)):
+                for v in (expect_x(s, q), expect_y(s, q), expectation(s, q)):
                     assert -1.0 - 1e-12 <= v <= 1.0 + 1e-12
 
 
@@ -148,19 +152,19 @@ class TestCircuitSpec:
 class TestRunCircuit:
     def test_empty_circuit_z_expectation(self):
         spec = qsim.CircuitSpec(2, [], [0])
-        _, vals = qsim.run_circuit(spec)
-        assert vals[0] == pytest.approx(1.0)
+        _, vals = qsim.run_circuit(spec, [], NO_FEATURES)
+        assert vals[0, 0] == pytest.approx(1.0)
 
     def test_ry_half_pi(self):
         spec = qsim.CircuitSpec(1, [[qsim.ry(0, param=0)]], [0])
-        _, vals = qsim.run_circuit(spec, [np.pi / 2])
-        assert abs(vals[0]) < 1e-12
+        _, vals = qsim.run_circuit(spec, [np.pi / 2], NO_FEATURES)
+        assert abs(vals[0, 0]) < 1e-12
 
     def test_rx_feature_gives_cos(self):
         spec = qsim.CircuitSpec(1, [[qsim.rx(0, feature=0)]], [0])
         for x in (0.3, 1.1, 2.0):
-            _, vals = qsim.run_circuit(spec, [], [x])
-            assert vals[0] == pytest.approx(np.cos(x), abs=1e-12)
+            _, vals = qsim.run_circuit(spec, [], [[x]])
+            assert vals[0, 0] == pytest.approx(np.cos(x), abs=1e-12)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(5)
@@ -172,9 +176,9 @@ class TestRunCircuit:
         X = rng.normal(size=(6, 3))
         states, vals = qsim.run_circuit(spec, params, X)
         for i in range(6):
-            s_i, v_i = qsim.run_circuit(spec, params, X[i])
-            assert np.allclose(s_i, states[i], atol=1e-13)
-            assert np.allclose(v_i, vals[i], atol=1e-13)
+            s_i, v_i = qsim.run_circuit(spec, params, X[i:i + 1])
+            assert np.allclose(s_i[0], states[i], atol=1e-13)
+            assert np.allclose(v_i[0], vals[i], atol=1e-13)
 
     def test_no_observables_gives_empty_values(self):
         spec = qsim.CircuitSpec(2, [[qsim.ry(0, param=0), qsim.cnot(0, 1)]])
@@ -184,24 +188,30 @@ class TestRunCircuit:
     def test_param_count_checked(self):
         spec = qsim.CircuitSpec(1, [[qsim.ry(0, param=0)]], [0])
         with pytest.raises(ValueError):
-            qsim.run_circuit(spec, [])
+            qsim.run_circuit(spec, [], NO_FEATURES)
 
     def test_missing_feature_rejected(self):
         spec = qsim.CircuitSpec(1, [[qsim.rx(0, feature=2)]], [0])
         with pytest.raises(ValueError):
-            qsim.run_circuit(spec, [], [0.1, 0.2])
+            qsim.run_circuit(spec, [], [[0.1, 0.2]])
+
+    def test_features_must_be_a_batch(self):
+        spec = qsim.CircuitSpec(1, [[qsim.rx(0, feature=0)]], [0])
+        for features in (0.1, [0.1], np.zeros((1, 1, 1))):
+            with pytest.raises(ValueError, match="2-D"):
+                qsim.run_circuit(spec, [], features)
 
 
 class TestParameterShift:
     def test_extremum_gives_zero(self):
         spec = qsim.CircuitSpec(1, [[qsim.ry(0, param=0)]], [0])
-        g = qsim.parameter_shift_grad(spec, [0.0])
-        assert abs(g[0]) < 1e-14
+        g = parameter_shift_grad(spec, [0.0], NO_FEATURES)
+        assert abs(g[0, 0]) < 1e-14
 
     def test_matches_analytic_derivative(self):
         spec = qsim.CircuitSpec(1, [[qsim.ry(0, param=0)]], [0])
-        g = qsim.parameter_shift_grad(spec, [np.pi / 2])
-        assert g[0] == pytest.approx(-1.0, abs=1e-10)
+        g = parameter_shift_grad(spec, [np.pi / 2], NO_FEATURES)
+        assert g[0, 0] == pytest.approx(-1.0, abs=1e-10)
 
     def test_matches_finite_differences(self):
         h = 1e-5
@@ -210,15 +220,15 @@ class TestParameterShift:
             n = int(rng.integers(1, 5))
             spec, p = random_circuit(rng, n, int(rng.integers(1, 4)))
             params = rng.uniform(-np.pi, np.pi, size=p)
-            x = ()
-            g = qsim.parameter_shift_grad(spec, params, x)
+            x = NO_FEATURES
+            g = parameter_shift_grad(spec, params, x)[0]
             for k in range(p):
                 up = params.copy()
                 up[k] += h
                 dn = params.copy()
                 dn[k] -= h
-                fd = (qsim.run_circuit(spec, up, x)[1][0]
-                      - qsim.run_circuit(spec, dn, x)[1][0]) / (2 * h)
+                fd = (qsim.run_circuit(spec, up, x)[1][0, 0]
+                      - qsim.run_circuit(spec, dn, x)[1][0, 0]) / (2 * h)
                 assert g[k] == pytest.approx(fd, abs=1e-6)
 
     def test_batched_gradient_shape(self):
@@ -226,11 +236,11 @@ class TestParameterShift:
         layers = [[qsim.rx(0, feature=0)], [qsim.ry(0, param=0)]]
         spec = qsim.CircuitSpec(1, layers, [0])
         X = rng.normal(size=(5, 1))
-        g = qsim.parameter_shift_grad(spec, [0.4], X)
+        g = parameter_shift_grad(spec, [0.4], X)
         assert g.shape == (5, 1)
         for i in range(5):
-            gi = qsim.parameter_shift_grad(spec, [0.4], X[i])
-            assert np.allclose(gi, g[i], atol=1e-13)
+            gi = parameter_shift_grad(spec, [0.4], X[i:i + 1])
+            assert np.allclose(gi[0], g[i], atol=1e-13)
 
 
 def random_mixed_circuit(rng, n_qubits, n_gates, n_features):
@@ -265,15 +275,15 @@ def gate_tags(spec):
 
 
 def sequential_run(spec, params, x):
-    """The circuit gate by gate through apply_gate, for one feature row."""
+    """The circuit gate by gate through the apply_gate oracle, for one feature row."""
     state = zero_state(spec.n_qubits)
     for g in spec.gates():
         if g.kind == "cnot":
-            state = qsim.apply_gate(state, g)
+            state = apply_gate(state, g)
         else:
             angle = params[g.param] if g.param is not None else x[g.feature]
-            state = qsim.apply_gate(state, g, angle)
-    return state, np.array([qsim.expectation(state, q) for q in spec.observables])
+            state = apply_gate(state, g, angle)
+    return state, np.array([expectation(state, q) for q in spec.observables])
 
 
 def plan_tags(spec):
@@ -314,20 +324,18 @@ class TestFusedPlan:
             spec = random_mixed_circuit(rng, n, int(rng.integers(4, 24)), n_feat)
             params = rng.uniform(-np.pi, np.pi, size=spec.n_params)
             batched = seed % 2 == 1
-            X = rng.normal(size=(int(rng.integers(2, 5)), n_feat) if batched else n_feat)
+            X = rng.normal(size=(int(rng.integers(2, 5)) if batched else 1, n_feat))
             states, vals = qsim.run_circuit(spec, params, X)
-            rows = X if batched else [X]
-            states, vals = np.atleast_2d(states), np.atleast_2d(vals)
-            for b, x in enumerate(rows):
+            for b, x in enumerate(X):
                 ref_state, ref_vals = sequential_run(spec, params, x)
                 assert np.max(np.abs(states[b] - ref_state)) <= 1e-12
                 assert np.max(np.abs(vals[b] - ref_vals)) <= 1e-12
-            seen |= plan_tags(spec) | {"batch" if batched else "single row"}
+            seen |= plan_tags(spec) | {"batch" if batched else "batch of one"}
         assert seen >= {
             "prefix with param and feature gates", "several gates on one qubit in the prefix",
             "several gates on one qubit after a cnot", "feature rotation after a cnot",
             ("cnot run", "control above"), ("cnot run", "control below"), "no cnot",
-            ("qubits", 1), ("qubits", 12), "single row", "batch"}
+            ("qubits", 1), ("qubits", 12), "batch of one", "batch"}
 
 
 class TestAdjointGradient:
@@ -341,14 +349,14 @@ class TestAdjointGradient:
             params = rng.uniform(-np.pi, np.pi, size=spec.n_params)
             n_obs = len(spec.observables)
             batched = seed % 2 == 1
-            X = rng.normal(size=(int(rng.integers(2, 6)), n_feat) if batched else n_feat)
-            cot = rng.normal(size=X.shape[:-1] + (n_obs,))
+            X = rng.normal(size=(int(rng.integers(2, 6)) if batched else 1, n_feat))
+            cot = rng.normal(size=(len(X), n_obs))
             state, _ = qsim.run_circuit(spec, params, X)
             got = qsim.vjp(spec, params, X, state, cot)
             oracle = np.zeros(spec.n_params)
             for o in range(n_obs):
-                g = qsim.parameter_shift_grad(spec, params, X, observable_index=o)
-                oracle += np.atleast_2d(cot[..., o, None] * g).sum(axis=0)
+                g = parameter_shift_grad(spec, params, X, observable_index=o)
+                oracle += (cot[:, o, None] * g).sum(axis=0)
             assert got.shape == (spec.n_params,)
             assert np.max(np.abs(got - oracle), initial=0.0) <= 1e-12
             seen_gates |= gate_tags(spec)
@@ -359,8 +367,8 @@ class TestAdjointGradient:
 
     def test_no_trainable_gate_gives_empty_gradient(self):
         spec = qsim.CircuitSpec(1, [[qsim.rx(0, feature=0)]], [0])
-        state, _ = qsim.run_circuit(spec, [], [0.3])
-        assert qsim.vjp(spec, [], [0.3], state, [1.0]).shape == (0,)
+        state, _ = qsim.run_circuit(spec, [], [[0.3]])
+        assert qsim.vjp(spec, [], [[0.3]], state, [[1.0]]).shape == (0,)
 
     def test_shape_mismatches_rejected(self):
         spec = qsim.CircuitSpec(2, [[qsim.rx(0, feature=0), qsim.ry(1, param=0)]],
@@ -381,5 +389,5 @@ class TestNormPreservation:
         n = int(rng.integers(1, 5))
         spec, p = random_circuit(rng, n, int(rng.integers(1, 5)))
         params = rng.uniform(-2 * np.pi, 2 * np.pi, size=p)
-        state, _ = qsim.run_circuit(spec, params)
-        assert abs(np.vdot(state, state).real - 1.0) < 1e-10
+        state, _ = qsim.run_circuit(spec, params, NO_FEATURES)
+        assert abs(np.vdot(state[0], state[0]).real - 1.0) < 1e-10

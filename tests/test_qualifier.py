@@ -130,7 +130,7 @@ class TestFitQualifier:
         ref = qf.reference_table()
         epochs = (1, 5, 10, 20, 40)
         corpus = synth_corpus(ref, epochs, per_epoch=400, seed=0, active=3)
-        fitted, diag = qf.fit_qualifier(corpus, epoch_grid=epochs)
+        fitted, diag = qf.fit_qualifier(corpus)
         errs = []
         for e in corpus:
             errs.append(qf.eval_qualifier(fitted, np.array(e.metrics), e.epoch) - e.xi)
@@ -151,7 +151,7 @@ class TestFitQualifier:
                 m = rng.uniform(-1, 1, size=5) + np.array([0.25, 24.5, 0.95, -0.05, 4999.5])
                 entries.append(qf.QualifierCorpusEntry(
                     metrics=tuple(m), xi=rng.normal(), epoch=ep))
-        fitted, diag = qf.fit_qualifier(entries, epoch_grid=(1, 5, 10))
+        fitted, diag = qf.fit_qualifier(entries)
         flat = [c for row in fitted.coefficients for c in row]
         assert diag["r2"].max() < 0.1
         assert max(abs(c) for c in flat) == 0.0
@@ -167,7 +167,7 @@ class TestFitQualifier:
                 m[3] += x
                 entries.append(qf.QualifierCorpusEntry(
                     metrics=tuple(m), xi=2.0 * x, epoch=ep))
-        fitted, diag = qf.fit_qualifier(entries, epoch_grid=(2, 4, 8))
+        fitted, diag = qf.fit_qualifier(entries)
         slopes = diag["slopes"][3]
         assert np.allclose(slopes, 2.0, atol=1e-10)
         for e in entries:
@@ -178,10 +178,10 @@ class TestFitQualifier:
         ref = qf.reference_table()
         few_epochs = synth_corpus(ref, (1, 5), per_epoch=10, seed=3)
         with pytest.raises(ValueError):
-            qf.fit_qualifier(few_epochs, epoch_grid=(1, 5))
+            qf.fit_qualifier(few_epochs)
         thin = synth_corpus(ref, (1, 5, 10), per_epoch=5, seed=4)
         with pytest.raises(ValueError):
-            qf.fit_qualifier(thin, epoch_grid=(1, 5, 10))
+            qf.fit_qualifier(thin)
 
     def test_entry_validation(self):
         with pytest.raises(ValueError):

@@ -76,8 +76,8 @@ class TestAxes:
             svgplot.Axes((1.0, 1.0), (0.0, 1.0), (0, 0, 10, 10))
 
     def test_nice_range_pads_and_handles_constants(self):
-        lo, hi = svgplot.nice_range([0.0, 10.0], pad=0.1)
-        assert lo == pytest.approx(-1.0) and hi == pytest.approx(11.0)
+        lo, hi = svgplot.nice_range([0.0, 10.0])
+        assert lo == pytest.approx(-0.5) and hi == pytest.approx(10.5)
         lo, hi = svgplot.nice_range([3.0, 3.0])
         assert lo < 3.0 < hi
 
