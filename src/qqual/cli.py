@@ -796,10 +796,10 @@ def _subsample_sets(sets: list, max_sets: int, seed: int) -> list:
 
 def _span_issue(points) -> str:
     """Why (Q2, xB) points span no area to map on, or "" when they do."""
-    from .geometry import convex_hull
+    from .geometry import delaunay
 
     try:
-        convex_hull(points)
+        delaunay(points)
     except ValueError as exc:
         return str(exc)
     return ""
@@ -832,7 +832,7 @@ def compute_dvcs(config: dict, workers: int) -> dict:
     lams = [float(v) for v in config["lams"]]
     outcomes, campaign = dv.run_campaign(sets, dv.ToyHarmonicModel(), lams,
                                          config["ensemble"], cfg,
-                                         epoch_checkpoints=checkpoints or None,
+                                         epoch_checkpoints=checkpoints,
                                          n_workers=workers)
 
     warnings: List[str] = []

@@ -219,7 +219,7 @@ def _build_net(family: str, cfg: TrainConfig):
 
 
 def extract_cffs(pseudo: KinematicSet, model, family: str, cfg: TrainConfig,
-                 checkpoints: Optional[Sequence[int]] = None) -> ExtractionResult:
+                 checkpoints: Sequence[int] = ()) -> ExtractionResult:
     """Train one network of the chosen family on the set's points, then
     project its predicted curve on PHI_GRID onto the model basis by least
     squares.  Divergence flags the result instead of raising.  Optional
@@ -236,14 +236,13 @@ def extract_cffs(pseudo: KinematicSet, model, family: str, cfg: TrainConfig,
         return params
 
     result = ExtractionResult(cffs=np.full(model.n_params, np.nan))
-    wanted = sorted(set(int(c) for c in checkpoints)) if checkpoints else []
 
     def on_epoch(epoch, _model, _loss):
-        if epoch in wanted:
+        if epoch in checkpoints:
             result.checkpoint_cffs[epoch] = project()
 
     try:
-        fit(net, X, pseudo.f, "mse", cfg, on_epoch=on_epoch if wanted else None)
+        fit(net, X, pseudo.f, "mse", cfg, on_epoch=on_epoch if checkpoints else None)
     except TrainingDivergence:
         result.diverged = True
         return result
@@ -343,7 +342,7 @@ def _campaign_cell(job: Tuple) -> Dict:
 
 def run_campaign(sets: Sequence[KinematicSet], model, lams: Sequence[float],
                  ensemble: int, cfg: TrainConfig,
-                 epoch_checkpoints: Optional[Sequence[int]] = None, n_workers: int = 1
+                 epoch_checkpoints: Sequence[int] = (), n_workers: int = 1
                  ) -> Tuple[List[DvcsOutcome], Dict]:
     """Paired extractions per (set, lam): each replica draws one pseudo
     set that both families train on, m values are ensemble means over the
@@ -362,7 +361,7 @@ def run_campaign(sets: Sequence[KinematicSet], model, lams: Sequence[float],
         raise ValueError("ensemble must be >= 1")
     if n_workers < 1:
         raise ValueError("n_workers must be >= 1")
-    checkpoints = sorted(set(int(c) for c in epoch_checkpoints)) if epoch_checkpoints else []
+    checkpoints = sorted(set(int(c) for c in epoch_checkpoints))
     outcomes: List[DvcsOutcome] = []
     report: Dict = {"failed_fits": [], "diverged": [], "qualifier_corpus": []}
     jobs = []

@@ -1,11 +1,11 @@
-"""Regime-map construction over a scattered 2-D field: convex hull,
-Delaunay triangulation, hull-masked linear interpolation with
+"""Regime-map construction over a scattered 2-D field: Delaunay
+triangulation, linear interpolation masked to the triangulation's hull,
 edge-renormalized Gaussian smoothing, zero-level-set extraction, area
 fractions, and the sign-agreement score between two fields on one grid."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Tuple
 
 import numpy as np
@@ -30,6 +30,8 @@ class ScatterField:
             raise ValueError("xs, ys, values must be equal-length 1-D arrays")
         if len(self.xs) < 3:
             raise ValueError("need >= 3 points")
+        if not np.all(np.isfinite([self.xs, self.ys, self.values])):
+            raise ValueError("xs, ys, values must be finite")
 
 
 @dataclass
@@ -37,47 +39,24 @@ class GridField:
     x_axis: np.ndarray
     y_axis: np.ndarray
     values: np.ndarray  # shape (len(y_axis), len(x_axis)); NaN outside mask
-    mask: np.ndarray
+    mask: np.ndarray = field(init=False)  # where values are finite
 
     def __post_init__(self):
         self.x_axis = np.asarray(self.x_axis, dtype=np.float64)
         self.y_axis = np.asarray(self.y_axis, dtype=np.float64)
         self.values = np.asarray(self.values, dtype=np.float64)
-        self.mask = np.asarray(self.mask, dtype=bool)
-        shape = (len(self.y_axis), len(self.x_axis))
-        if self.values.shape != shape or self.mask.shape != shape:
-            raise ValueError("values and mask must be shaped (len(y_axis), len(x_axis))")
-        if not np.all(np.isfinite(self.values[self.mask])):
-            raise ValueError("masked values must be finite")
+        if self.values.shape != (len(self.y_axis), len(self.x_axis)):
+            raise ValueError("values must be shaped (len(y_axis), len(x_axis))")
+        self.mask = np.isfinite(self.values)
 
 
-def _cross(o, a, b) -> float:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def convex_hull(points) -> np.ndarray:
-    """Counter-clockwise hull vertices by monotone chain; collinear
-    boundary points are dropped.  Raises if all points are collinear."""
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3:
-        raise ValueError("need >= 3 points of shape (n, 2)")
-    uniq = sorted(set(map(tuple, pts.tolist())))
-    if len(uniq) < 3:
-        raise ValueError("degenerate point set")
-    lower: List[Tuple[float, float]] = []
-    for p in uniq:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: List[Tuple[float, float]] = []
-    for p in reversed(uniq):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 3:
-        raise ValueError("all points are collinear")
-    return np.asarray(hull)
+def _exact_coords(pts: np.ndarray) -> Tuple[List[int], List[int]]:
+    """The x and y coordinates of (n, 2) points as integers, exactly: all
+    scaled by one power of two."""
+    ratios = [v.as_integer_ratio() for v in pts.ravel().tolist()]
+    scale = max(d for _, d in ratios)
+    ints = [n * (scale // d) for n, d in ratios]
+    return ints[0::2], ints[1::2]
 
 
 def points_in_hull(hull: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -108,10 +87,7 @@ def delaunay(points) -> np.ndarray:
     cocircular points (a regular grid, say) the diagonal that was there
     first stays: the triangles depend on the point set, not its order."""
     pts = np.asarray(points, dtype=np.float64)
-    ratios = [v.as_integer_ratio() for v in pts.ravel().tolist()]
-    scale = max(d for _, d in ratios)
-    ints = [n * (scale // d) for n, d in ratios]
-    X, Y = ints[0::2], ints[1::2]
+    X, Y = _exact_coords(pts)
 
     def orient(a, b, p):
         return (X[b] - X[a]) * (Y[p] - Y[a]) - (Y[b] - Y[a]) * (X[p] - X[a])
@@ -135,6 +111,8 @@ def delaunay(points) -> np.ndarray:
     for i, p in enumerate(map(tuple, pts.tolist())):
         first.setdefault(p, i)
     order = [first[p] for p in sorted(first)]
+    if len(order) < 3:
+        raise ValueError("degenerate point set")
     a, b = order[0], order[1]
     c = next((c for c in order[2:] if orient(a, b, c)), None)
     if c is None:
@@ -191,14 +169,34 @@ def delaunay(points) -> np.ndarray:
                     dtype=np.intp).reshape(-1, 3)
 
 
-def _interpolate(fld: ScatterField, x_axis: np.ndarray, y_axis: np.ndarray) -> np.ndarray:
+def hull_vertices(points, tri: np.ndarray) -> np.ndarray:
+    """Counter-clockwise hull vertices of a triangulation `tri` of
+    `points`, as indices: the edges that no other triangle shares, walked
+    as one cycle, less the vertices where that boundary runs straight on
+    (decided exactly)."""
+    edges = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]).tolist()
+    # triangles are counter-clockwise, so an inner edge comes once each way
+    shared = set(map(tuple, edges))
+    after = {a: b for a, b in edges if (b, a) not in shared}
+    cycle = [min(after)]
+    while after[cycle[-1]] != cycle[0]:
+        cycle.append(after[cycle[-1]])
+    X, Y = _exact_coords(np.asarray(points, dtype=np.float64)[cycle])
+    n = len(cycle)
+    # a corner turns left: its neighbours are not in line with it
+    corner = [(X[k] - X[k - 1]) * (Y[(k + 1) % n] - Y[k - 1])
+              != (Y[k] - Y[k - 1]) * (X[(k + 1) % n] - X[k - 1]) for k in range(n)]
+    return np.array(cycle, dtype=np.intp)[corner]
+
+
+def _interpolate(fld: ScatterField, tri: np.ndarray, x_axis: np.ndarray,
+                 y_axis: np.ndarray) -> np.ndarray:
     """Barycentric-linear values of the field on a uniform grid, NaN
-    outside the triangulation.  A grid point is in a triangle when none of
-    its barycentric coordinates is below -100 DBL_EPSILON, the slack of
-    scipy's LinearNDInterpolator.  Each triangle visits only the rows of
+    outside the triangulation `tri` of its points.  A grid point is in a
+    triangle when none of its barycentric coordinates is below
+    -100 DBL_EPSILON, the slack of scipy's LinearNDInterpolator.  Each triangle visits only the rows of
     its bounding box; in each row its three coordinates are linear in x,
     so the grid points it holds there are one run of columns."""
-    tri = delaunay(np.column_stack([fld.xs, fld.ys]))
     px, py, pv = fld.xs[tri], fld.ys[tri], fld.values[tri]
     # coordinate j of (x, y) is s_j (x - x_2) + t_j (y - y_2), plus 1 for j = 2
     ax, ay = px[:, :2] - px[:, 2:], py[:, :2] - py[:, 2:]
@@ -270,12 +268,13 @@ def build_surface(fld: ScatterField, resolution: int = DEFAULT_RESOLUTION,
     the mask edge so boundary cells average only masked neighbors."""
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
-    hull = convex_hull(np.column_stack([fld.xs, fld.ys]))
+    pts = np.column_stack([fld.xs, fld.ys])
+    tri = delaunay(pts)
     x_axis = np.linspace(fld.xs.min(), fld.xs.max(), resolution)
     y_axis = np.linspace(fld.ys.min(), fld.ys.max(), resolution)
     gx, gy = np.meshgrid(x_axis, y_axis)
-    mask = points_in_hull(hull, gx, gy)
-    values = _interpolate(fld, x_axis, y_axis)
+    mask = points_in_hull(pts[hull_vertices(pts, tri)], gx, gy)
+    values = _interpolate(fld, tri, x_axis, y_axis)
     # FP wobble at the hull edge can leave masked points just outside the
     # triangulation; fill those few from the nearest sample (lowest index on a tie)
     holes = mask & ~np.isfinite(values)
@@ -289,7 +288,7 @@ def build_surface(fld: ScatterField, resolution: int = DEFAULT_RESOLUTION,
         values = np.where(mask, sm, np.nan)
     else:
         values = np.where(mask, values, np.nan)
-    return GridField(x_axis, y_axis, values, mask)
+    return GridField(x_axis, y_axis, values)
 
 
 def _interp_zero(p: float, q: float) -> float:

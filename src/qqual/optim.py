@@ -21,12 +21,14 @@ _ADAM_EPS = 1e-8
 
 
 class TrainingDivergence(RuntimeError):
-    """Raised when training hits a non-finite loss or parameter vector."""
+    """Raised when training hits a non-finite loss or parameter vector;
+    ``param_norm`` is the largest |parameter| before the failing step
+    (the max-norm, which stays finite wherever the parameters are)."""
 
     def __init__(self, epoch: int, param_norm: float, detail: str = "non-finite loss"):
         self.epoch = epoch
         self.param_norm = param_norm
-        super().__init__(f"{detail} at epoch {epoch} (parameter norm {param_norm:.6g})")
+        super().__init__(f"{detail} at epoch {epoch} (parameter max-norm {param_norm:.6g})")
 
 
 @dataclass(frozen=True)
@@ -102,11 +104,11 @@ def fit(
     for epoch in range(cfg.epochs):
         value, grad = model.loss_and_grad(X, y, loss)
         if not np.isfinite(value):
-            raise TrainingDivergence(epoch, float(np.linalg.norm(model.params)))
+            raise TrainingDivergence(epoch, float(np.linalg.norm(model.params, np.inf)))
         new_params = opt.step(model.params, grad)
         if not np.all(np.isfinite(new_params)):
             raise TrainingDivergence(
-                epoch, float(np.linalg.norm(model.params)), "non-finite parameters"
+                epoch, float(np.linalg.norm(model.params, np.inf)), "non-finite parameters"
             )
         model.params = new_params
         history.append(float(value))

@@ -1,8 +1,8 @@
 """Quantum network model: angle-encoded inputs, stacked trainable
-rotation layers with CNOT-ring entanglers, Pauli-Z expectation readout,
-and an affine output map.  Gradients of circuit angles come from one
-forward run and one adjoint sweep (``qsim.vjp``); the output map trains
-by the chain rule."""
+rotation layers with CNOT-ring entanglers, a readout that averages the
+circuit's Pauli-Z expectations, and an affine output map.  Gradients of
+circuit angles come from one forward run and one adjoint sweep
+(``qsim.vjp``); the output map trains by the chain rule."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ import numpy as np
 
 from . import optim, qsim
 
-READOUTS = ("single_z", "mean_z")
 # trainable [RY, RZ, CNOT ring] layers after the embedding
 N_LAYERS = 2
 
@@ -20,23 +19,20 @@ N_LAYERS = 2
 class QdnnModel:
     """Circuit plus readout and affine output map.
 
-    ``trainable_map=True`` appends (scale, offset) to the trainable
+    The readout is the mean of the circuit's Pauli-Z expectations: the
+    one observed qubit's <Z> for a classifier, the average over every
+    qubit for a regressor.  ``trainable_map=True`` appends (scale, offset) to the trainable
     vector; a frozen map keeps them fixed, as in the classification
     squash p = (1 - <Z_0>)/2.
     """
 
-    def __init__(self, circuit: qsim.CircuitSpec, theta: np.ndarray, readout: str,
+    def __init__(self, circuit: qsim.CircuitSpec, theta: np.ndarray,
                  scale: float = 1.0, offset: float = 0.0, trainable_map: bool = True):
-        if readout not in READOUTS:
-            raise ValueError(f"unknown readout {readout!r}")
-        if readout == "single_z" and len(circuit.observables) != 1:
-            raise ValueError("a single_z circuit must observe exactly one qubit")
         theta = np.asarray(theta, dtype=np.float64)
         if theta.shape != (circuit.n_params,):
             raise ValueError(f"expected {circuit.n_params} circuit params, got {theta.shape}")
         self.circuit = circuit
         self.theta = theta.copy()
-        self.readout = readout
         self.scale = float(scale)
         self.offset = float(offset)
         self.trainable_map = trainable_map
@@ -63,15 +59,9 @@ class QdnnModel:
             self.scale = float(flat[p])
             self.offset = float(flat[p + 1])
 
-    def _readout(self, vals: np.ndarray) -> np.ndarray:
-        # a single_z circuit observes one qubit: one column
-        if self.readout == "mean_z":
-            return vals.mean(axis=1)
-        return vals[:, 0]
-
     def readout_expectations(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        return self._readout(qsim.run_circuit(self.circuit, self.theta, X)[1])
+        return qsim.run_circuit(self.circuit, self.theta, X)[1].mean(axis=1)
 
     def forward(self, X: np.ndarray) -> np.ndarray:
         return self.scale * self.readout_expectations(X) + self.offset
@@ -80,14 +70,11 @@ class QdnnModel:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         y = np.asarray(y, dtype=np.float64)
         states, vals = qsim.run_circuit(self.circuit, self.theta, X)
-        e = self._readout(vals)
+        e = vals.mean(axis=1)
         value, dpred = optim.loss_and_output_grad(loss, self.scale * e + self.offset, y)
-        # cotangent of vals: the transpose of _readout applied to scale * dpred
-        de = self.scale * dpred
-        if self.readout == "mean_z":
-            cot = np.repeat(de[:, None] / vals.shape[1], vals.shape[1], axis=1)
-        else:
-            cot = de[:, None]
+        # cotangent of vals: the transpose of the mean applied to scale * dpred
+        n_obs = vals.shape[1]
+        cot = np.repeat((self.scale * dpred)[:, None] / n_obs, n_obs, axis=1)
         grad_theta = qsim.vjp(self.circuit, self.theta, X, states, cot)
         if not self.trainable_map:
             return value, grad_theta
@@ -115,18 +102,18 @@ def _ring_layers(n_qubits: int, n_layers: int) -> List[List[qsim.Gate]]:
 
 
 def _finish_build(n_qubits, embed, n_layers, task, seed) -> QdnnModel:
+    # a classifier reads qubit 0 alone, a regressor the mean over every qubit
     if task == "classification":
-        readout, scale, offset, trainable = "single_z", -0.5, 0.5, False
+        observables, scale, offset, trainable = (0,), -0.5, 0.5, False
     elif task == "regression":
-        readout, scale, offset, trainable = "mean_z", 1.0, 0.0, True
+        observables, scale, offset, trainable = tuple(range(n_qubits)), 1.0, 0.0, True
     else:
         raise ValueError(f"unknown task {task!r}")
     layers = [embed] + _ring_layers(n_qubits, n_layers)
-    observables = (0,) if readout == "single_z" else tuple(range(n_qubits))
     circuit = qsim.CircuitSpec(n_qubits, layers, observables)
     rng = np.random.default_rng(seed)
     theta = rng.uniform(-np.pi / 10, np.pi / 10, size=circuit.n_params)
-    return QdnnModel(circuit, theta, readout, scale, offset, trainable)
+    return QdnnModel(circuit, theta, scale, offset, trainable)
 
 
 def build_default_qdnn(n_features: int, n_layers: int = N_LAYERS, task: str = "regression",

@@ -405,6 +405,22 @@ class TestDvcs:
         assert trained == []
         assert sorted(p.name for p in out.iterdir()) == ["resolved_config.json"]
 
+    def test_sets_at_one_point_are_config_error_before_training(self, tmp_path, monkeypatch):
+        # three sets that differ only in t share one (Q2, xB) point
+        trained = self.count_campaigns(monkeypatch)
+        path = tmp_path / "point.csv"
+        lines = ["experiment,E_beam,Q2,xB,t,phi,F,sigma_F"]
+        for t in (-0.2, -0.3, -0.4):
+            for k in range(8):
+                lines.append(f"toy,5.75,2.0,0.3,{t},{22.5 + 45.0 * k},{0.1 + 0.01 * k},0.01")
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "dv"
+        cfg = write_cfg(tmp_path, {"dvcs": {"data": [str(path)], "ensemble": 1, "epochs": 1,
+                                            "lams": [1.0]}})
+        assert cli.main(["dvcs", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert trained == []
+        assert sorted(p.name for p in out.iterdir()) == ["resolved_config.json"]
+
     def test_collinear_outcomes_skip_their_map(self, tmp_path):
         # the fourth set takes the points off the line, but cos(phi) has two
         # values on its phi grid, so its model fit fails and the three

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import LinearNDInterpolator
 from scipy.ndimage import binary_erosion, gaussian_filter
-from scipy.spatial import Delaunay
+from scipy.spatial import ConvexHull, Delaunay
 
 from qqual import geometry as g
 
@@ -14,28 +14,70 @@ def signed_area2(hull):
     return float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
+def hull(pts):
+    """The hull that build_surface masks with: its triangulation's."""
+    pts = np.asarray(pts, dtype=np.float64)
+    return pts[g.hull_vertices(pts, g.delaunay(pts))]
+
+
+def lattice(nx, ny, dx=1.0, dy=1.0):
+    gx, gy = np.meshgrid(np.arange(nx) * dx, np.arange(ny) * dy)
+    return np.column_stack([gx.ravel(), gy.ravel()])
+
+
+def diagonal_edge_set(rng):
+    """Points on or above the diagonal of their bounding box, with both of
+    its ends: a hull edge along the diagonal of build_surface's grid."""
+    u = rng.uniform(0.0, 1.0, size=(int(rng.integers(4, 40)), 2))
+    u[:, 1] = u[:, 0] + (1.0 - u[:, 0]) * u[:, 1]
+    u[0], u[1] = (0.0, 0.0), (1.0, 1.0)
+    return rng.uniform(-5.0, 5.0, 2) + rng.uniform(0.01, 100.0, 2) * u
+
+
 class TestConvexHull:
     def test_brute_force_membership(self):
         for seed in range(10):
             pts = np.random.default_rng(seed).normal(size=(100, 2))
-            hull = g.convex_hull(pts)
-            assert signed_area2(hull) > 0  # counter-clockwise
-            assert g.points_in_hull(hull, pts[:, 0], pts[:, 1]).all()
+            h = hull(pts)
+            assert signed_area2(h) > 0  # counter-clockwise
+            assert g.points_in_hull(h, pts[:, 0], pts[:, 1]).all()
             in_set = {tuple(p) for p in pts.tolist()}
-            assert all(tuple(v) in in_set for v in hull.tolist())
+            assert all(tuple(v) in in_set for v in h.tolist())
 
     def test_square_with_collinear_point(self):
-        hull = g.convex_hull([[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0], [0.4, 0.6]])
-        assert len(hull) == 4
-        assert {tuple(v) for v in hull.tolist()} == {(0, 0), (1, 0), (1, 1), (0, 1)}
+        h = hull([[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0], [0.4, 0.6]])
+        assert len(h) == 4
+        assert {tuple(v) for v in h.tolist()} == {(0, 0), (1, 0), (1, 1), (0, 1)}
+
+    def test_lattice_keeps_only_its_corners(self):
+        # 20 lattice points lie on the boundary; the straight runs go
+        h = hull(lattice(6, 6))
+        assert len(h) == 4
+        assert {tuple(v) for v in h.tolist()} == {(0, 0), (5, 0), (5, 5), (0, 5)}
+
+    def test_matches_qhull_vertices(self):
+        rng = np.random.default_rng(12)
+        sets = [rng.uniform(-1.0, 3.0, size=(int(rng.integers(3, 120)), 2))
+                * rng.uniform(0.01, 100.0, size=2) for _ in range(40)]
+        sets += [lattice(int(nx), int(ny), *rng.uniform(0.01, 3.0, size=2))
+                 for nx, ny in rng.integers(2, 9, size=(20, 2))]
+        sets += [diagonal_edge_set(rng) for _ in range(40)]
+        for trial, pts in enumerate(sets):
+            got = g.hull_vertices(pts, g.delaunay(pts))
+            want = ConvexHull(pts).vertices  # counter-clockwise in 2-D
+            assert sorted(got.tolist()) == sorted(want.tolist()), trial
+            start = int(np.flatnonzero(got == want[0])[0])
+            assert np.array_equal(np.roll(got, -start), want), trial
 
     def test_collinear_rejected(self):
         with pytest.raises(ValueError):
-            g.convex_hull([[0, 0], [1, 1], [2, 2], [3, 3]])
+            g.delaunay([[0, 0], [1, 1], [2, 2], [3, 3]])
 
     def test_too_few_points(self):
         with pytest.raises(ValueError):
-            g.convex_hull([[0, 0], [1, 1]])
+            g.delaunay([[0, 0], [1, 1]])
+        with pytest.raises(ValueError):
+            g.delaunay([[0, 0]] * 3)  # one distinct point
 
 
 def sorted_triangles(tri):
@@ -83,7 +125,8 @@ class TestDelaunay:
             y_axis = np.linspace(pts[:, 1].min(), pts[:, 1].max(), 37)
             gx, gy = np.meshgrid(x_axis, y_axis)
             want = LinearNDInterpolator(pts, vals)(gx, gy)
-            got = g._interpolate(g.ScatterField(pts[:, 0], pts[:, 1], vals), x_axis, y_axis)
+            got = g._interpolate(g.ScatterField(pts[:, 0], pts[:, 1], vals), g.delaunay(pts),
+                                 x_axis, y_axis)
             finite = np.isfinite(want)
             assert np.array_equal(np.isfinite(got), finite), trial
             scale = np.abs(vals).max()
@@ -110,9 +153,10 @@ class TestDelaunay:
             assert tri.max() < n  # only the first occurrence is a vertex
             assert sorted_triangles(tri) == sorted_triangles(g.delaunay(base))
             axis = np.linspace(0.0, 1.0, 30)
-            with_copies = g._interpolate(g.ScatterField(pts[:, 0], pts[:, 1], vals), axis, axis)
+            with_copies = g._interpolate(g.ScatterField(pts[:, 0], pts[:, 1], vals), tri,
+                                         axis, axis)
             without = g._interpolate(g.ScatterField(base[:, 0], base[:, 1], base_vals),
-                                     axis, axis)
+                                     g.delaunay(base), axis, axis)
             assert np.array_equal(with_copies, without, equal_nan=True)
 
     @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (4, 7), (6, 5), (9, 9)])
@@ -130,7 +174,7 @@ class TestDelaunay:
             p = pts[tri]
             areas = doubled_areas(p)
             assert (areas > 0).all()
-            hull_area = signed_area2(g.convex_hull(pts))
+            hull_area = signed_area2(hull(pts))
             assert abs(areas.sum() - hull_area) <= 1e-12 * hull_area
             for a, b, c in p.tolist():
                 assert not any(strictly_in_circumcircle(a, b, c, q) for q in pts.tolist())
@@ -154,8 +198,8 @@ class TestDelaunay:
             vals = np.sin(3.0 * pts[:, 0]) + pts[:, 1] ** 2
             x_axis = np.linspace(pts[:, 0].min(), pts[:, 0].max(), 4 * int(np.ptp(pts[:, 0])) + 1)
             y_axis = np.linspace(pts[:, 1].min(), pts[:, 1].max(), 4 * int(np.ptp(pts[:, 1])) + 1)
-            got = g._interpolate(g.ScatterField(pts[:, 0], pts[:, 1], vals), x_axis, y_axis)
             tri = g.delaunay(pts)
+            got = g._interpolate(g.ScatterField(pts[:, 0], pts[:, 1], vals), tri, x_axis, y_axis)
             p = pts[tri]
             gx, gy = (a.ravel()[:, None] for a in np.meshgrid(x_axis, y_axis))
             ax, ay = p[:, :2, 0] - p[:, 2:, 0], p[:, :2, 1] - p[:, 2:, 1]
@@ -259,8 +303,8 @@ class TestBuildSurface:
         interpolate = g._interpolate
         punched = []
 
-        def with_holes(field, x_axis, y_axis):
-            out = interpolate(field, x_axis, y_axis)
+        def with_holes(field, tri, x_axis, y_axis):
+            out = interpolate(field, tri, x_axis, y_axis)
             rows = np.searchsorted(y_axis, field.ys[:10])
             cols = np.searchsorted(x_axis, field.xs[:10])
             punched.extend(zip(rows.tolist(), cols.tolist()))
@@ -276,12 +320,39 @@ class TestBuildSurface:
             assert grid.values[i, j] == fld.values[np.flatnonzero(d2 == d2.min())[0]]
         assert any(grid.values[i, j] == fld.values[7] for i, j in punched)
 
+    def test_holes_on_a_diagonal_hull_edge(self):
+        # grid points on a hull edge along the grid's diagonal can fall
+        # outside every triangle by roundoff; each takes the nearest sample
+        rng = np.random.default_rng(4)
+        n_holes = 0
+        for _ in range(20):
+            pts = diagonal_edge_set(rng)
+            fld = g.ScatterField(pts[:, 0], pts[:, 1], rng.standard_normal(len(pts)))
+            grid = g.build_surface(fld, resolution=120, smoothing=0.0)
+            raw = g._interpolate(fld, g.delaunay(pts), grid.x_axis, grid.y_axis)
+            assert np.array_equal(grid.values[np.isfinite(raw)], raw[np.isfinite(raw)])
+            holes = grid.mask & ~np.isfinite(raw)
+            for i, j in np.argwhere(holes):
+                d2 = (grid.x_axis[j] - fld.xs) ** 2 + (grid.y_axis[i] - fld.ys) ** 2
+                assert grid.values[i, j] == fld.values[np.argmin(d2)]
+            n_holes += int(holes.sum())
+        assert n_holes > 0
+
     def test_default_parameters(self):
         fld, _ = self.make_plane_field(seed=5, n=30)
         grid = g.build_surface(fld)
         assert len(grid.x_axis) == 200 and len(grid.y_axis) == 200
         explicit = g.build_surface(fld, resolution=200, smoothing=3.0)
         assert np.array_equal(grid.values, explicit.values, equal_nan=True)
+
+    def test_nonfinite_values_rejected(self):
+        # a NaN sample would otherwise leave a hole in the mask, which is
+        # where the grid's values are finite
+        fld, _ = self.make_plane_field()
+        values = fld.values.copy()
+        values[4] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            g.build_surface(g.ScatterField(fld.xs, fld.ys, values))
 
     def test_resolution_validated(self):
         fld, _ = self.make_plane_field()
@@ -305,7 +376,7 @@ class TestZeroContour:
     def test_saddle_exact_grid(self):
         ax = np.linspace(-1, 1, 41)
         gx, gy = np.meshgrid(ax, ax)
-        grid = g.GridField(ax, ax, gx * gy, np.ones_like(gx, bool))
+        grid = g.GridField(ax, ax, gx * gy)
         polys = g.zero_contour(grid)
         cell = ax[1] - ax[0]
         assert polys
@@ -315,13 +386,13 @@ class TestZeroContour:
 
     def test_no_zero_crossing_no_contour(self):
         ax = np.linspace(0, 1, 20)
-        grid = g.GridField(ax, ax, np.ones((20, 20)), np.ones((20, 20), bool))
+        grid = g.GridField(ax, ax, np.ones((20, 20)))
         assert g.zero_contour(grid) == []
 
     def test_endpoints_on_cell_edges(self):
         rng = np.random.default_rng(7)
         ax = np.arange(30.0)
-        grid = g.GridField(ax, ax, rng.normal(size=(30, 30)), np.ones((30, 30), bool))
+        grid = g.GridField(ax, ax, rng.normal(size=(30, 30)))
         for p in g.zero_contour(grid):
             for x, y in p:
                 assert abs(x - round(x)) < 1e-9 or abs(y - round(y)) < 1e-9
@@ -332,7 +403,7 @@ class TestZeroContour:
         mask = np.zeros_like(gx, bool)
         mask[:, :8] = True  # only the strictly negative side
         vals = np.where(mask, gx, np.nan)
-        grid = g.GridField(ax, ax, vals, mask)
+        grid = g.GridField(ax, ax, vals)
         assert g.zero_contour(grid) == []
 
     def test_matches_per_cell_scan(self):
@@ -366,7 +437,7 @@ class TestAreaFractionsAndAgreement:
         ax = np.linspace(-1, 1, 51)
         gx, gy = np.meshgrid(ax, ax)
         vals = gy - gx
-        return g.GridField(ax, ax, vals, np.ones_like(vals, bool))
+        return g.GridField(ax, ax, vals)
 
     def test_fractions_sum_and_balance(self):
         grid = self.make_linear_grid()
@@ -378,12 +449,12 @@ class TestAreaFractionsAndAgreement:
     def test_zeros_count_neither(self):
         ax = np.linspace(0, 1, 11)
         vals = np.zeros((11, 11))
-        grid = g.GridField(ax, ax, vals, np.ones((11, 11), bool))
+        grid = g.GridField(ax, ax, vals)
         assert g.area_fractions(grid) == (0.0, 0.0)
 
     def test_empty_mask_error(self):
         ax = np.linspace(0, 1, 5)
-        grid = g.GridField(ax, ax, np.full((5, 5), np.nan), np.zeros((5, 5), bool))
+        grid = g.GridField(ax, ax, np.full((5, 5), np.nan))
         with pytest.raises(ValueError):
             g.area_fractions(grid)
 
@@ -393,14 +464,13 @@ class TestAreaFractionsAndAgreement:
 
     def test_agreement_negated_only_zeros(self):
         grid = self.make_linear_grid()
-        neg = g.GridField(grid.x_axis, grid.y_axis, -grid.values, grid.mask)
+        neg = g.GridField(grid.x_axis, grid.y_axis, -grid.values)
         frac_zero = np.mean(grid.values[grid.mask] == 0.0)
         assert g.sign_agreement(grid, neg) == pytest.approx(frac_zero)
 
     def test_agreement_requires_same_grid(self):
         grid = self.make_linear_grid()
         other_ax = np.linspace(-1, 1, 50)
-        other = g.GridField(other_ax, other_ax, np.ones((50, 50)),
-                            np.ones((50, 50), bool))
+        other = g.GridField(other_ax, other_ax, np.ones((50, 50)))
         with pytest.raises(ValueError):
             g.sign_agreement(grid, other)

@@ -10,6 +10,9 @@ Every defaulted parameter of a top-level function must likewise be passed,
 by keyword or by position, at some call site in the package or in the
 benchmark under ``perfbench/``; a parameter that every caller leaves at its
 default is a constant.
+
+Every name a module assigns at its top level (a constant, say) must be
+read somewhere in the package or in ``perfbench/``.
 """
 
 import ast
@@ -58,6 +61,47 @@ def test_kept_names_are_still_test_only():
     # a kept name that the package now uses, or that is gone, leaves the list
     unused = {name for _, name in unreferenced_top_level_names()}
     assert sorted(set(KEPT_FOR_TESTS) - unused) == []
+
+
+def _assigned_names(tree):
+    """Names the module assigns at its top level, dunders aside."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for sub in ast.walk(target):
+                if isinstance(sub, ast.Name) and not sub.id.startswith("__"):
+                    yield sub.id
+
+
+def _read_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def unread_module_names(package=PACKAGE, benchmark=BENCHMARK):
+    assigned = []
+    read = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        assigned += [(path.name, name) for name in _assigned_names(tree)]
+        read.update(_read_names(tree))
+    for path in sorted(benchmark.glob("*.py")):
+        read.update(_read_names(ast.parse(path.read_text(), filename=str(path))))
+    return sorted({(module, name) for module, name in assigned if name not in read})
+
+
+def test_every_module_level_name_is_read():
+    assert [f"{module}:{name}" for module, name in unread_module_names()] == []
 
 
 def _defaulted_params(tree):

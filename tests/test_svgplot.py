@@ -196,7 +196,7 @@ class TestHeatmap:
             values[rng.uniform(size=(ny, nx)) < 0.1] = 0.0  # exact zeros
             if rng.uniform() < 0.2:
                 values[:] = 0.0  # the vmax = 1 fallback
-            grid = geometry.GridField(x_axis, y_axis, np.where(mask, values, np.nan), mask)
+            grid = geometry.GridField(x_axis, y_axis, np.where(mask, values, np.nan))
             axes = svgplot.Axes((x_axis[0], x_axis[-1]), (y_axis[0], y_axis[-1]),
                                 tuple(rng.uniform(5.0, 400.0, size=4)))
             max_cells = int(rng.integers(3, 130))
