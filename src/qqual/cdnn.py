@@ -62,18 +62,13 @@ class MlpModel:
             raise ValueError(f"expected {pos} params, got {flat.size}")
 
     def _forward_cached(self, X: np.ndarray):
+        """(output, input of each layer): ReLU hidden layers, then the head."""
         acts = [X]
-        z_last = None
-        h = X
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w.T + b
-            if l < len(self.weights) - 1:
-                h = np.maximum(z, 0.0)
-                acts.append(h)
-            else:
-                z_last = z
-        out = _sigmoid(z_last) if self.head == "sigmoid" else z_last
-        return out[:, 0], z_last[:, 0], acts
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            acts.append(np.maximum(acts[-1] @ w.T + b, 0.0))
+        z = acts[-1] @ self.weights[-1].T + self.biases[-1]
+        out = _sigmoid(z) if self.head == "sigmoid" else z
+        return out[:, 0], acts
 
     def forward(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -84,7 +79,7 @@ class MlpModel:
     def loss_and_grad(self, X: np.ndarray, y: np.ndarray, loss: str) -> Tuple[float, np.ndarray]:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         y = np.asarray(y, dtype=np.float64)
-        pred, z_last, acts = self._forward_cached(X)
+        pred, acts = self._forward_cached(X)
         value, dpred = optim.loss_and_output_grad(loss, pred, y)
         if self.head == "sigmoid":
             # chain through the sigmoid; for bce this collapses to (p - y)/n

@@ -39,8 +39,8 @@ from . import svgplot
 from .cdnn import build_default_cdnn
 from .datagen import REGRESSION_FUNCTIONS, gen_classification_set, gen_regression_curve
 from .optim import TrainConfig, TrainingDivergence, fit, pool_map
-from .perfmetrics import (LEDGER_COLUMNS, OutperformanceRecord, classification_efficiency,
-                          confusion, m_reg, record_row)
+from .perfmetrics import (LEDGER_COLUMNS, classification_efficiency, confusion, ledger_row,
+                          m_reg, xi)
 from .qdnn import build_default_qdnn, build_paired_feature_qdnn
 from .qsim import MAX_QUBITS
 
@@ -480,11 +480,17 @@ def render_bench_class(config: dict, result: dict, out_dir: str) -> List[str]:
 # bench-reg
 
 
+def _regression_curve(seed: int, fid: str, sigma: float, n_points: int, x_range):
+    """(curve, data seed) of one (function, sigma) cell: the dataset that
+    bench-reg trains on is the one that qualify characterizes."""
+    d_seed = _derived_seed(seed, fid, int(round(sigma * 1e6)), 0)
+    return gen_regression_curve(fid, n_points, tuple(x_range), sigma, seed=d_seed), d_seed
+
+
 def _reg_job(job: tuple) -> dict:
     fid, sigma, n_points, x_range, epochs, checkpoints, lr, n_features, seed = job
-    d_seed = _derived_seed(seed, fid, int(round(sigma * 1e6)), 0)
+    curve, d_seed = _regression_curve(seed, fid, sigma, n_points, x_range)
     n_seed = _derived_seed(seed, fid, int(round(sigma * 1e6)), 1)
-    curve = gen_regression_curve(fid, n_points, tuple(x_range), sigma, seed=d_seed)
     X = np.repeat(curve.xs[:, None], n_features, axis=1)
     cfg = TrainConfig(epochs=epochs, learning_rate=lr)
     marks = sorted({int(c) for c in checkpoints if 0 < int(c) <= epochs} | ({epochs} if epochs > 0 else {0}))
@@ -539,12 +545,10 @@ def compute_bench_reg(config: dict, workers: int) -> dict:
         meta = {"function_id": fid, "sigma": sigma, "n_points": config["n_points"],
                 "x_lo": config["x_range"][0], "x_hi": config["x_range"][1],
                 "seed": cell["d_seed"]}
-        for ep in cell["marks"]:
-            rec = OutperformanceRecord(m_cdnn=cell["ms"]["cdnn"][ep],
-                                       m_qdnn=cell["ms"]["qdnn"][ep],
-                                       epoch=ep, meta=meta)
-            ledger_rows.append(record_row(rec))
-        final_xi[(fid, sigma)] = rec.xi  # marks are sorted: the last is the final epoch
+        m_cdnn, m_qdnn = cell["ms"]["cdnn"], cell["ms"]["qdnn"]
+        ledger_rows += [ledger_row(meta, ep, m_cdnn[ep], m_qdnn[ep]) for ep in cell["marks"]]
+        final = cell["marks"][-1]  # marks are sorted: the last is the final epoch
+        final_xi[(fid, sigma)] = xi(m_cdnn[final], m_qdnn[final])
     return {"cells": cells, "ledger_rows": ledger_rows, "failures": failures,
             "final_xi": final_xi}
 
@@ -619,8 +623,8 @@ def _round_trip_check(table, seed: int) -> dict:
         for _ in range(_ROUND_TRIP_PER_EPOCH):
             m = np.array(table.centerings, dtype=float)
             m[_ROUND_TRIP_ACTIVE] += rng.uniform(-_ROUND_TRIP_SPREAD, _ROUND_TRIP_SPREAD)
-            xi = eval_qualifier(table, m, ep) + rng.normal(0.0, 1e-6)
-            entries.append(QualifierCorpusEntry(tuple(m), xi, ep))
+            target = eval_qualifier(table, m, ep) + rng.normal(0.0, 1e-6)
+            entries.append(QualifierCorpusEntry(tuple(m), target, ep))
     fitted, diag = fit_qualifier(entries)
     errs = [eval_qualifier(fitted, np.array(e.metrics), e.epoch) - e.xi for e in entries]
     rms = float(np.sqrt(np.mean(np.square(errs))))
@@ -694,9 +698,8 @@ def compute_qualify(config: dict, workers: int) -> dict:
                      sign_of_qualifier(table, centered, ep)])
     for fid in config["functions"]:
         for sigma in config["sigmas"]:
-            d_seed = _derived_seed(config["seed"], fid, int(round(float(sigma) * 1e6)), 0)
-            curve = gen_regression_curve(fid, config["n_points"], tuple(config["x_range"]),
-                                         float(sigma), seed=d_seed)
+            curve, _ = _regression_curve(config["seed"], fid, float(sigma), config["n_points"],
+                                         config["x_range"])
             arr = characterize(curve.xs, curve.ys_noisy)
             label = f"{fid};sigma={float(sigma):g}"
             xi_hats = []
@@ -811,7 +814,9 @@ def compute_dvcs(config: dict, workers: int) -> dict:
     from .qualifier import eval_qualifier, fit_qualifier
 
     if config["data"]:
-        sets = [s for path in config["data"] for s in dv.ingest(path)[0]]
+        sets = [s for path in config["data"] for s in dv.ingest(path)]
+        if not sets:
+            raise ConfigError("dvcs.data holds no data rows")
     else:
         sets = dv.synthetic_corpus(seed=config["seed"])
     issues = [f"{s.set_id}: {msg}" for s in sets for msg in dv.envelope_issues(s)]
@@ -895,7 +900,8 @@ def render_dvcs(config: dict, result: dict, out_dir: str) -> List[str]:
     campaign, refit_diag = result["campaign"], result["refit_diag"]
     if result["refit_table"] is not None and config["epochs"] >= 1:
         save_table(result["refit_table"], os.path.join(out_dir, "qualifier_refit.json"))
-    dv.outcomes_to_csv(result["outcomes"], os.path.join(out_dir, "ledger.csv"))
+    _write_csv(os.path.join(out_dir, "ledger.csv"), dv.OUTCOME_COLUMNS,
+               [dv.outcome_row(o) for o in result["outcomes"]])
 
     stats_rows = []
     for m in result["maps"]:
@@ -983,12 +989,12 @@ def compute_validate_data(config: dict, workers: int) -> dict:
     if config["paths"]:
         for path in config["paths"]:
             try:
-                file_sets, file_report = dv.ingest(path)
+                file_sets = dv.ingest(path)
             except (OSError, ValueError) as exc:
                 issues.append(f"{path}: {exc}")
                 continue
             sets.extend(file_sets)
-            if file_report["total"] == 0:
+            if not file_sets:
                 warnings.append(f"{path}: no data rows")
         source = ", ".join(config["paths"])
     else:

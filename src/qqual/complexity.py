@@ -14,6 +14,7 @@ noise is 4999.5.
 from __future__ import annotations
 
 import math
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -33,21 +34,27 @@ METRIC_NAMES = ("nonlinearity", "frequency_complexity", "fractal_dimension",
                 "mutual_information", "fourier_complexity")
 
 
+def line_fit(xs, ys) -> Tuple[float, Optional[float]]:
+    """Slope and R^2, clamped to [0, 1], of the least-squares line of ys
+    on xs; R^2 is None when ys is constant."""
+    slope, intercept = np.polyfit(xs, ys, 1)
+    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
+    if ss_tot == 0.0:
+        return float(slope), None
+    resid = ys - (slope * xs + intercept)
+    return float(slope), float(np.clip(1.0 - float(np.sum(resid ** 2)) / ss_tot, 0.0, 1.0))
+
+
 def nonlinearity(xs, ys) -> float:
-    """1 - R^2 of the least-squares line of ys on xs, clamped to [0, 1]."""
+    """1 - R^2 of the least-squares line of ys on xs, in [0, 1]."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     if len(xs) < 3:
         raise ValueError("need >= 3 points")
     if np.ptp(xs) == 0:
         raise ValueError("xs must not be all equal")
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-    if ss_tot == 0.0:
-        return 0.0  # a constant is perfectly linear
-    slope, intercept = np.polyfit(xs, ys, 1)
-    resid = ys - (slope * xs + intercept)
-    r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot
-    return float(np.clip(1.0 - r2, 0.0, 1.0))
+    _, r2 = line_fit(xs, ys)
+    return 0.0 if r2 is None else 1.0 - r2  # a constant is perfectly linear
 
 
 def frequency_complexity(ys) -> float:

@@ -8,7 +8,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 from zlib import crc32
 
 import numpy as np
@@ -115,13 +115,11 @@ def envelope_issues(kset: KinematicSet) -> List[str]:
     return issues
 
 
-@dataclass(frozen=True)
 class ToyHarmonicModel:
     """F = A(kin) * (c0 + c1 cos(phi) + c2 cos(2 phi)) with the positive
     envelope A = 1 / (Q2 * (1 + |t|)); linear in the three parameters."""
 
-    name: str = "harmonic3"
-    n_params: int = 3
+    n_params = 3
 
     def envelope(self, kin) -> float:
         q2, _, t, _ = kin
@@ -148,30 +146,24 @@ def fit_params(model, kset: KinematicSet) -> np.ndarray:
     return params
 
 
-def make_pseudodata(kset: KinematicSet, model, lam: float, seed
-                    ) -> Tuple[KinematicSet, Callable]:
-    """Replica of the set around the model fit: F_true is the model at the
-    least-squares parameters, pseudo F = F_true + lam * sigma_F * N(0,1),
-    pseudo sigma_F = lam * sigma_F.  With lam=0 the original uncertainties
-    are kept so the set stays valid (the draws are exact either way)."""
+def make_pseudodata(kset: KinematicSet, truth: np.ndarray, lam: float, seed
+                    ) -> KinematicSet:
+    """Replica of the set around its true values ``truth`` (the model at the
+    set's least-squares parameters, on the set's phi points): pseudo F =
+    truth + lam * sigma_F * N(0,1), pseudo sigma_F = lam * sigma_F.  With
+    lam=0 the original uncertainties are kept so the set stays valid (the
+    draws are exact either way)."""
     if lam < 0:
         raise ValueError("lam must be >= 0")
-    params = fit_params(model, kset)
-
-    def f_true(phi_deg):
-        return model.evaluate(params, kset.kin, phi_deg)
-
     rng = np.random.default_rng(seed)
-    truth = f_true(kset.phi)
     if lam > 0:
         pseudo_f = truth + lam * kset.sigma_f * rng.standard_normal(kset.n_points)
         pseudo_sigma = lam * kset.sigma_f
     else:
         pseudo_f = truth.copy()
         pseudo_sigma = kset.sigma_f.copy()
-    return (KinematicSet(kset.set_id, kset.experiment, kset.e_beam, kset.q2,
-                         kset.xb, kset.t, kset.phi.copy(), pseudo_f, pseudo_sigma),
-            f_true)
+    return KinematicSet(kset.set_id, kset.experiment, kset.e_beam, kset.q2,
+                        kset.xb, kset.t, kset.phi.copy(), pseudo_f, pseudo_sigma)
 
 
 def point_features(kset: KinematicSet, phi_deg=None) -> np.ndarray:
@@ -285,11 +277,14 @@ def _rep_seed_seq(master: int, set_id: str, rep: int) -> np.random.SeedSequence:
 def _campaign_cell(job: Tuple) -> Dict:
     """One (set, lam) campaign cell; module level so worker pools can
     dispatch it.  Returns the outcome plus per-cell report fragments.
-    m values integrate |F_extracted - F_true| over PHI_GRID, in
-    (cross-section unit x degrees)."""
+    F_true is the model at the set's fitted parameters; m values integrate
+    |F_extracted - F_true| over PHI_GRID, in (cross-section unit x degrees)."""
     from .qualifier import QualifierCorpusEntry
 
-    kset, model, lam, ensemble, cfg, checkpoints = job
+    kset, model, params, lam, ensemble, cfg, checkpoints = job
+    truth = model.evaluate(params, kset.kin, kset.phi)
+    truth_grid = model.evaluate(params, kset.kin, PHI_GRID)
+    denom = np.maximum(np.abs(truth), 1e-12)
     ms = {"cdnn": [], "qdnn": []}
     ck_ms = {"cdnn": {n: [] for n in checkpoints},
              "qdnn": {n: [] for n in checkpoints}}
@@ -299,7 +294,7 @@ def _campaign_cell(job: Tuple) -> Dict:
     for rep in range(ensemble):
         seq = _rep_seed_seq(cfg.seed, kset.set_id, rep)
         pseudo_seq, train_seq = seq.spawn(2)
-        pseudo, f_true = make_pseudodata(kset, model, lam, pseudo_seq)
+        pseudo = make_pseudodata(kset, truth, lam, pseudo_seq)
         train_seed = int(train_seq.generate_state(1)[0] & 0x7FFFFFFF)
         rep_cfg = replace(cfg, seed=train_seed)
         res = {fam: extract_cffs(pseudo, model, fam, rep_cfg, checkpoints=checkpoints)
@@ -307,15 +302,13 @@ def _campaign_cell(job: Tuple) -> Dict:
         if res["cdnn"].diverged or res["qdnn"].diverged:
             cell["diverged"].append((kset.set_id, lam, rep))
             continue
-        truth = f_true(PHI_GRID)
         for fam in ("cdnn", "qdnn"):
             pred = model.evaluate(res[fam].cffs, kset.kin, PHI_GRID)
-            ms[fam].append(m_reg(PHI_GRID, pred, truth))
+            ms[fam].append(m_reg(PHI_GRID, pred, truth_grid))
             for n, cffs in res[fam].checkpoint_cffs.items():
                 pred_n = model.evaluate(cffs, kset.kin, PHI_GRID)
-                ck_ms[fam][n].append(m_reg(PHI_GRID, pred_n, truth))
+                ck_ms[fam][n].append(m_reg(PHI_GRID, pred_n, truth_grid))
         metric_rows.append(set_metrics(pseudo.phi, pseudo.f))
-        denom = np.maximum(np.abs(f_true(kset.phi)), 1e-12)
         eps_vals.append(float(np.mean(pseudo.sigma_f / denom)))
     if not ms["cdnn"]:
         cell["all_failed"] = (f"set {kset.set_id} lam={lam:g}: "
@@ -349,8 +342,9 @@ def run_campaign(sets: Sequence[KinematicSet], model, lams: Sequence[float],
     replicas where both extractions converge, and the outperformance is
     formed from the mean m values.  Replica seeds derive from (cfg.seed,
     set_id, lam, replica), so outcomes are invariant to the ordering of
-    the input sets and to the worker count.  Per-set model-fit failures
-    are reported and skipped.
+    the input sets and to the worker count.  Each set's model is fitted
+    once; per-set fit failures are reported and skipped.  The checkpoints
+    are taken as given: sorted, without repeats.
 
     The report carries a qualifier corpus: per (set, lam) the ensemble
     mean data characteristics of the pseudodata, paired with the ensemble
@@ -361,18 +355,16 @@ def run_campaign(sets: Sequence[KinematicSet], model, lams: Sequence[float],
         raise ValueError("ensemble must be >= 1")
     if n_workers < 1:
         raise ValueError("n_workers must be >= 1")
-    checkpoints = sorted(set(int(c) for c in epoch_checkpoints))
     outcomes: List[DvcsOutcome] = []
     report: Dict = {"failed_fits": [], "diverged": [], "qualifier_corpus": []}
     jobs = []
     for kset in sets:
         try:
-            fit_params(model, kset)
+            params = fit_params(model, kset)
         except ModelFitError as exc:
             report["failed_fits"].append(str(exc))
             continue
-        for lam in lams:
-            jobs.append((kset, model, lam, ensemble, cfg, checkpoints))
+        jobs += [(kset, model, params, lam, ensemble, cfg, epoch_checkpoints) for lam in lams]
     for cell in pool_map(_campaign_cell, jobs, n_workers):
         report["diverged"].extend(cell["diverged"])
         if cell["all_failed"] is not None:
@@ -473,32 +465,25 @@ OUTCOME_COLUMNS = ["set_id", "experiment", "lam", "Q2", "xB", "t", "E_beam",
                    "m_cdnn", "m_qdnn", "xi_dvcs", "qualifier_hat"]
 
 
-def outcomes_to_csv(outcomes: Sequence[DvcsOutcome], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(OUTCOME_COLUMNS)
-        for o in outcomes:
-            writer.writerow([
-                o.set_id, o.experiment, repr(float(o.lam)), repr(float(o.q2)),
-                repr(float(o.xb)), repr(float(o.t)), repr(float(o.e_beam)),
-                o.n_points, o.ensemble, o.n_failed, repr(float(o.eps_bar)),
-                repr(float(o.m_cdnn)), repr(float(o.m_qdnn)),
-                repr(float(o.xi_dvcs)),
-                "" if o.qualifier_hat is None else repr(float(o.qualifier_hat))])
+def outcome_row(o: DvcsOutcome) -> list:
+    """One ledger.csv row of an outcome, in OUTCOME_COLUMNS order."""
+    return [o.set_id, o.experiment, repr(float(o.lam)), repr(float(o.q2)),
+            repr(float(o.xb)), repr(float(o.t)), repr(float(o.e_beam)),
+            o.n_points, o.ensemble, o.n_failed, repr(float(o.eps_bar)),
+            repr(float(o.m_cdnn)), repr(float(o.m_qdnn)), repr(float(o.xi_dvcs)),
+            "" if o.qualifier_hat is None else repr(float(o.qualifier_hat))]
 
 
-def ingest(path) -> Tuple[List[KinematicSet], Dict]:
-    """Parse one data file, group points into kinematic sets keyed by
-    (experiment, Q2, xB, t), and report per-experiment point counts.
-    Errors carry the offending line number."""
+def ingest(path) -> List[KinematicSet]:
+    """Parse one data file and group its points into kinematic sets keyed
+    by (experiment, Q2, xB, t).  Errors carry the offending line number."""
     groups: Dict[Tuple, Dict] = {}
-    counts: Dict[str, int] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
-            return [], {"per_experiment": {}, "total": 0, "n_sets": 0}
+            return []
         if header != CSV_HEADER:
             raise ValueError(f"expected header {','.join(CSV_HEADER)}, "
                              f"got {','.join(header)}")
@@ -527,16 +512,13 @@ def ingest(path) -> Tuple[List[KinematicSet], Dict]:
             entry["phi"].append(phi)
             entry["f"].append(f)
             entry["sigma"].append(sigma)
-            counts[exp] = counts.get(exp, 0) + 1
     sets = []
     for (exp, q2, xb, t), entry in groups.items():
         set_id = f"{exp}:Q2={q2:g}:xB={xb:g}:t={t:g}"
         sets.append(KinematicSet(set_id, exp, entry["e_beam"], q2, xb, t,
                                  np.asarray(entry["phi"]), np.asarray(entry["f"]),
                                  np.asarray(entry["sigma"])))
-    report = {"per_experiment": counts, "total": int(sum(counts.values())),
-              "n_sets": len(sets)}
-    return sets, report
+    return sets
 
 
 def synthetic_experiment(experiment: str, seed: int = 0) -> List[KinematicSet]:

@@ -1,10 +1,10 @@
 """Performance quantification for the paired benchmarks: confusion
 matrices, macro-precision classification efficiency, the integrated
-absolute-deviation regression metric, and the outperformance ratio."""
+absolute-deviation regression metric, the outperformance ratio, and the
+bench-reg ledger row that forms it from one checkpoint's two m values."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -65,23 +65,12 @@ def xi(m_cdnn: float, m_qdnn: float) -> float:
     return m_cdnn / m_qdnn - 1.0
 
 
-@dataclass(frozen=True)
-class OutperformanceRecord:
-    m_cdnn: float
-    m_qdnn: float
-    epoch: int
-    meta: dict = field(default_factory=dict)
-    xi: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "xi", xi(self.m_cdnn, self.m_qdnn))
-
-
 LEDGER_COLUMNS = ["dataset", "epoch", "m_cdnn", "m_qdnn", "xi"]
 
 
-def record_row(rec: OutperformanceRecord) -> list:
-    """One experiment-ledger CSV row; 'dataset' packs the meta dict."""
-    meta = ";".join(f"{k}={rec.meta[k]}" for k in sorted(rec.meta))
-    return [meta, rec.epoch, repr(float(rec.m_cdnn)), repr(float(rec.m_qdnn)),
-            repr(float(rec.xi))]
+def ledger_row(meta: dict, epoch: int, m_cdnn: float, m_qdnn: float) -> list:
+    """One experiment-ledger CSV row in LEDGER_COLUMNS order: 'dataset'
+    packs the meta dict, and xi is formed from the two m values."""
+    label = ";".join(f"{k}={meta[k]}" for k in sorted(meta))
+    return [label, epoch, repr(float(m_cdnn)), repr(float(m_qdnn)),
+            repr(float(xi(m_cdnn, m_qdnn)))]

@@ -20,7 +20,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .complexity import METRIC_NAMES
+from .complexity import METRIC_NAMES, line_fit
 
 QDNN_FAVORED = "QDNN_favored"
 CDNN_FAVORED = "CDNN_favored"
@@ -139,16 +139,6 @@ def reference_table() -> QualifierTable:
     return table_from_doc(doc)
 
 
-def _slope_and_r2(x: np.ndarray, y: np.ndarray) -> Tuple[float, float]:
-    slope, intercept = np.polyfit(x, y, 1)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    if ss_tot == 0.0:
-        return float(slope), 0.0
-    resid = y - (slope * x + intercept)
-    r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot
-    return float(slope), float(np.clip(r2, 0.0, 1.0))
-
-
 def _fit_poly(ns: np.ndarray, ys: np.ndarray, degree: int) -> np.ndarray:
     """Least-squares polynomial, low-order-first, zero-padded to degree."""
     out = np.zeros(degree + 1)
@@ -217,7 +207,8 @@ def fit_qualifier(corpus: Sequence[QualifierCorpusEntry]) -> Tuple[QualifierTabl
         for j in range(5):
             if METRIC_NAMES[j] in excluded or np.ptp(x[:, j]) == 0.0:
                 continue
-            slopes[j, col], r2s[j, col] = _slope_and_r2(x[:, j], y)
+            slopes[j, col], r2 = line_fit(x[:, j], y)
+            r2s[j, col] = r2 or 0.0  # a constant xi carries no signal
 
     usable = np.where(r2s >= MIN_R2, r2s, 0.0)
     totals = usable.sum(axis=0)

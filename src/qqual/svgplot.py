@@ -30,12 +30,11 @@ def _tick_label(v: float) -> str:
 
 
 class SvgCanvas:
-    def __init__(self, width: int, height: int, background: str = "#ffffff"):
+    def __init__(self, width: int, height: int):
         self.width = int(width)
         self.height = int(height)
         self.parts: List[str] = []
-        if background:
-            self.rect(0, 0, self.width, self.height, fill=background)
+        self.rect(0, 0, self.width, self.height, fill="#ffffff")
 
     def raw(self, fragment: str) -> None:
         self.parts.append(fragment)

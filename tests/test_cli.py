@@ -353,6 +353,20 @@ class TestDvcs:
         code = cli.main(["dvcs", "--config", cfg, "--out", str(tmp_path / "dv")])
         assert code == cli.EXIT_RUNTIME
 
+    def test_data_without_rows_is_config_error_before_training(self, tmp_path, monkeypatch):
+        trained = self.count_campaigns(monkeypatch)
+        path = tmp_path / "header_only.csv"
+        path.write_text(",".join(dv.CSV_HEADER) + "\n")
+        out = tmp_path / "dv"
+        cfg = write_cfg(tmp_path, {"dvcs": {"data": [str(path)], "ensemble": 1, "epochs": 1}})
+        assert cli.main(["dvcs", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert trained == []
+        assert sorted(p.name for p in out.iterdir()) == ["resolved_config.json"]
+        # validate-data reads the same file as clean, with a warning
+        vd = tmp_path / "vd"
+        assert cli.main(["validate-data", str(path), "--out", str(vd)]) == cli.EXIT_OK
+        assert "no data rows" in (vd / "report.md").read_text()
+
     @staticmethod
     def count_campaigns(monkeypatch):
         """Record each dvcs.run_campaign call, that is each training run."""

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -41,6 +43,36 @@ class TestNonlinearity:
     def test_degenerate_xs_error(self):
         with pytest.raises(ValueError):
             cx.nonlinearity(np.ones(50), np.arange(50.0))
+
+
+class TestLineFit:
+    def test_constant_has_no_r2(self):
+        xs = default_grid()
+        slope, r2 = cx.line_fit(xs, np.full_like(xs, 2.5))
+        assert r2 is None
+        assert slope == pytest.approx(0.0, abs=1e-12)
+
+    def test_nonlinearity_of_a_constant_is_exactly_zero(self):
+        xs = default_grid(64)
+        for level in (0.0, -3.0, 7.25, 1e-300):
+            v = cx.nonlinearity(xs, np.full_like(xs, level))
+            assert type(v) is float and v == 0.0 and math.copysign(1.0, v) == 1.0
+
+    def test_exact_line(self):
+        xs = default_grid()
+        slope, r2 = cx.line_fit(xs, 3.0 * xs - 1.0)
+        assert slope == pytest.approx(3.0, rel=1e-12)
+        assert r2 == 1.0
+
+    def test_r2_is_one_minus_nonlinearity(self):
+        # the same fit serves the metric and the qualifier refit
+        rng = np.random.default_rng(4)
+        xs = default_grid()
+        for scale in (0.0, 0.1, 1.0, 100.0):
+            ys = 0.5 * xs + scale * rng.normal(size=xs.size)
+            _, r2 = cx.line_fit(xs, ys)
+            assert 0.0 <= r2 <= 1.0
+            assert cx.nonlinearity(xs, ys) == 1.0 - r2
 
 
 class TestFrequencyComplexity:

@@ -1,4 +1,5 @@
 import csv
+import io
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,17 @@ def make_set(params=(2.5, 0.8, -0.4), n=24, rel_sigma=0.05, set_id="unit",
     q2, xb, t, e_beam = kin
     return dvcs.KinematicSet(set_id, experiment, e_beam, q2, xb, t,
                              phi, f, rel_sigma * np.abs(f))
+
+
+def true_values(kset, phi=None):
+    """The model at the set's least-squares parameters, on its own phi
+    points or on ``phi``."""
+    return MODEL.evaluate(dvcs.fit_params(MODEL, kset), kset.kin,
+                          kset.phi if phi is None else phi)
+
+
+def pseudodata(kset, lam, seed):
+    return dvcs.make_pseudodata(kset, true_values(kset), lam, seed)
 
 
 def serialize_sets(sets, path):
@@ -145,44 +157,45 @@ class TestToyModel:
 class TestPseudodata:
     def test_lam_zero_keeps_truth(self):
         kset = make_set()
-        pseudo, f_true = dvcs.make_pseudodata(kset, MODEL, 0.0, seed=5)
-        assert np.array_equal(pseudo.f, f_true(kset.phi))
+        truth = true_values(kset)
+        pseudo = dvcs.make_pseudodata(kset, truth, 0.0, seed=5)
+        assert np.array_equal(pseudo.f, truth)
         assert np.array_equal(pseudo.sigma_f, kset.sigma_f)
 
     def test_seed_reproducibility(self):
         kset = make_set()
-        a, _ = dvcs.make_pseudodata(kset, MODEL, 1.0, seed=5)
-        b, _ = dvcs.make_pseudodata(kset, MODEL, 1.0, seed=5)
-        c, _ = dvcs.make_pseudodata(kset, MODEL, 1.0, seed=6)
+        a = pseudodata(kset, 1.0, seed=5)
+        b = pseudodata(kset, 1.0, seed=5)
+        c = pseudodata(kset, 1.0, seed=6)
         assert np.array_equal(a.f, b.f)
         assert not np.array_equal(a.f, c.f)
 
     def test_sigma_rescaled(self):
         kset = make_set()
-        pseudo, _ = dvcs.make_pseudodata(kset, MODEL, 2.0, seed=5)
+        pseudo = pseudodata(kset, 2.0, seed=5)
         assert np.allclose(pseudo.sigma_f, 2.0 * kset.sigma_f, atol=1e-15)
         assert pseudo.kin == kset.kin
 
     def test_ensemble_mean_approaches_truth(self):
         kset = make_set()
         lam, n_rep = 1.0, 1000
-        truth = dvcs.make_pseudodata(kset, MODEL, lam, seed=0)[1](kset.phi)
+        truth = true_values(kset)
         total = np.zeros(kset.n_points)
         for rep in range(n_rep):
-            pseudo, _ = dvcs.make_pseudodata(kset, MODEL, lam, seed=1000 + rep)
+            pseudo = dvcs.make_pseudodata(kset, truth, lam, seed=1000 + rep)
             total += pseudo.f
         bound = 3.0 * lam * kset.sigma_f / np.sqrt(n_rep)
         assert np.all(np.abs(total / n_rep - truth) < bound)
 
     def test_negative_lam_rejected(self):
         with pytest.raises(ValueError):
-            dvcs.make_pseudodata(make_set(), MODEL, -0.5, seed=0)
+            pseudodata(make_set(), -0.5, seed=0)
 
 
 class TestExtraction:
     def test_zero_epoch_deterministic(self):
         kset = make_set()
-        pseudo, _ = dvcs.make_pseudodata(kset, MODEL, 0.0, seed=0)
+        pseudo = pseudodata(kset, 0.0, seed=0)
         for family in ("cdnn", "qdnn"):
             cfg = TrainConfig(epochs=0, seed=3)
             a = dvcs.extract_cffs(pseudo, MODEL, family, cfg)
@@ -191,12 +204,12 @@ class TestExtraction:
             assert np.all(np.isfinite(a.cffs)) and not a.diverged
 
     def test_family_validated(self):
-        pseudo, _ = dvcs.make_pseudodata(make_set(), MODEL, 0.0, seed=0)
+        pseudo = pseudodata(make_set(), 0.0, seed=0)
         with pytest.raises(ValueError, match="family"):
             dvcs.extract_cffs(pseudo, MODEL, "mlp", TrainConfig(epochs=0))
 
     def test_checkpoints_recorded(self):
-        pseudo, _ = dvcs.make_pseudodata(make_set(), MODEL, 0.0, seed=0)
+        pseudo = pseudodata(make_set(), 0.0, seed=0)
         res = dvcs.extract_cffs(pseudo, MODEL, "cdnn", TrainConfig(epochs=5, seed=1),
                                 checkpoints=(1, 3, 5))
         assert sorted(res.checkpoint_cffs) == [1, 3, 5]
@@ -222,7 +235,7 @@ class TestExtraction:
             return net
 
         monkeypatch.setattr(dvcs, "_build_net", counting_build)
-        pseudo, _ = dvcs.make_pseudodata(make_set(), MODEL, 0.0, seed=0)
+        pseudo = pseudodata(make_set(), 0.0, seed=0)
         for family in ("cdnn", "qdnn"):
             grid_rows.clear()
             res = dvcs.extract_cffs(pseudo, MODEL, family, TrainConfig(epochs=3, seed=1),
@@ -236,9 +249,9 @@ class TestExtraction:
 
     def test_noiseless_cdnn_recovery(self):
         kset = make_set()
-        pseudo, f_true = dvcs.make_pseudodata(kset, MODEL, 0.0, seed=0)
+        pseudo = pseudodata(kset, 0.0, seed=0)
         grid = dvcs.PHI_GRID
-        truth = f_true(grid)
+        truth = true_values(kset, grid)
         bound = 0.05 * float(np.mean(truth)) * 360.0
         wins = 0
         for seed in range(10):
@@ -251,9 +264,9 @@ class TestExtraction:
     @pytest.mark.slow
     def test_noiseless_qdnn_recovery(self):
         kset = make_set()
-        pseudo, f_true = dvcs.make_pseudodata(kset, MODEL, 0.0, seed=0)
+        pseudo = pseudodata(kset, 0.0, seed=0)
         grid = dvcs.PHI_GRID
-        truth = f_true(grid)
+        truth = true_values(kset, grid)
         bound = 0.05 * float(np.mean(truth)) * 360.0
         wins = 0
         for seed in range(10):
@@ -359,16 +372,30 @@ class TestCampaign:
         out, _ = dvcs.run_campaign([kset], MODEL, lams=(1.0,), ensemble=1, cfg=cfg)
         seq = dvcs._rep_seed_seq(cfg.seed, kset.set_id, 0)
         pseudo_seq, train_seq = seq.spawn(2)
-        pseudo, f_true = dvcs.make_pseudodata(kset, MODEL, 1.0, pseudo_seq)
+        pseudo = pseudodata(kset, 1.0, pseudo_seq)
         rep_cfg = replace(cfg, seed=int(train_seq.generate_state(1)[0] & 0x7FFFFFFF))
         grid = dvcs.PHI_GRID
-        truth = f_true(grid)
+        truth = true_values(kset, grid)
         for family, got in (("cdnn", out[0].m_cdnn), ("qdnn", out[0].m_qdnn)):
             res = dvcs.extract_cffs(pseudo, MODEL, family, rep_cfg)
             pred = MODEL.evaluate(res.cffs, kset.kin, grid)
             assert m_reg(grid, pred, truth) == got
-        denom = np.maximum(np.abs(f_true(kset.phi)), 1e-12)
+        denom = np.maximum(np.abs(true_values(kset)), 1e-12)
         assert out[0].eps_bar == float(np.mean(pseudo.sigma_f / denom))
+
+    def test_fits_each_set_once(self, monkeypatch):
+        # the replicas of every lam reuse the one least-squares fit of a set
+        calls = []
+        fit_params = dvcs.fit_params
+
+        def counted(model, kset):
+            calls.append(kset.set_id)
+            return fit_params(model, kset)
+
+        monkeypatch.setattr(dvcs, "fit_params", counted)
+        dvcs.run_campaign(self.sets, MODEL, lams=(0.5, 2.0), ensemble=2,
+                          cfg=TrainConfig(epochs=0, seed=11))
+        assert calls == [s.set_id for s in self.sets]
 
     def test_worker_pool_matches_serial(self):
         out_pool, report_pool = dvcs.run_campaign(
@@ -496,31 +523,27 @@ class TestIngest:
         return path
 
     def test_full_corpus_counts(self, tmp_path):
-        per_experiment, total = {}, 0
+        per_experiment = {}
         for exp in dvcs.EXPERIMENT_ENVELOPES:
-            sets, report = dvcs.ingest(self.write_experiment(tmp_path, exp, 0))
-            assert report["n_sets"] == len(sets)
-            for name, n in report["per_experiment"].items():
-                per_experiment[name] = per_experiment.get(name, 0) + n
-            total += report["total"]
-        assert total == 3885
+            for s in dvcs.ingest(self.write_experiment(tmp_path, exp, 0)):
+                per_experiment[s.experiment] = per_experiment.get(s.experiment, 0) + s.n_points
+        assert sum(per_experiment.values()) == 3885
         assert per_experiment == {
             "Hall_A_E12-06-114": 1080, "Hall_A_E07-007": 404,
             "Hall_A_E00-110": 468, "Hall_B_e1-DVCS1": 1933}
 
     def test_single_file_counts(self, tmp_path):
         path = self.write_experiment(tmp_path, "Hall_A_E12-06-114", 0)
-        sets, report = dvcs.ingest(path)
-        assert report["total"] == 1080
-        assert report["per_experiment"] == {"Hall_A_E12-06-114": 1080}
+        sets = dvcs.ingest(path)
+        assert sum(s.n_points for s in sets) == 1080
         assert all(s.experiment == "Hall_A_E12-06-114" for s in sets)
 
     def test_round_trip_lossless(self, tmp_path):
         path = self.write_experiment(tmp_path, "Hall_A_E00-110", 1)
-        first, _ = dvcs.ingest(path)
+        first = dvcs.ingest(path)
         again_path = tmp_path / "again.csv"
         serialize_sets(first, again_path)
-        second, _ = dvcs.ingest(again_path)
+        second = dvcs.ingest(again_path)
         a = sorted(first, key=lambda s: s.set_id)
         b = sorted(second, key=lambda s: s.set_id)
         assert len(a) == len(b)
@@ -543,9 +566,9 @@ class TestIngest:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
-        sets, report = dvcs.ingest(path)
-        assert sets == []
-        assert report == {"per_experiment": {}, "total": 0, "n_sets": 0}
+        assert dvcs.ingest(path) == []
+        self.write_rows(path, [])  # a header and no rows
+        assert dvcs.ingest(path) == []
 
     def test_header_mismatch(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -588,15 +611,19 @@ class TestIngest:
         with pytest.raises(ValueError, match="line 3.*E_beam"):
             dvcs.ingest(path)
 
-    def test_outcomes_csv(self, tmp_path):
-        outs = [trend_outcome("a", -0.4, 0.25), trend_outcome("b", -0.8, -0.1)]
-        path = tmp_path / "outcomes.csv"
-        dvcs.outcomes_to_csv(outs, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == dvcs.OUTCOME_COLUMNS
-        assert len(rows) == 3
-        assert float(rows[1][rows[0].index("xi_dvcs")]) == pytest.approx(0.25)
+    def test_outcomes_csv(self):
+        # the ledger.csv bytes of two outcomes, with and without a qualifier_hat
+        a = trend_outcome("a", -0.4, 0.1 + 0.2, eps_bar=1 / 3)
+        b = trend_outcome("b", -0.8, -0.1, n_points=7)
+        b.qualifier_hat = -2.5e-17
+        rows = [dvcs.outcome_row(a), dvcs.outcome_row(b)]
+        assert all(len(row) == len(dvcs.OUTCOME_COLUMNS) for row in rows)
+        buf = io.StringIO(newline="")
+        csv.writer(buf).writerows(rows)
+        assert buf.getvalue() == (
+            "a,x,1.0,2.0,0.3,-0.4,5.75,24,1,0,0.3333333333333333,1.3,1.0,"
+            "0.30000000000000004,\r\n"
+            "b,x,1.0,2.0,0.3,-0.8,5.75,7,1,0,0.1,0.9,1.0,-0.09999999999999998,-2.5e-17\r\n")
 
 
 class TestSetMetrics:

@@ -13,6 +13,12 @@ default is a constant.
 
 Every name a module assigns at its top level (a constant, say) must be
 read somewhere in the package or in ``perfbench/``.
+
+Every value a construction can set (a defaulted ``__init__`` parameter,
+or a dataclass field with ``init=True``) must be passed at some
+construction in the package or in ``perfbench/``, by keyword or by
+position, or be stored into from outside the object (``obj.f = ...`` or
+``obj.f[k] = ...``); a field that nothing sets is a constant.
 """
 
 import ast
@@ -104,20 +110,25 @@ def test_every_module_level_name_is_read():
     assert [f"{module}:{name}" for module, name in unread_module_names()] == []
 
 
+def _defaulted_args(args, skip=0):
+    """(parameter, position or None) of every defaulted parameter; the
+    first ``skip`` positional parameters (``self``) take no position."""
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for i in range(first, len(positional)):
+        yield positional[i].arg, i - skip
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
 def _defaulted_params(tree):
     """(function, parameter, position or None) of every defaulted parameter
     of the module's top-level functions."""
     for node in tree.body:
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        args = node.args
-        positional = args.posonlyargs + args.args
-        first = len(positional) - len(args.defaults)
-        for i in range(first, len(positional)):
-            yield node.name, positional[i].arg, i
-        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-            if default is not None:
-                yield node.name, arg.arg, None
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for param, pos in _defaulted_args(node.args):
+                yield node.name, param, pos
 
 
 def _passed_params(tree):
@@ -137,6 +148,18 @@ def _passed_params(tree):
             yield name, "*"
 
 
+def _never_passed(settable, passed):
+    """The (module, callee, parameter) of ``settable`` that no call in
+    ``passed`` sets, by keyword or by position."""
+    counts = {}
+    for name, what in passed:
+        if isinstance(what, int):
+            counts[name] = max(counts.get(name, 0), what)
+    return sorted((module, fn, param) for module, fn, param, pos in settable
+                  if (fn, param) not in passed and (fn, "*") not in passed
+                  and (pos is None or counts.get(fn, 0) <= pos))
+
+
 def params_no_caller_sets(package=PACKAGE, benchmark=BENCHMARK):
     defaulted = []
     passed = set()
@@ -146,13 +169,7 @@ def params_no_caller_sets(package=PACKAGE, benchmark=BENCHMARK):
         passed.update(_passed_params(tree))
     for path in sorted(benchmark.glob("*.py")):
         passed.update(_passed_params(ast.parse(path.read_text(), filename=str(path))))
-    counts = {}
-    for name, what in passed:
-        if isinstance(what, int):
-            counts[name] = max(counts.get(name, 0), what)
-    return sorted((module, fn, param) for module, fn, param, pos in defaulted
-                  if (fn, param) not in passed and (fn, "*") not in passed
-                  and (pos is None or counts.get(fn, 0) <= pos))
+    return _never_passed(defaulted, passed)
 
 
 def test_every_defaulted_parameter_is_passed_by_some_caller():
@@ -164,3 +181,95 @@ def test_every_defaulted_parameter_is_passed_by_some_caller():
 def test_kept_params_are_still_test_only():
     unset = {(fn, param) for _, fn, param in params_no_caller_sets()}
     assert sorted(set(PARAMS_KEPT_FOR_TESTS) - unset) == []
+
+
+def _is_dataclass(node):
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _takes_init(stmt):
+    """False for a field declared ``field(init=False)``."""
+    value = stmt.value
+    if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+        return not any(kw.arg == "init" and getattr(kw.value, "value", True) is False
+                       for kw in value.keywords)
+    return True
+
+
+def _settable_fields(tree):
+    """(class, field or parameter, position or None) of every value a
+    construction of a top-level class can set."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        if _is_dataclass(node):
+            fields = [stmt.target.id for stmt in node.body
+                      if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                      and _takes_init(stmt)]
+            for i, name in enumerate(fields):
+                yield node.name, name, i
+        for stmt in node.body:
+            if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__":
+                for param, pos in _defaulted_args(stmt.args, skip=1):
+                    yield node.name, param, pos
+
+
+def _stored_attributes(tree):
+    """Attribute names stored into from outside the object: ``obj.f = ...``
+    or ``obj.f[k] = ...``, where obj is not ``self``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for sub in getattr(target, "elts", [target]):
+                if isinstance(sub, ast.Subscript):
+                    sub = sub.value
+                if isinstance(sub, ast.Attribute) and getattr(sub.value, "id", None) != "self":
+                    yield sub.attr
+
+
+def fields_no_construction_sets(package=PACKAGE, benchmark=BENCHMARK):
+    settable = []
+    passed = set()
+    stored = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        settable += [(path.name, *entry) for entry in _settable_fields(tree)]
+        passed.update(_passed_params(tree))
+        stored.update(_stored_attributes(tree))
+    for path in sorted(benchmark.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        passed.update(_passed_params(tree))
+        stored.update(_stored_attributes(tree))
+    return [(module, cls, name) for module, cls, name in _never_passed(settable, passed)
+            if name not in stored]
+
+
+def test_every_field_is_set_by_some_construction():
+    assert [f"{module}:{cls}.{name}"
+            for module, cls, name in fields_no_construction_sets()] == []
+
+
+def test_field_rule_flags_only_fields_nothing_sets(tmp_path):
+    package, benchmark = tmp_path / "pkg", tmp_path / "bench"
+    package.mkdir()
+    benchmark.mkdir()
+    (package / "mod.py").write_text(
+        "from dataclasses import dataclass, field\n\n\n"
+        "@dataclass\nclass Rec:\n"
+        "    a: int\n    b: int = 0\n    c: dict = field(default_factory=dict)\n"
+        "    d: int = field(init=False)\n    unset: str = 'x'\n\n\n"
+        "class Canvas:\n"
+        "    def __init__(self, w, h=1, bg='white'):\n        self.bg = bg\n\n\n"
+        "def use():\n"
+        "    r = Rec(1, 2)\n    r.c['k'] = 3\n    return r, Canvas(1, 2)\n")
+    assert fields_no_construction_sets(package, benchmark) == [
+        ("mod.py", "Canvas", "bg"), ("mod.py", "Rec", "unset")]

@@ -102,17 +102,18 @@ class TestXi:
 
 
 class TestLedger:
-    def test_record_row_order(self):
-        rec = pm.OutperformanceRecord(m_cdnn=1.2, m_qdnn=0.6, epoch=50,
-                                      meta={"dataset": "cos4x"})
-        row = pm.record_row(rec)
-        assert row[0] == "dataset=cos4x"
-        assert row[1] == 50
-        assert float(row[2]) == 1.2
-        assert float(row[3]) == 0.6
-        assert float(row[4]) == pytest.approx(1.0)
+    def test_ledger_row_order(self):
+        # the strings bench-reg ledgers have always held: sorted meta keys, repr floats
         assert pm.LEDGER_COLUMNS == ["dataset", "epoch", "m_cdnn", "m_qdnn", "xi"]
+        assert pm.ledger_row({"function_id": "cos4x", "sigma": 0.25, "seed": 123,
+                              "x_lo": -2.0}, 50, 1.2, 0.6) == \
+            ["function_id=cos4x;seed=123;sigma=0.25;x_lo=-2.0", 50, "1.2", "0.6", "1.0"]
+        assert pm.ledger_row({}, 0, 0.1 + 0.2, 3.0) == \
+            ["", 0, "0.30000000000000004", "3.0", "-0.9"]
+        assert pm.ledger_row({"b": 1, "a": "z"}, 7, 2.0, 1 / 3) == \
+            ["a=z;b=1", 7, "2.0", "0.3333333333333333", "5.0"]
 
-    def test_record_xi_derived(self):
-        rec = pm.OutperformanceRecord(m_cdnn=3.0, m_qdnn=1.5, epoch=1)
-        assert rec.xi == 1.0
+    def test_ledger_row_xi_derived(self):
+        assert pm.ledger_row({}, 1, 3.0, 1.5)[4] == "1.0"
+        with pytest.raises(ValueError):
+            pm.ledger_row({}, 1, 3.0, 0.0)

@@ -174,6 +174,23 @@ class TestFitQualifier:
             got = qf.eval_qualifier(fitted, np.array(e.metrics), e.epoch)
             assert got == pytest.approx(e.xi, abs=1e-6)
 
+    def test_constant_xi_epoch_has_zero_r2(self):
+        # an epoch whose xi never varies carries no signal: R^2 0, weight 0
+        rng = np.random.default_rng(5)
+        entries = []
+        for ep in (2, 4, 8):
+            for _ in range(30):
+                m = np.array([0.25, 24.5, 0.95, -0.05, 4999.5])
+                x = rng.uniform(-1, 1)
+                m[3] += x
+                entries.append(qf.QualifierCorpusEntry(
+                    metrics=tuple(m), xi=0.5 if ep == 4 else 2.0 * x, epoch=ep))
+        _, diag = qf.fit_qualifier(entries)
+        assert np.all(diag["r2"][:, 1] == 0.0)
+        assert np.all(diag["weights"][:, 1] == 0.0)
+        assert diag["r2"][3, 0] == pytest.approx(1.0)
+        assert diag["r2"][3, 2] == pytest.approx(1.0)
+
     def test_corpus_validation(self):
         ref = qf.reference_table()
         few_epochs = synth_corpus(ref, (1, 5), per_epoch=10, seed=3)

@@ -31,9 +31,12 @@ class TestCanvas:
         root = ET.fromstring(canvas.render())
         assert root.tag == f"{NS}svg"
         assert root.get("width") == "200" and root.get("height") == "100"
+        # every canvas starts with a white background rect
+        assert root[0].tag == f"{NS}rect" and root[0].get("fill") == "#ffffff"
+        assert root[0].get("width") == "200" and root[0].get("height") == "100"
 
     def test_text_is_escaped(self):
-        canvas = svgplot.SvgCanvas(50, 50, background="")
+        canvas = svgplot.SvgCanvas(50, 50)
         canvas.text(0, 10, "a < b & c")
         rendered = canvas.render()
         assert "a &lt; b &amp; c" in rendered
@@ -41,14 +44,14 @@ class TestCanvas:
         # text nodes escape only &, < and >: quotes keep their bytes, as
         # xml.sax.saxutils.escape wrote them
         label = """x "y" 'z' > 0"""
-        canvas = svgplot.SvgCanvas(50, 50, background="")
+        canvas = svgplot.SvgCanvas(50, 50)
         canvas.text(0, 10, label)
         rendered = canvas.render()
         assert """>x "y" 'z' &gt; 0</text>""" in rendered
         assert ET.fromstring(rendered).find(f"{NS}text").text == label
 
     def test_short_polyline_dropped(self):
-        canvas = svgplot.SvgCanvas(50, 50, background="")
+        canvas = svgplot.SvgCanvas(50, 50)
         canvas.polyline([(1, 1)], stroke="#000000")
         assert "polyline" not in canvas.render()
 
