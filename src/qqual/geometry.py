@@ -1,7 +1,9 @@
 """Regime-map construction over a scattered 2-D field: Delaunay
 triangulation, linear interpolation masked to the triangulation's hull,
-edge-renormalized Gaussian smoothing, zero-level-set extraction, area
-fractions, and the sign-agreement score between two fields on one grid."""
+edge-renormalized Gaussian smoothing, zero-level-set extraction
+(marching-squares segments joined where their endpoints coincide
+exactly), area fractions, and the sign-agreement score between two fields
+on one grid."""
 
 from __future__ import annotations
 
@@ -291,96 +293,67 @@ def build_surface(fld: ScatterField, resolution: int = DEFAULT_RESOLUTION,
     return GridField(x_axis, y_axis, values)
 
 
-def _interp_zero(p: float, q: float) -> float:
-    return p / (p - q)
-
-
-def _cell_segments(a, b, c, d, x0, x1, y0, y1):
-    """Zero-level segments in one cell; corners a=(x0,y0) b=(x1,y0)
-    c=(x1,y1) d=(x0,y1), sign convention: > 0 is positive."""
-    sa, sb, sc, sd = a > 0, b > 0, c > 0, d > 0
-    code = sa * 1 + sb * 2 + sc * 4 + sd * 8
-    if code in (0, 15):
-        return []
-    # edge midpoint crossings by linear interpolation
-    bottom = (x0 + _interp_zero(a, b) * (x1 - x0), y0) if sa != sb else None
-    right = (x1, y0 + _interp_zero(b, c) * (y1 - y0)) if sb != sc else None
-    top = (x0 + _interp_zero(d, c) * (x1 - x0), y1) if sd != sc else None
-    left = (x0, y0 + _interp_zero(a, d) * (y1 - y0)) if sa != sd else None
-    if code in (1, 14):
-        return [(bottom, left)]
-    if code in (2, 13):
-        return [(bottom, right)]
-    if code in (4, 11):
-        return [(right, top)]
-    if code in (8, 7):
-        return [(top, left)]
-    if code in (3, 12):
-        return [(left, right)]
-    if code in (6, 9):
-        return [(bottom, top)]
-    # saddles: the cell-center average decides which corners connect
-    center_positive = (a + b + c + d) / 4.0 > 0
-    if code == 5:  # a and c positive
-        if center_positive:
-            return [(left, top), (bottom, right)]
-        return [(bottom, left), (right, top)]
-    # code == 10: b and d positive
-    if center_positive:
-        return [(bottom, left), (right, top)]
-    return [(left, top), (bottom, right)]
+# a cell's edges are 0 bottom, 1 right, 2 top, 3 left; per sign code (bit
+# k set when corner k of a, b, c, d is positive) the cell's segments as
+# (from, to) edges, -1 for none.  The saddles 5 and 10 hold the pairing for
+# a cell centre <= 0; a positive centre takes the other saddle's.
+_CELL_SEGMENTS = np.array([
+    [[-1, -1], [-1, -1]], [[0, 3], [-1, -1]], [[0, 1], [-1, -1]], [[3, 1], [-1, -1]],
+    [[1, 2], [-1, -1]], [[0, 3], [1, 2]], [[0, 2], [-1, -1]], [[2, 3], [-1, -1]],
+    [[2, 3], [-1, -1]], [[0, 2], [-1, -1]], [[3, 2], [0, 1]], [[1, 2], [-1, -1]],
+    [[3, 1], [-1, -1]], [[0, 1], [-1, -1]], [[0, 3], [-1, -1]], [[-1, -1], [-1, -1]]])
 
 
 def zero_contour(grid: GridField) -> List[np.ndarray]:
-    """Marching-squares zero level set over fully masked cells; returns
-    stitched polylines as (k, 2) arrays of (x, y) vertices."""
-    V = grid.values
-    mask = grid.mask
-    xs, ys = grid.x_axis, grid.y_axis
-    # only fully masked cells whose corners do not all share a sign can
-    # hold a segment; visit those in row-major order
-    full = mask[:-1, :-1] & mask[:-1, 1:] & mask[1:, 1:] & mask[1:, :-1]
+    """Marching-squares zero level set over fully masked cells, as
+    polylines of (k, 2) float64 (x, y) vertices.  Cells are taken in
+    row-major order, each edge crossing is linear in the corner values,
+    and a saddle's pairing follows the sign of its corners' mean.
+    Segments join where their endpoints coincide exactly; the two cells on
+    an edge compute its crossing from the same operands.  From the first
+    unused segment a polyline grows at its tail, then at its head."""
+    V, m, xs, ys = grid.values, grid.mask, grid.x_axis, grid.y_axis
     pos = V > 0
-    n_pos = (pos[:-1, :-1].astype(np.int8) + pos[:-1, 1:] + pos[1:, 1:] + pos[1:, :-1])
-    segments = []
-    for i, j in np.argwhere(full & (n_pos > 0) & (n_pos < 4)):
-        segments.extend(_cell_segments(V[i, j], V[i, j + 1], V[i + 1, j + 1], V[i + 1, j],
-                                       xs[j], xs[j + 1], ys[i], ys[i + 1]))
-    return _stitch(segments)
-
-
-def _stitch(segments) -> List[np.ndarray]:
-    if not segments:
+    pa, pb, pc, pd = pos[:-1, :-1], pos[:-1, 1:], pos[1:, 1:], pos[1:, :-1]
+    i, j = np.nonzero(m[:-1, :-1] & m[:-1, 1:] & m[1:, 1:] & m[1:, :-1]
+                      & (pa | pb | pc | pd) & ~(pa & pb & pc & pd))
+    if not len(i):  # a map of one sign, as the default dvcs maps are
         return []
-    def key(p):
-        return (round(p[0], 9), round(p[1], 9))
-
-    adjacency = {}
+    a, b, c, d = V[i, j], V[i, j + 1], V[i + 1, j + 1], V[i + 1, j]
+    code = (a > 0) * 1 + (b > 0) * 2 + (c > 0) * 4 + (d > 0) * 8
+    x0, x1, y0, y1 = xs[j], xs[j + 1], ys[i], ys[i + 1]
+    code[((code == 5) | (code == 10)) & ((a + b + c + d) / 4.0 > 0)] ^= 15
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # (x, y) of the crossing on each edge, (cells, 4, 2); only the
+        # edges whose ends differ in sign are read
+        ends = np.stack([np.stack([x0 + a / (a - b) * (x1 - x0), y0], axis=1),
+                         np.stack([x1, y0 + b / (b - c) * (y1 - y0)], axis=1),
+                         np.stack([x0 + d / (d - c) * (x1 - x0), y1], axis=1),
+                         np.stack([x0, y0 + a / (a - d) * (y1 - y0)], axis=1)], axis=1)
+    cell, slot = np.nonzero(_CELL_SEGMENTS[code, :, 0] >= 0)
+    segments = [(tuple(p), tuple(q)) for p, q in
+                ends[cell[:, None], _CELL_SEGMENTS[code[cell], slot]].tolist()]
+    at = {}
     for s, (p, q) in enumerate(segments):
-        adjacency.setdefault(key(p), []).append(s)
-        adjacency.setdefault(key(q), []).append(s)
+        at.setdefault(p, []).append(s)
+        at.setdefault(q, []).append(s)
     used = [False] * len(segments)
     polylines = []
-    for start in range(len(segments)):
+    for start, (p, q) in enumerate(segments):
         if used[start]:
             continue
         used[start] = True
-        chain = list(segments[start])
-        for head in (1, 0):
+        tail, head = [p, q], [p]
+        for chain in (tail, head):
             while True:
-                k = key(chain[-1 if head else 0])
-                nxt = [s for s in adjacency.get(k, []) if not used[s]]
-                if not nxt:
+                k = chain[-1]
+                s = next((s for s in at[k] if not used[s]), None)
+                if s is None:
                     break
-                s = nxt[0]
                 used[s] = True
                 p, q = segments[s]
-                new = q if key(p) == k else p
-                if head:
-                    chain.append(new)
-                else:
-                    chain.insert(0, new)
-        polylines.append(np.asarray(chain))
+                chain.append(q if p == k else p)
+        polylines.append(np.array(head[:0:-1] + tail))
     return polylines
 
 

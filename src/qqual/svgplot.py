@@ -134,7 +134,8 @@ class Axes:
         return top + h * (hi - y) / (hi - lo)
 
     def points(self, xs, ys) -> List[Tuple[float, float]]:
-        return [(self.px(x), self.py(y)) for x, y in zip(xs, ys)]
+        xs, ys = np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
+        return list(zip(self.px(xs).tolist(), self.py(ys).tolist()))
 
     def draw_frame(self, canvas: SvgCanvas, title: str = "", xlabel: str = "",
                    ylabel: str = "") -> None:
@@ -167,7 +168,7 @@ def diverging_colors(values, vmax: float) -> List[str]:
     slope = np.where(t >= 0, [-0.30, -0.90, -0.83], [0.87, 0.60, 0.33])
     # np.rint rounds half to even, as round does
     channels = np.rint(255 * np.clip(1.0 + slope * t, 0.0, 1.0)).astype(int)
-    return ["#%02x%02x%02x" % tuple(c) for c in channels.tolist()]
+    return ["#%06x" % c for c in (channels @ [1 << 16, 1 << 8, 1]).tolist()]
 
 
 def heatmap(canvas: SvgCanvas, axes: Axes, grid: GridField, max_cells: int = 120) -> float:

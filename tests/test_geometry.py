@@ -6,6 +6,7 @@ from scipy.interpolate import LinearNDInterpolator
 from scipy.ndimage import binary_erosion, gaussian_filter
 from scipy.spatial import ConvexHull, Delaunay
 
+import geometry_oracles as oracles
 from qqual import geometry as g
 
 
@@ -408,17 +409,6 @@ class TestZeroContour:
 
     def test_matches_per_cell_scan(self):
         # the reference visits every fully masked cell in row-major order
-        def scan(grid):
-            V, m, xs, ys = grid.values, grid.mask, grid.x_axis, grid.y_axis
-            segments = []
-            for i in range(len(ys) - 1):
-                for j in range(len(xs) - 1):
-                    if m[i, j] and m[i, j + 1] and m[i + 1, j + 1] and m[i + 1, j]:
-                        segments += g._cell_segments(V[i, j], V[i, j + 1], V[i + 1, j + 1],
-                                                     V[i + 1, j], xs[j], xs[j + 1],
-                                                     ys[i], ys[i + 1])
-            return g._stitch(segments)
-
         rng = np.random.default_rng(11)
         for trial in range(12):
             pts = rng.uniform(0.0, 1.0, size=(int(rng.integers(6, 40)), 2))
@@ -427,9 +417,74 @@ class TestZeroContour:
                                    smoothing=float(rng.choice([0.0, 1.5])))
             if trial % 3 == 0:  # exact zeros on cell corners
                 grid.values[grid.mask] = np.round(grid.values[grid.mask], 1)
-            got, want = g.zero_contour(grid), scan(grid)
+            got, want = g.zero_contour(grid), oracles.scan(grid)
             assert len(got) == len(want)
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        # regime-map sized: a tilted plane plus a ripple, smoothed on 200 x 200
+        for seed in (1, 2):
+            rng = np.random.default_rng(seed)
+            u, v = rng.uniform(0.0, 1.0, (2, 400))
+            theta, phase = rng.uniform(0.0, 2.0 * np.pi, 2)
+            vals = (np.cos(theta) * (u - 0.5) + np.sin(theta) * (v - 0.5)
+                    + 0.12 * np.sin(2.0 * np.pi * (2.0 * u + 1.5 * v) + phase))
+            grid = g.build_surface(g.ScatterField(1.0 + 9.0 * u, 0.1 + 0.5 * v, vals))
+            got, want = g.zero_contour(grid), oracles.scan(grid)
+            assert len(got) == len(want) > 0
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("values", [np.ones((1, 5)), np.ones((5, 1)),
+                                        np.full((4, 4), np.nan)])
+    def test_no_cells_no_contour(self, values):
+        values[0, 0] = -1.0
+        ny, nx = values.shape
+        grid = g.GridField(np.arange(nx, dtype=float), np.arange(ny, dtype=float), values)
+        assert g.zero_contour(grid) == []
+
+    @pytest.mark.parametrize("corners, want", [
+        # code 5 (a and c positive), centre > 0: a and c join through it
+        ((3, -1, 3, -1), [[[0, 0.75], [0.25, 1]], [[0.75, 0], [1, 0.25]]]),
+        # code 5, centre < 0, and a zero centre counts as negative
+        ((1, -3, 1, -3), [[[0.25, 0], [0, 0.25]], [[1, 0.75], [0.75, 1]]]),
+        ((1, -1, 1, -1), [[[0.5, 0], [0, 0.5]], [[1, 0.5], [0.5, 1]]]),
+        # code 10 (b and d positive), centre > 0, then centre < 0
+        ((-1, 3, -1, 3), [[[0.25, 0], [0, 0.25]], [[1, 0.75], [0.75, 1]]]),
+        ((-3, 1, -3, 1), [[[0, 0.75], [0.25, 1]], [[0.75, 0], [1, 0.25]]]),
+    ])
+    def test_lone_saddle_pairing(self, corners, want):
+        a, b, c, d = corners
+        grid = g.GridField([0.0, 1.0], [0.0, 1.0], [[a, b], [d, c]])
+        assert [p.tolist() for p in g.zero_contour(grid)] == want
+
+    def test_exact_zero_node_joins_four_cells(self):
+        # the only zero is the node (1, 1): the line through it joins
+        # there, and the all-positive cell beyond it adds a point-sized piece
+        ax = np.array([0.0, 1.0, 2.0])
+        gx, gy = np.meshgrid(ax, ax)
+        grid = g.GridField(ax, ax, (gx - 1.0) + 0.5 * (gy - 1.0))
+        polys = [p.tolist() for p in g.zero_contour(grid)]
+        assert polys == [[[1.5, 0.0], [1.0, 1.0], [0.5, 2.0]], [[1.0, 1.0], [1.0, 1.0]]]
+        assert polys == [p.tolist() for p in oracles.scan(grid)]
+
+    def test_close_but_unequal_crossings_not_joined(self):
+        # the node (1, 0) is just below zero, so the two cells beside it
+        # cross their bottom edges 2e-12 apart, on two separate branches
+        # (keys rounded to 9 decimals joined them into one polyline)
+        grid = g.GridField([0.0, 1.0, 2.0], [0.0, 1.0],
+                           [[1.0, -1e-12, 1.0], [1.0, -1.0, 1.0]])
+        polys = g.zero_contour(grid)
+        assert len(polys) == 2 and len(oracles.scan(grid)) == 1
+        (b0, t0), (b1, t1) = (p.tolist() for p in polys)
+        assert (t0, t1) == ([0.5, 1.0], [1.5, 1.0])
+        assert b0[1] == b1[1] == 0.0 and 0.0 < b1[0] - b0[0] < 1e-9
+
+    def test_polylines_are_float64_k_by_2(self):
+        rng = np.random.default_rng(3)
+        ax = np.arange(25.0)
+        polys = g.zero_contour(g.GridField(ax, ax, rng.normal(size=(25, 25))))
+        assert polys
+        for p in polys:
+            assert p.dtype == np.float64 and p.ndim == 2 and p.shape[1] == 2
+            assert len(p) >= 2
 
 
 class TestAreaFractionsAndAgreement:

@@ -74,6 +74,12 @@ class TestAxes:
         assert axes.py(1.0) == 50 and axes.py(-1.0) == 150
         assert axes.py(0.0) == 100
 
+    def test_points_match_scalar_mapping(self):
+        axes = svgplot.Axes((0.1, 7.3), (-0.37, 1.9), (70, 60, 430, 390))
+        xs, ys = np.random.default_rng(2).uniform(-1.0, 8.0, (2, 50))
+        assert axes.points(xs, ys) == [(axes.px(x), axes.py(y))
+                                       for x, y in zip(xs.tolist(), ys.tolist())]
+
     def test_degenerate_range_rejected(self):
         with pytest.raises(ValueError):
             svgplot.Axes((1.0, 1.0), (0.0, 1.0), (0, 0, 10, 10))
@@ -111,6 +117,12 @@ class TestDivergingColor:
     def test_clips_beyond_scale(self):
         assert svgplot.diverging_colors([9.0, -9.0], 1.0) == \
             svgplot.diverging_colors([1.0, -1.0], 1.0)
+
+    def test_pinned_strings(self):
+        # green at -vmax/2 and red at vmax are 255 * 0.7 = 178.5, which
+        # rounds half to even: 178 = 0xb2
+        assert svgplot.diverging_colors([-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0], 2.0) == \
+            ["#2166ab", "#2166ab", "#90b2d5", "#ffffff", "#d98c95", "#b2192b", "#b2192b"]
 
     def test_requires_positive_scale(self):
         with pytest.raises(ValueError):
