@@ -38,7 +38,7 @@ import numpy as np
 from . import svgplot
 from .cdnn import build_default_cdnn
 from .datagen import REGRESSION_FUNCTIONS, gen_classification_set, gen_regression_curve
-from .optim import TrainConfig, TrainingDivergence, fit, pool_map
+from .optim import TrainConfig, TrainingDivergence, checkpoint_marks, fit, fit_probed, pool_map
 from .perfmetrics import (LEDGER_COLUMNS, classification_efficiency, confusion, ledger_row,
                           m_reg, xi)
 from .qdnn import build_default_qdnn, build_paired_feature_qdnn
@@ -493,7 +493,7 @@ def _reg_job(job: tuple) -> dict:
     n_seed = _derived_seed(seed, fid, int(round(sigma * 1e6)), 1)
     X = np.repeat(curve.xs[:, None], n_features, axis=1)
     cfg = TrainConfig(epochs=epochs, learning_rate=lr)
-    marks = sorted({int(c) for c in checkpoints if 0 < int(c) <= epochs} | ({epochs} if epochs > 0 else {0}))
+    marks = checkpoint_marks(epochs, checkpoints)
     ms: Dict[str, Dict[int, float]] = {}
     preds: Dict[str, np.ndarray] = {}
     diverged: List[str] = []
@@ -502,21 +502,15 @@ def _reg_job(job: tuple) -> dict:
             net = build_default_cdnn(n_features, "regression", seed=n_seed)
         else:
             net = build_default_qdnn(n_features, task="regression", seed=n_seed)
-        checks: Dict[int, float] = {}
-        if 0 in marks:
-            checks[0] = m_reg(curve.xs, net.forward(X), curve.ys_true)
-
-        def on_epoch(ep, model, loss_val, _checks=checks, _net=net):
-            if ep in marks:
-                _checks[ep] = m_reg(curve.xs, _net.forward(X), curve.ys_true)
-
         try:
-            fit(net, X, curve.ys_noisy, "mse", cfg, on_epoch=on_epoch)
+            curves = fit_probed(net, X, curve.ys_noisy, "mse", cfg, marks,
+                                lambda model: model.forward(X))
         except TrainingDivergence:
             diverged.append(family)
             continue
-        ms[family] = checks
-        preds[family] = net.forward(X)
+        ms[family] = {mark: m_reg(curve.xs, pred, curve.ys_true)
+                      for mark, pred in zip(marks, curves)}
+        preds[family] = curves[-1]  # the final epoch is the last mark
     return {"fid": fid, "sigma": sigma, "d_seed": d_seed, "marks": marks,
             "ms": ms, "preds": preds, "diverged": diverged,
             "xs": curve.xs, "ys_true": curve.ys_true, "ys_noisy": curve.ys_noisy}
@@ -832,11 +826,10 @@ def compute_dvcs(config: dict, workers: int) -> dict:
     checkpoints = sorted({int(c) for c in config["checkpoints"] if 1 <= int(c) <= epochs})
     if not checkpoints and epochs > 0:
         checkpoints = sorted({max(1, epochs // 3), max(1, (2 * epochs) // 3), epochs})
-    cfg = TrainConfig(epochs=epochs, learning_rate=config["learning_rate"],
-                      seed=config["seed"])
+    cfg = TrainConfig(epochs=epochs, learning_rate=config["learning_rate"])
     lams = [float(v) for v in config["lams"]]
     outcomes, campaign = dv.run_campaign(sets, dv.ToyHarmonicModel(), lams,
-                                         config["ensemble"], cfg,
+                                         config["ensemble"], cfg, config["seed"],
                                          epoch_checkpoints=checkpoints,
                                          n_workers=workers)
 

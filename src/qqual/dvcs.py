@@ -1,13 +1,15 @@
 """Cross-section case study: ingest binned (Q2, xB, t, phi) data, build
 noise-rescaled pseudodata against a toy harmonic model, run paired
 classical/quantum extractions, and reduce the results to per-set
-outperformance outcomes, t-trends, and matched-control groupings."""
+outperformance outcomes, t-trends, and matched-control groupings.  A
+campaign cell returns its m values as one (replica, family, mark) array;
+``run_campaign`` reduces it to outcomes and the qualifier corpus."""
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 from zlib import crc32
 
@@ -17,7 +19,7 @@ import numpy as np
 # and validating data does not load them
 from . import cdnn as cdnn_mod
 from . import qdnn as qdnn_mod
-from .optim import TrainConfig, TrainingDivergence, fit, pool_map
+from .optim import TrainConfig, TrainingDivergence, checkpoint_marks, fit_probed, pool_map
 from .perfmetrics import m_reg, xi as xi_dvcs
 
 CSV_HEADER = ["experiment", "E_beam", "Q2", "xB", "t", "phi", "F", "sigma_F"]
@@ -195,53 +197,35 @@ def set_metrics(phi, f) -> np.ndarray:
     return characterize(dense, np.interp(dense, phi[order], f[order]))
 
 
-@dataclass
-class ExtractionResult:
-    cffs: np.ndarray
-    diverged: bool = False
-    checkpoint_cffs: Dict[int, np.ndarray] = field(default_factory=dict)
+FAMILIES = ("cdnn", "qdnn")
 
 
-def _build_net(family: str, cfg: TrainConfig):
+def _build_net(family: str, seed: int):
     if family == "cdnn":
-        return cdnn_mod.build_default_cdnn(8, "regression", seed=cfg.seed)
+        return cdnn_mod.build_default_cdnn(8, "regression", seed=seed)
     if family == "qdnn":
-        return qdnn_mod.build_default_qdnn(8, task="regression", seed=cfg.seed)
+        return qdnn_mod.build_default_qdnn(8, task="regression", seed=seed)
     raise ValueError(f"family must be 'cdnn' or 'qdnn', got {family!r}")
 
 
-def extract_cffs(pseudo: KinematicSet, model, family: str, cfg: TrainConfig,
-                 checkpoints: Sequence[int] = ()) -> ExtractionResult:
-    """Train one network of the chosen family on the set's points, then
-    project its predicted curve on PHI_GRID onto the model basis by least
-    squares.  Divergence flags the result instead of raising.  Optional
-    epoch checkpoints record intermediate projections; a checkpoint at
-    the final epoch is the final projection."""
-    net = _build_net(family, cfg)
-    X = point_features(pseudo)
-    grid_X = point_features(pseudo, PHI_GRID)
-    design = model.design_matrix(pseudo.kin, PHI_GRID)
+def extract_cffs(pseudo: KinematicSet, family: str, seed: int, cfg: TrainConfig,
+                 marks: Sequence[int], grid_X: np.ndarray, design: np.ndarray
+                 ) -> Optional[np.ndarray]:
+    """Train one network of the chosen family on the set's points and, at
+    each mark epoch, project its curve on PHI_GRID (inputs ``grid_X``) onto
+    the model basis there (``design``) by least squares.  Returns the
+    (len(marks), n_params) projections, or None if training diverged."""
+    net = _build_net(family, seed)
 
-    def project() -> np.ndarray:
-        curve = net.forward(grid_X)
-        params, _, _, _ = np.linalg.lstsq(design, curve, rcond=None)
+    def project(model) -> np.ndarray:
+        params, _, _, _ = np.linalg.lstsq(design, model.forward(grid_X), rcond=None)
         return params
 
-    result = ExtractionResult(cffs=np.full(model.n_params, np.nan))
-
-    def on_epoch(epoch, _model, _loss):
-        if epoch in checkpoints:
-            result.checkpoint_cffs[epoch] = project()
-
     try:
-        fit(net, X, pseudo.f, "mse", cfg, on_epoch=on_epoch if checkpoints else None)
+        return np.array(fit_probed(net, point_features(pseudo), pseudo.f, "mse", cfg,
+                                   marks, project))
     except TrainingDivergence:
-        result.diverged = True
-        return result
-    # the net has not moved since the final epoch's checkpoint projection
-    final = result.checkpoint_cffs.get(cfg.epochs)
-    result.cffs = project() if final is None else final
-    return result
+        return None
 
 
 @dataclass
@@ -274,87 +258,70 @@ def _rep_seed_seq(master: int, set_id: str, rep: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([int(master), crc32(set_id.encode()), int(rep)])
 
 
-def _campaign_cell(job: Tuple) -> Dict:
+def _campaign_cell(job: Tuple) -> Tuple[np.ndarray, Tuple[float, ...], float, List[int]]:
     """One (set, lam) campaign cell; module level so worker pools can
-    dispatch it.  Returns the outcome plus per-cell report fragments.
-    F_true is the model at the set's fitted parameters; m values integrate
-    |F_extracted - F_true| over PHI_GRID, in (cross-section unit x degrees)."""
-    from .qualifier import QualifierCorpusEntry
-
-    kset, model, params, lam, ensemble, cfg, checkpoints = job
+    dispatch it.  Returns m, the (converged replica, family, mark) array
+    of integrals of |F_extracted - F_true| over PHI_GRID (cross-section
+    unit x degrees; F_true is the model at the set's fitted parameters),
+    the replica-mean metrics and eps_bar, and the diverged replicas."""
+    kset, model, params, lam, ensemble, cfg, marks, seed = job
     truth = model.evaluate(params, kset.kin, kset.phi)
-    truth_grid = model.evaluate(params, kset.kin, PHI_GRID)
     denom = np.maximum(np.abs(truth), 1e-12)
-    ms = {"cdnn": [], "qdnn": []}
-    ck_ms = {"cdnn": {n: [] for n in checkpoints},
-             "qdnn": {n: [] for n in checkpoints}}
-    metric_rows = []
-    eps_vals = []
-    cell: Dict = {"outcome": None, "diverged": [], "all_failed": None, "corpus": []}
+    # pseudodata keep the set's kinematics: one grid serves every replica
+    grid_X = point_features(kset, PHI_GRID)
+    design = model.design_matrix(kset.kin, PHI_GRID)
+    truth_grid = design @ params
+    ms, metric_rows, eps_vals, diverged = [], [], [], []
     for rep in range(ensemble):
-        seq = _rep_seed_seq(cfg.seed, kset.set_id, rep)
-        pseudo_seq, train_seq = seq.spawn(2)
+        pseudo_seq, train_seq = _rep_seed_seq(seed, kset.set_id, rep).spawn(2)
         pseudo = make_pseudodata(kset, truth, lam, pseudo_seq)
         train_seed = int(train_seq.generate_state(1)[0] & 0x7FFFFFFF)
-        rep_cfg = replace(cfg, seed=train_seed)
-        res = {fam: extract_cffs(pseudo, model, fam, rep_cfg, checkpoints=checkpoints)
-               for fam in ("cdnn", "qdnn")}
-        if res["cdnn"].diverged or res["qdnn"].diverged:
-            cell["diverged"].append((kset.set_id, lam, rep))
+        cffs = [extract_cffs(pseudo, fam, train_seed, cfg, marks, grid_X, design)
+                for fam in FAMILIES]
+        if any(c is None for c in cffs):
+            diverged.append(rep)
             continue
-        for fam in ("cdnn", "qdnn"):
-            pred = model.evaluate(res[fam].cffs, kset.kin, PHI_GRID)
-            ms[fam].append(m_reg(PHI_GRID, pred, truth_grid))
-            for n, cffs in res[fam].checkpoint_cffs.items():
-                pred_n = model.evaluate(cffs, kset.kin, PHI_GRID)
-                ck_ms[fam][n].append(m_reg(PHI_GRID, pred_n, truth_grid))
+        ms.append([[m_reg(PHI_GRID, design @ row, truth_grid) for row in fam_cffs]
+                   for fam_cffs in cffs])
         metric_rows.append(set_metrics(pseudo.phi, pseudo.f))
         eps_vals.append(float(np.mean(pseudo.sigma_f / denom)))
-    if not ms["cdnn"]:
-        cell["all_failed"] = (f"set {kset.set_id} lam={lam:g}: "
-                              f"all {ensemble} replicas diverged")
-        return cell
-    metrics = tuple(float(v) for v in np.mean(metric_rows, axis=0))
-    cell["outcome"] = DvcsOutcome(
-        set_id=kset.set_id, experiment=kset.experiment, lam=lam,
-        q2=kset.q2, xb=kset.xb, t=kset.t, e_beam=kset.e_beam,
-        n_points=kset.n_points,
-        m_cdnn=float(np.mean(ms["cdnn"])),
-        m_qdnn=float(np.mean(ms["qdnn"])),
-        eps_bar=float(np.mean(eps_vals)),
-        ensemble=len(ms["cdnn"]), n_failed=len(cell["diverged"]), metrics=metrics)
-    for n in checkpoints:
-        if ck_ms["cdnn"][n] and ck_ms["qdnn"][n]:
-            mc = float(np.mean(ck_ms["cdnn"][n]))
-            mq = float(np.mean(ck_ms["qdnn"][n]))
-            if mq > 0:
-                cell["corpus"].append(QualifierCorpusEntry(
-                    metrics=metrics, xi=xi_dvcs(mc, mq), epoch=n))
-    return cell
+    m = np.array(ms).reshape(len(ms), len(FAMILIES), len(marks))
+    if not ms:
+        return m, (), math.nan, diverged
+    return (m, tuple(float(v) for v in np.mean(metric_rows, axis=0)),
+            float(np.mean(eps_vals)), diverged)
 
 
 def run_campaign(sets: Sequence[KinematicSet], model, lams: Sequence[float],
-                 ensemble: int, cfg: TrainConfig,
+                 ensemble: int, cfg: TrainConfig, seed: int,
                  epoch_checkpoints: Sequence[int] = (), n_workers: int = 1
                  ) -> Tuple[List[DvcsOutcome], Dict]:
     """Paired extractions per (set, lam): each replica draws one pseudo
     set that both families train on, m values are ensemble means over the
     replicas where both extractions converge, and the outperformance is
-    formed from the mean m values.  Replica seeds derive from (cfg.seed,
-    set_id, lam, replica), so outcomes are invariant to the ordering of
-    the input sets and to the worker count.  Each set's model is fitted
-    once; per-set fit failures are reported and skipped.  The checkpoints
-    are taken as given: sorted, without repeats.
+    formed from the mean m values.  Replica seeds derive from (seed,
+    set_id, replica), so outcomes are invariant to the ordering of the
+    input sets and to the worker count.  Each set's model is fitted once;
+    per-set fit failures are reported and skipped.  The checkpoints are
+    taken as given: sorted, without repeats.
+
+    A replica where either family diverges is dropped at every mark and
+    counted in n_failed, so a run read at an earlier mark equals the run
+    that ends there only when neither run has a diverged replica.
 
     The report carries a qualifier corpus: per (set, lam) the ensemble
     mean data characteristics of the pseudodata, paired with the ensemble
     mean outperformance at each checkpoint epoch."""
+    from .qualifier import QualifierCorpusEntry
+
     if not sets:
         raise ValueError("need at least one kinematic set")
     if ensemble < 1:
         raise ValueError("ensemble must be >= 1")
     if n_workers < 1:
         raise ValueError("n_workers must be >= 1")
+    marks = checkpoint_marks(cfg.epochs, epoch_checkpoints)
+    corpus_marks = [k for k, n in enumerate(marks) if n in epoch_checkpoints]
     outcomes: List[DvcsOutcome] = []
     report: Dict = {"failed_fits": [], "diverged": [], "qualifier_corpus": []}
     jobs = []
@@ -364,14 +331,26 @@ def run_campaign(sets: Sequence[KinematicSet], model, lams: Sequence[float],
         except ModelFitError as exc:
             report["failed_fits"].append(str(exc))
             continue
-        jobs += [(kset, model, params, lam, ensemble, cfg, epoch_checkpoints) for lam in lams]
-    for cell in pool_map(_campaign_cell, jobs, n_workers):
-        report["diverged"].extend(cell["diverged"])
-        if cell["all_failed"] is not None:
-            report["failed_fits"].append(cell["all_failed"])
+        jobs += [(kset, model, params, lam, ensemble, cfg, marks, seed) for lam in lams]
+    cells = pool_map(_campaign_cell, jobs, n_workers)
+    for (kset, _, _, lam, *_), (m, metrics, eps_bar, diverged) in zip(jobs, cells):
+        report["diverged"].extend((kset.set_id, lam, rep) for rep in diverged)
+        if not len(m):
+            report["failed_fits"].append(f"set {kset.set_id} lam={lam:g}: "
+                                         f"all {ensemble} replicas diverged")
             continue
-        outcomes.append(cell["outcome"])
-        report["qualifier_corpus"].extend(cell["corpus"])
+        # one 1-D mean per (family, mark): m.mean(axis=0) sums 8 or more
+        # replicas in another order, which moves the last digits
+        mc, mq = ([float(np.mean(m[:, f, k])) for k in range(len(marks))] for f in (0, 1))
+        outcomes.append(DvcsOutcome(
+            set_id=kset.set_id, experiment=kset.experiment, lam=lam,
+            q2=kset.q2, xb=kset.xb, t=kset.t, e_beam=kset.e_beam,
+            n_points=kset.n_points, m_cdnn=mc[-1], m_qdnn=mq[-1], eps_bar=eps_bar,
+            ensemble=len(m), n_failed=len(diverged), metrics=metrics))
+        for k in corpus_marks:
+            if mq[k] > 0:
+                report["qualifier_corpus"].append(QualifierCorpusEntry(
+                    metrics=metrics, xi=xi_dvcs(mc[k], mq[k]), epoch=marks[k]))
     return outcomes, report
 
 

@@ -311,7 +311,9 @@ def zero_contour(grid: GridField) -> List[np.ndarray]:
     and a saddle's pairing follows the sign of its corners' mean.
     Segments join where their endpoints coincide exactly; the two cells on
     an edge compute its crossing from the same operands.  From the first
-    unused segment a polyline grows at its tail, then at its head."""
+    unused segment a polyline grows at its tail, then at its head.  A
+    polyline whose vertices are all one point is dropped: a cell whose only
+    non-positive corner is an exact zero crosses zero at that node alone."""
     V, m, xs, ys = grid.values, grid.mask, grid.x_axis, grid.y_axis
     pos = V > 0
     pa, pb, pc, pd = pos[:-1, :-1], pos[:-1, 1:], pos[1:, 1:], pos[1:, :-1]
@@ -353,7 +355,9 @@ def zero_contour(grid: GridField) -> List[np.ndarray]:
                 used[s] = True
                 p, q = segments[s]
                 chain.append(q if p == k else p)
-        polylines.append(np.array(head[:0:-1] + tail))
+        line = head[:0:-1] + tail
+        if any(v != line[0] for v in line):
+            polylines.append(np.array(line))
     return polylines
 
 

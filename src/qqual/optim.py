@@ -1,14 +1,16 @@
 """Shared training loop: config, full-batch Adam updates, loss
-primitives, and the process pool that parallel commands train through.
+primitives, checkpointed training, and the process pool that parallel
+commands train through.
 
 Both model families train through the same loop so that paired benchmark
-runs differ only in the model, never in the optimizer.
+runs differ only in the model, never in the optimizer.  A run read at
+checkpoint epochs trains through ``fit_probed``, at ``checkpoint_marks``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -35,7 +37,6 @@ class TrainingDivergence(RuntimeError):
 class TrainConfig:
     epochs: int = 50
     learning_rate: float = 0.05
-    seed: int = 0  # seeds the networks that dvcs builds per replica; fit does not read it
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -115,6 +116,27 @@ def fit(
         if on_epoch is not None:
             on_epoch(epoch + 1, model, history[-1])
     return history
+
+
+def checkpoint_marks(epochs: int, checkpoints: Sequence[int]) -> List[int]:
+    """Sorted epochs at which a run is read: the checkpoints in 1..epochs
+    plus the final epoch, which is 0 for an untrained run."""
+    return sorted({int(c) for c in checkpoints if 0 < int(c) <= epochs} | {epochs})
+
+
+def fit_probed(model, X: np.ndarray, y: np.ndarray, loss: str, cfg: TrainConfig,
+               marks: Sequence[int], probe: Callable[[object], object]) -> list:
+    """Train as ``fit`` does and return ``probe(model)`` at each of the
+    sorted ``marks``, in order; mark 0 is probed before the first step.
+    Divergence raises TrainingDivergence, as in ``fit``."""
+    probes = [probe(model)] if marks[0] == 0 else []
+
+    def on_epoch(epoch, _model, _loss):
+        if epoch in marks:
+            probes.append(probe(model))
+
+    fit(model, X, y, loss, cfg, on_epoch=on_epoch)
+    return probes
 
 
 def pool_map(fn, jobs: list, workers: int) -> list:

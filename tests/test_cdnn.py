@@ -118,7 +118,7 @@ class TestTrain:
         wins = 0
         for seed in range(10):
             m = cdnn.build_default_cdnn(2, "classification", seed=seed)
-            optim.fit(m, X, y, "bce", optim.TrainConfig(epochs=500, seed=seed))
+            optim.fit(m, X, y, "bce", optim.TrainConfig(epochs=500))
             acc = np.mean((m.forward(X) > 0.5).astype(float) == y)
             wins += acc == 1.0
         assert wins >= 8

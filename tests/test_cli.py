@@ -325,6 +325,34 @@ class TestBenchReg:
         report = (out / "report.md").read_text()
         assert "quad" in report
 
+    def test_one_forward_per_mark_per_family(self, monkeypatch):
+        # each mark's curve is one forward on the training inputs; the
+        # figure's final curve is the last mark's, not one more forward
+        forwards = []
+
+        def counting(build):
+            def built(*args, **kwargs):
+                net = build(*args, **kwargs)
+                forward = net.forward
+
+                def counted(X):
+                    forwards.append(type(net).__name__)
+                    return forward(X)
+
+                net.forward = counted
+                return net
+            return built
+
+        monkeypatch.setattr(cli, "build_default_cdnn", counting(cli.build_default_cdnn))
+        monkeypatch.setattr(cli, "build_default_qdnn", counting(cli.build_default_qdnn))
+        for epochs, checkpoints, marks in ((3, (1, 3), [1, 3]), (3, (1, 2), [1, 2, 3]),
+                                           (0, (2,), [0])):
+            forwards.clear()
+            cell = cli._reg_job(("quad", 0.1, 24, (-2.0, 4.0), epochs, checkpoints,
+                                 0.05, 4, 0))
+            assert cell["marks"] == marks and not cell["diverged"]
+            assert sorted(forwards) == ["MlpModel"] * len(marks) + ["QdnnModel"] * len(marks)
+
     def test_unknown_function_is_config_error(self, tmp_path):
         cfg = write_cfg(tmp_path, {"bench-reg": {"functions": ["septic"]}})
         code = cli.main(["bench-reg", "--config", cfg, "--out", str(tmp_path / "br")])
@@ -542,6 +570,8 @@ class TestReproducibility:
         assert outs[0] == outs[1]
 
     def assert_ledger_same_for_1_and_2_workers(self, tmp_path, monkeypatch, command, block):
+        """Every CSV the command writes, the ledger among them, is the same
+        bytes for 1 and 2 workers; returns the 1-worker CSVs by name."""
         blobs = []
         for name, workers in (("w1", 1), ("w2", 2)):
             monkeypatch.setenv("QQUAL_THREADS", str(workers))
@@ -549,8 +579,10 @@ class TestReproducibility:
             cfg = write_cfg(tmp_path, {command: dict(block, workers=workers)},
                             name=f"{name}.json")
             assert cli.main([command, "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
-            blobs.append((out / "ledger.csv").read_bytes())
+            blobs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+        assert "ledger.csv" in blobs[0]
         assert blobs[0] == blobs[1]
+        return blobs[0]
 
     def test_worker_pool_does_not_change_ledger(self, tmp_path, monkeypatch):
         self.assert_ledger_same_for_1_and_2_workers(
@@ -561,6 +593,13 @@ class TestReproducibility:
     def test_worker_pool_does_not_change_bench_class_ledger(self, tmp_path, monkeypatch):
         self.assert_ledger_same_for_1_and_2_workers(
             tmp_path, monkeypatch, "bench-class", {"ensemble": 2, "epochs": 0, "n_eval": 30})
+
+    def test_worker_pool_does_not_change_dvcs_ledger_or_stats(self, tmp_path, monkeypatch):
+        # cells return their m values to the parent, which reduces them
+        csvs = self.assert_ledger_same_for_1_and_2_workers(
+            tmp_path, monkeypatch, "dvcs",
+            {"max_sets": 4, "ensemble": 1, "epochs": 1, "resolution": 30})
+        assert "stats.csv" in csvs
 
     def test_blas_thread_count_does_not_change_ledger(self, tmp_path):
         # OpenBLAS splits reductions over 100 rows of 8-qubit states across

@@ -1,12 +1,11 @@
 import csv
 import io
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from qqual import dvcs
-from qqual.optim import TrainConfig
+from qqual import dvcs, optim
+from qqual.optim import TrainConfig, TrainingDivergence
 from qqual.perfmetrics import m_reg
 
 MODEL = dvcs.ToyHarmonicModel()
@@ -31,6 +30,15 @@ def true_values(kset, phi=None):
 
 def pseudodata(kset, lam, seed):
     return dvcs.make_pseudodata(kset, true_values(kset), lam, seed)
+
+
+def extract(pseudo, family, seed, epochs, checkpoints=()):
+    """dvcs.extract_cffs with the set's own PHI_GRID inputs and model
+    basis, read at the checkpoints and the final epoch."""
+    return dvcs.extract_cffs(pseudo, family, seed, TrainConfig(epochs=epochs),
+                             optim.checkpoint_marks(epochs, checkpoints),
+                             dvcs.point_features(pseudo, dvcs.PHI_GRID),
+                             MODEL.design_matrix(pseudo.kin, dvcs.PHI_GRID))
 
 
 def serialize_sets(sets, path):
@@ -197,33 +205,32 @@ class TestExtraction:
         kset = make_set()
         pseudo = pseudodata(kset, 0.0, seed=0)
         for family in ("cdnn", "qdnn"):
-            cfg = TrainConfig(epochs=0, seed=3)
-            a = dvcs.extract_cffs(pseudo, MODEL, family, cfg)
-            b = dvcs.extract_cffs(pseudo, MODEL, family, cfg)
-            assert np.array_equal(a.cffs, b.cffs)
-            assert np.all(np.isfinite(a.cffs)) and not a.diverged
+            a = extract(pseudo, family, 3, 0)
+            b = extract(pseudo, family, 3, 0)
+            assert np.array_equal(a, b)
+            assert a is not None and np.all(np.isfinite(a))
 
     def test_family_validated(self):
         pseudo = pseudodata(make_set(), 0.0, seed=0)
         with pytest.raises(ValueError, match="family"):
-            dvcs.extract_cffs(pseudo, MODEL, "mlp", TrainConfig(epochs=0))
+            extract(pseudo, "mlp", 0, 0)
 
     def test_checkpoints_recorded(self):
         pseudo = pseudodata(make_set(), 0.0, seed=0)
-        res = dvcs.extract_cffs(pseudo, MODEL, "cdnn", TrainConfig(epochs=5, seed=1),
-                                checkpoints=(1, 3, 5))
-        assert sorted(res.checkpoint_cffs) == [1, 3, 5]
-        for cffs in res.checkpoint_cffs.values():
+        res = extract(pseudo, "cdnn", 1, 5, checkpoints=(1, 3, 5))
+        assert len(res) == 3  # marks 1, 3, 5
+        for cffs in res:
             assert cffs.shape == (3,) and np.all(np.isfinite(cffs))
-        assert np.array_equal(res.checkpoint_cffs[5], res.cffs)
+        # reading the checkpoints does not move the final projection
+        assert np.array_equal(res[-1], extract(pseudo, "cdnn", 1, 5)[0])
 
     def test_final_epoch_checkpoint_projects_once(self, monkeypatch):
         # one forward on the 181-point phi grid per distinct projection epoch
         grid_rows = []
         build = dvcs._build_net
 
-        def counting_build(family, cfg):
-            net = build(family, cfg)
+        def counting_build(family, seed):
+            net = build(family, seed)
             forward = net.forward
 
             def counted(X):
@@ -238,13 +245,11 @@ class TestExtraction:
         pseudo = pseudodata(make_set(), 0.0, seed=0)
         for family in ("cdnn", "qdnn"):
             grid_rows.clear()
-            res = dvcs.extract_cffs(pseudo, MODEL, family, TrainConfig(epochs=3, seed=1),
-                                    checkpoints=(1, 2, 3))
+            res = extract(pseudo, family, 1, 3, checkpoints=(1, 2, 3))
             assert len(grid_rows) == 3
-            assert res.cffs is res.checkpoint_cffs[3]
+            assert len(res) == 3  # the final epoch is the checkpoint-3 row
             grid_rows.clear()
-            dvcs.extract_cffs(pseudo, MODEL, family, TrainConfig(epochs=3, seed=1),
-                              checkpoints=(1, 2))
+            extract(pseudo, family, 1, 3, checkpoints=(1, 2))
             assert len(grid_rows) == 3
 
     def test_noiseless_cdnn_recovery(self):
@@ -255,8 +260,8 @@ class TestExtraction:
         bound = 0.05 * float(np.mean(truth)) * 360.0
         wins = 0
         for seed in range(10):
-            res = dvcs.extract_cffs(pseudo, MODEL, "cdnn", TrainConfig(epochs=300, seed=seed))
-            pred = MODEL.evaluate(res.cffs, kset.kin, grid)
+            res = extract(pseudo, "cdnn", seed, 300)
+            pred = MODEL.evaluate(res[-1], kset.kin, grid)
             if m_reg(grid, pred, truth) < bound:
                 wins += 1
         assert wins >= 8
@@ -270,8 +275,8 @@ class TestExtraction:
         bound = 0.05 * float(np.mean(truth)) * 360.0
         wins = 0
         for seed in range(10):
-            res = dvcs.extract_cffs(pseudo, MODEL, "qdnn", TrainConfig(epochs=60, seed=seed))
-            pred = MODEL.evaluate(res.cffs, kset.kin, grid)
+            res = extract(pseudo, "qdnn", seed, 60)
+            pred = MODEL.evaluate(res[-1], kset.kin, grid)
             if m_reg(grid, pred, truth) < bound:
                 wins += 1
         assert wins >= 8
@@ -327,15 +332,15 @@ class TestCampaign:
     @classmethod
     def setup_class(cls):
         cls.sets = dvcs.synthetic_experiment("Hall_A_E07-007", seed=0)[:2]
-        cls.cfg = TrainConfig(epochs=2, seed=11)
+        cls.cfg = TrainConfig(epochs=2)
         cls.out, cls.report = dvcs.run_campaign(
-            cls.sets, MODEL, lams=(0.5, 2.0), ensemble=2, cfg=cls.cfg,
+            cls.sets, MODEL, lams=(0.5, 2.0), ensemble=2, cfg=cls.cfg, seed=11,
             epoch_checkpoints=(1, 2))
 
     def test_reorder_invariance(self):
         out_rev, _ = dvcs.run_campaign(
             list(reversed(self.sets)), MODEL, lams=(0.5, 2.0), ensemble=2,
-            cfg=self.cfg, epoch_checkpoints=(1, 2))
+            cfg=self.cfg, seed=11, epoch_checkpoints=(1, 2))
         a = {(o.set_id, o.lam): o for o in self.out}
         b = {(o.set_id, o.lam): o for o in out_rev}
         assert set(a) == set(b)
@@ -368,17 +373,17 @@ class TestCampaign:
 
     def test_single_replica_matches_manual_pipeline(self):
         kset = self.sets[0]
-        cfg = TrainConfig(epochs=1, seed=7)
-        out, _ = dvcs.run_campaign([kset], MODEL, lams=(1.0,), ensemble=1, cfg=cfg)
-        seq = dvcs._rep_seed_seq(cfg.seed, kset.set_id, 0)
+        out, _ = dvcs.run_campaign([kset], MODEL, lams=(1.0,), ensemble=1,
+                                   cfg=TrainConfig(epochs=1), seed=7)
+        seq = dvcs._rep_seed_seq(7, kset.set_id, 0)
         pseudo_seq, train_seq = seq.spawn(2)
         pseudo = pseudodata(kset, 1.0, pseudo_seq)
-        rep_cfg = replace(cfg, seed=int(train_seq.generate_state(1)[0] & 0x7FFFFFFF))
+        train_seed = int(train_seq.generate_state(1)[0] & 0x7FFFFFFF)
         grid = dvcs.PHI_GRID
         truth = true_values(kset, grid)
         for family, got in (("cdnn", out[0].m_cdnn), ("qdnn", out[0].m_qdnn)):
-            res = dvcs.extract_cffs(pseudo, MODEL, family, rep_cfg)
-            pred = MODEL.evaluate(res.cffs, kset.kin, grid)
+            res = extract(pseudo, family, train_seed, 1)
+            pred = MODEL.evaluate(res[-1], kset.kin, grid)
             assert m_reg(grid, pred, truth) == got
         denom = np.maximum(np.abs(true_values(kset)), 1e-12)
         assert out[0].eps_bar == float(np.mean(pseudo.sigma_f / denom))
@@ -394,12 +399,12 @@ class TestCampaign:
 
         monkeypatch.setattr(dvcs, "fit_params", counted)
         dvcs.run_campaign(self.sets, MODEL, lams=(0.5, 2.0), ensemble=2,
-                          cfg=TrainConfig(epochs=0, seed=11))
+                          cfg=TrainConfig(epochs=0), seed=11)
         assert calls == [s.set_id for s in self.sets]
 
     def test_worker_pool_matches_serial(self):
         out_pool, report_pool = dvcs.run_campaign(
-            self.sets, MODEL, lams=(0.5, 2.0), ensemble=2, cfg=self.cfg,
+            self.sets, MODEL, lams=(0.5, 2.0), ensemble=2, cfg=self.cfg, seed=11,
             epoch_checkpoints=(1, 2), n_workers=2)
         assert len(out_pool) == len(self.out)
         for a, b in zip(self.out, out_pool):
@@ -408,20 +413,95 @@ class TestCampaign:
         assert [(e.epoch, e.xi) for e in report_pool["qualifier_corpus"]] == \
                [(e.epoch, e.xi) for e in self.report["qualifier_corpus"]]
 
+    def test_cell_builds_its_phi_grid_once(self, monkeypatch):
+        # the grid inputs and model basis are the set's, shared by every
+        # replica, family and mark
+        built = []
+        features = dvcs.point_features
+
+        def counted_features(kset, phi_deg=None):
+            if phi_deg is not None:
+                built.append("features")
+            return features(kset, phi_deg)
+
+        class CountedModel(dvcs.ToyHarmonicModel):
+            def design_matrix(self, kin, phi_deg):
+                if len(phi_deg) == len(dvcs.PHI_GRID):
+                    built.append("design")
+                return super().design_matrix(kin, phi_deg)
+
+        monkeypatch.setattr(dvcs, "point_features", counted_features)
+        kset = self.sets[0]
+        m, _, _, _ = dvcs._campaign_cell((kset, CountedModel(), dvcs.fit_params(MODEL, kset),
+                                          1.0, 3, TrainConfig(epochs=2), [1, 2], 11))
+        assert m.shape == (3, 2, 2)
+        assert sorted(built) == ["design", "features"]
+
+    def test_short_run_is_a_prefix_of_a_long_one(self):
+        # with no divergence, an 8-epoch cell read at epoch 3 is the
+        # 3-epoch cell, bitwise, so one run serves every shorter budget
+        for kset in dvcs.synthetic_experiment("Hall_A_E07-007", seed=0)[:3]:
+            params = dvcs.fit_params(MODEL, kset)
+            for lam in (0.5, 2.0):
+                long_m, _, _, long_div = dvcs._campaign_cell(
+                    (kset, MODEL, params, lam, 2, TrainConfig(epochs=8), [3, 8], 11))
+                short_m, _, _, short_div = dvcs._campaign_cell(
+                    (kset, MODEL, params, lam, 2, TrainConfig(epochs=3), [3], 11))
+                assert long_div == short_div == []
+                assert long_m.shape == (2, 2, 2) and short_m.shape == (2, 2, 1)
+                assert np.array_equal(long_m[:, :, 0], short_m[:, :, -1])
+
+    def test_diverged_replica_absent_at_every_mark(self, monkeypatch):
+        # replica 1's cdnn (the third fit of the cell) diverges right after
+        # mark 2 has been read: the replica is dropped at mark 2 as well
+        kset = self.sets[0]
+        params = dvcs.fit_params(MODEL, kset)
+        cfg = TrainConfig(epochs=4)
+        job = (kset, MODEL, params, 1.0, 3, cfg, [2, 4], 11)
+        clean_m, _, _, clean_div = dvcs._campaign_cell(job)
+        assert clean_div == [] and clean_m.shape == (3, 2, 2)
+        fits = []
+        real_fit = optim.fit
+
+        def flaky_fit(model, X, y, loss, cfg, on_epoch=None):
+            fits.append(1)
+            if len(fits) % 6 != 3:
+                return real_fit(model, X, y, loss, cfg, on_epoch)
+
+            def stop_after_mark(epoch, m, value):
+                on_epoch(epoch, m, value)
+                if epoch == 2:
+                    raise TrainingDivergence(epoch, 0.0)
+
+            return real_fit(model, X, y, loss, cfg, stop_after_mark)
+
+        monkeypatch.setattr(optim, "fit", flaky_fit)
+        m, _, _, diverged = dvcs._campaign_cell(job)
+        assert diverged == [1] and len(fits) == 6
+        assert np.array_equal(m, clean_m[[0, 2]])
+        out, report = dvcs.run_campaign([kset], MODEL, lams=(1.0,), ensemble=3, cfg=cfg,
+                                        seed=11, epoch_checkpoints=(2, 4))
+        assert report["diverged"] == [(kset.set_id, 1.0, 1)]
+        assert out[0].ensemble == 2 and out[0].n_failed == 1
+        assert out[0].m_cdnn == float(np.mean(clean_m[[0, 2], 0, -1]))
+        at_2 = [e.xi for e in report["qualifier_corpus"] if e.epoch == 2]
+        assert at_2 == [float(np.mean(clean_m[[0, 2], 0, 0]))
+                        / float(np.mean(clean_m[[0, 2], 1, 0])) - 1.0]
+
     def test_unfittable_set_skipped_with_report(self):
         out, report = dvcs.run_campaign(
             [degenerate_set(), self.sets[0]], MODEL, lams=(1.0,), ensemble=1,
-            cfg=TrainConfig(epochs=1, seed=2))
+            cfg=TrainConfig(epochs=1), seed=2)
         assert len(out) == 1 and out[0].set_id == self.sets[0].set_id
         assert len(report["failed_fits"]) == 1
         assert "degenerate" in report["failed_fits"][0]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            dvcs.run_campaign([], MODEL, lams=(1.0,), ensemble=1, cfg=self.cfg)
+            dvcs.run_campaign([], MODEL, lams=(1.0,), ensemble=1, cfg=self.cfg, seed=11)
         with pytest.raises(ValueError):
             dvcs.run_campaign(self.sets, MODEL, lams=(1.0,), ensemble=0,
-                              cfg=self.cfg)
+                              cfg=self.cfg, seed=11)
 
 
 def trend_outcome(set_id, t, xi_value, eps_bar=0.1, n_points=24):

@@ -29,7 +29,7 @@ class _Quadratic:
 class TestTrainConfig:
     def test_defaults(self):
         cfg = optim.TrainConfig()
-        assert [f.name for f in fields(cfg)] == ["epochs", "learning_rate", "seed"]
+        assert [f.name for f in fields(cfg)] == ["epochs", "learning_rate"]
         assert cfg.learning_rate == 0.05
 
     def test_validation(self):
@@ -138,6 +138,30 @@ class TestFit:
                   on_epoch=lambda n, m, l: seen.append(n))
         assert seen == [1, 2, 3, 4]
 
+    @pytest.mark.parametrize("epochs, checkpoints, marks", [
+        (50, [10, 25, 50], [10, 25, 50]),
+        (3, [2], [2, 3]),             # the final epoch is always read
+        (5, [0, 7, 3.0, 3], [3, 5]),  # outside 1..epochs dropped, repeats merged
+        (0, [2], [0]),                # an untrained run is read once, at 0
+    ])
+    def test_checkpoint_marks(self, epochs, checkpoints, marks):
+        assert optim.checkpoint_marks(epochs, checkpoints) == marks
+
+    def test_fit_probed_reads_each_mark_once(self):
+        # each probe equals the parameters of a run stopped at that mark;
+        # mark 0 is read before the first step
+        X, y = self._data()
+        for epochs, marks in ((4, [1, 3, 4]), (0, [0])):
+            probes = optim.fit_probed(_Quadratic(0.5), X, y, "mse",
+                                      optim.TrainConfig(epochs=epochs), marks,
+                                      lambda model: model.params[0])
+            stopped = []
+            for mark in marks:
+                model = _Quadratic(0.5)
+                optim.fit(model, X, y, "mse", optim.TrainConfig(epochs=mark))
+                stopped.append(model.params[0])
+            assert probes == stopped
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             optim.fit(_Quadratic(), np.zeros((0, 1)), np.zeros(0), "mse",
@@ -152,7 +176,7 @@ class TestSharedLoopWithCdnn:
         runs = []
         for _ in range(2):
             net = cdnn.build_default_cdnn(2, "classification", seed=3)
-            hist = optim.fit(net, X, y, "bce", optim.TrainConfig(epochs=10, seed=5))
+            hist = optim.fit(net, X, y, "bce", optim.TrainConfig(epochs=10))
             runs.append((hist, net.params.copy()))
         assert runs[0][0] == runs[1][0]
         assert np.array_equal(runs[0][1], runs[1][1])

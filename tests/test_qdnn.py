@@ -158,7 +158,7 @@ class TestTrain:
         m = qdnn.QdnnModel(circuit, [0.05], scale=1.0, offset=0.0)
         X = np.array([[-1.0], [0.0], [1.0], [2.0]])
         y = 0.8 * np.cos(X[:, 0] + 0.4) - 0.1
-        hist = optim.fit(m, X, y, "mse", optim.TrainConfig(epochs=500, seed=1))
+        hist = optim.fit(m, X, y, "mse", optim.TrainConfig(epochs=500))
         assert hist[-1] < 1e-3
 
     def test_bitwise_deterministic_history(self):
@@ -168,7 +168,7 @@ class TestTrain:
         runs = []
         for _ in range(2):
             m = qdnn.build_default_qdnn(3, 1, seed=4)
-            hist = optim.fit(m, X, y, "mse", optim.TrainConfig(epochs=6, seed=4))
+            hist = optim.fit(m, X, y, "mse", optim.TrainConfig(epochs=6))
             runs.append((hist, m.params.copy()))
         assert runs[0][0] == runs[1][0]
         assert np.array_equal(runs[0][1], runs[1][1])
@@ -195,7 +195,7 @@ class TestLossImprovement:
             ys = np.cos(4.0 * xs) + 0.1 * rng.normal(size=xs.size)
             X = np.repeat(xs.reshape(-1, 1), 8, axis=1)
             m = qdnn.build_default_qdnn(8, 2, seed=seed)
-            hist = optim.fit(m, X, ys, "mse", optim.TrainConfig(epochs=20, seed=seed))
+            hist = optim.fit(m, X, ys, "mse", optim.TrainConfig(epochs=20))
             if np.mean(hist[-10:]) < np.mean(hist[:10]):
                 wins += 1
         assert wins >= 8
