@@ -13,7 +13,8 @@ validate-data measurement-file counts and kinematic envelope checks
 Every field of every config block has a default, so `qqual <command>`
 alone is a valid run.  A JSON config file holds one block per command;
 command-line flags override file values.  Exit codes: 0 success, 1
-validation failure, 2 configuration error, 3 runtime failure.
+validation failure, 2 configuration error, 3 runtime failure, such as a
+training run whose every cell diverged or was skipped (no ledger row).
 
 Each command computes everything before it writes any output, so a run
 that exits 2 or 3 leaves at most resolved_config.json in its directory.
@@ -36,12 +37,10 @@ import numpy as np
 # dvcs, complexity, geometry and qualifier are imported by the commands that use
 # them, so that bench-reg and bench-class start without loading them
 from . import svgplot
-from .cdnn import build_default_cdnn
 from .datagen import REGRESSION_FUNCTIONS, gen_classification_set, gen_regression_curve
-from .optim import TrainConfig, TrainingDivergence, checkpoint_marks, fit, fit_probed, pool_map
-from .perfmetrics import (LEDGER_COLUMNS, classification_efficiency, confusion, ledger_row,
-                          m_reg, xi)
-from .qdnn import build_default_qdnn, build_paired_feature_qdnn
+from .optim import FAMILIES, TrainConfig, checkpoint_marks, fit_pair, pool_map
+from .perfmetrics import (LEDGER_COLUMNS, classification_efficiency, confusion, dataset_label,
+                          ledger_row, m_reg, parse_dataset_label, xi)
 from .qsim import MAX_QUBITS
 
 EXIT_OK = 0
@@ -293,17 +292,13 @@ _CLASS_FACTORS = (
 )
 
 
-def _condition_label(cond: dict) -> str:
-    return ";".join(f"{k}={cond[k]}" for k in sorted(cond))
-
-
 def _class_conditions() -> List[Tuple[str, dict]]:
     conds = [("default", dict(_CLASS_DEFAULT))]
-    seen = {_condition_label(_CLASS_DEFAULT)}
+    seen = {dataset_label(_CLASS_DEFAULT)}
     for _, key, val_a, val_b in _CLASS_FACTORS:
         for val in (val_a, val_b):
             cond = dict(_CLASS_DEFAULT, **{key: val})
-            label = _condition_label(cond)
+            label = dataset_label(cond)
             if label not in seen:
                 seen.add(label)
                 conds.append((f"{key}={val}", cond))
@@ -322,29 +317,21 @@ def _class_replica(job: tuple) -> tuple:
     test = gen_classification_set(cond["kind"], n_eval, cond["n_features"],
                                   cond["noise"], seed=e_seed)
     cfg = TrainConfig(epochs=epochs, learning_rate=lr)
-    effs = {"cdnn": math.nan, "qdnn": math.nan}
-    reasons = []
-    for family in ("cdnn", "qdnn"):
-        if family == "cdnn":
-            net = build_default_cdnn(cond["n_features"], "classification", seed=n_seed)
-        elif cond["n_features"] <= 8:
-            net = build_default_qdnn(cond["n_features"], task="classification", seed=n_seed)
-        else:
-            net = build_paired_feature_qdnn(cond["n_features"], task="classification",
-                                            seed=n_seed)
-        try:
-            fit(net, train.X, train.y.astype(float), "bce", cfg)
-        except TrainingDivergence:
+    effs, reasons = dict.fromkeys(FAMILIES, math.nan), []
+    pair = fit_pair("classification", n_seed, train.X, train.y.astype(float), "bce", cfg,
+                    [epochs], lambda net: net.forward(test.X))
+    for family, probes in zip(FAMILIES, pair):
+        if probes is None:
             reasons.append(f"{family} training diverged")
             continue
-        preds = (net.forward(test.X) >= 0.5).astype(int)
+        preds = (probes[0] >= 0.5).astype(int)
         classes = np.unique(preds)
         if classes.size < 2:
             # precision of the class never predicted is undefined
             reasons.append(f"{family} predicted only class {classes[0]}")
             continue
         effs[family] = classification_efficiency(confusion(preds, test.y))
-    return _condition_label(cond), rep, effs["cdnn"], effs["qdnn"], "; ".join(reasons)
+    return dataset_label(cond), rep, effs["cdnn"], effs["qdnn"], "; ".join(reasons)
 
 
 def _class_svg(path: str, names: List[str], cdnn_means: List[float],
@@ -402,6 +389,8 @@ def compute_bench_class(config: dict, workers: int) -> dict:
             skipped.append(f"{label} rep {rep}: {reason}")
         else:
             per_label.setdefault(label, []).append((rep, c_eff, q_eff))
+    if not per_label:
+        raise RuntimeError(f"no ledger row: all {len(skipped)} replicas were skipped")
     means = {label: (float(np.mean([c for _, c, _ in kept])),
                      float(np.mean([q for _, _, q in kept])))
              for label, kept in per_label.items()}
@@ -417,8 +406,8 @@ def render_bench_class(config: dict, result: dict, out_dir: str) -> List[str]:
 
     table_rows = []
     for factor, key, val_a, val_b in _CLASS_FACTORS:
-        la = _condition_label(dict(_CLASS_DEFAULT, **{key: val_a}))
-        lb = _condition_label(dict(_CLASS_DEFAULT, **{key: val_b}))
+        la = dataset_label(dict(_CLASS_DEFAULT, **{key: val_a}))
+        lb = dataset_label(dict(_CLASS_DEFAULT, **{key: val_b}))
         if la not in means or lb not in means:
             table_rows.append([factor, f"{val_a} -> {val_b}", "n/a", "n/a", "n/a"])
             continue
@@ -436,15 +425,15 @@ def render_bench_class(config: dict, result: dict, out_dir: str) -> List[str]:
                 "qdnn_cdnn_ratio_change"], table_rows)
 
     conditions = _class_conditions()
-    name_of = {_condition_label(cond): name for name, cond in conditions}
-    labels_in_order = [_condition_label(cond) for _, cond in conditions
-                       if _condition_label(cond) in means]
+    name_of = {dataset_label(cond): name for name, cond in conditions}
+    labels_in_order = [dataset_label(cond) for _, cond in conditions
+                       if dataset_label(cond) in means]
     _class_svg(os.path.join(out_dir, "efficiency.svg"),
                [name_of[lab] for lab in labels_in_order],
                [means[lab][0] for lab in labels_in_order],
                [means[lab][1] for lab in labels_in_order])
 
-    default_label = _condition_label(_CLASS_DEFAULT)
+    default_label = dataset_label(_CLASS_DEFAULT)
     lines = ["# Classification benchmark", "",
              f"- master seed: {config['seed']}",
              f"- ensemble: {config['ensemble']} seeds per condition",
@@ -494,18 +483,11 @@ def _reg_job(job: tuple) -> dict:
     X = np.repeat(curve.xs[:, None], n_features, axis=1)
     cfg = TrainConfig(epochs=epochs, learning_rate=lr)
     marks = checkpoint_marks(epochs, checkpoints)
-    ms: Dict[str, Dict[int, float]] = {}
-    preds: Dict[str, np.ndarray] = {}
-    diverged: List[str] = []
-    for family in ("cdnn", "qdnn"):
-        if family == "cdnn":
-            net = build_default_cdnn(n_features, "regression", seed=n_seed)
-        else:
-            net = build_default_qdnn(n_features, task="regression", seed=n_seed)
-        try:
-            curves = fit_probed(net, X, curve.ys_noisy, "mse", cfg, marks,
-                                lambda model: model.forward(X))
-        except TrainingDivergence:
+    pair = fit_pair("regression", n_seed, X, curve.ys_noisy, "mse", cfg, marks,
+                    lambda net: net.forward(X))
+    ms, preds, diverged = {}, {}, []
+    for family, curves in zip(FAMILIES, pair):
+        if curves is None:
             diverged.append(family)
             continue
         ms[family] = {mark: m_reg(curve.xs, pred, curve.ys_true)
@@ -543,6 +525,8 @@ def compute_bench_reg(config: dict, workers: int) -> dict:
         ledger_rows += [ledger_row(meta, ep, m_cdnn[ep], m_qdnn[ep]) for ep in cell["marks"]]
         final = cell["marks"][-1]  # marks are sorted: the last is the final epoch
         final_xi[(fid, sigma)] = xi(m_cdnn[final], m_qdnn[final])
+    if not ledger_rows:
+        raise RuntimeError(f"no ledger row: all {len(failures)} cells diverged")
     return {"cells": cells, "ledger_rows": ledger_rows, "failures": failures,
             "final_xi": final_xi}
 
@@ -568,7 +552,8 @@ def render_bench_reg(config: dict, result: dict, out_dir: str) -> List[str]:
              f"- training: {epochs} epochs, adam, learning rate "
              f"{config['learning_rate']:g}, full batch, mse on the noisy targets",
              f"- feature matrix: sampled x repeated across {config['n_features']} columns",
-             f"- checkpoints: {sorted(set(config['checkpoints']))} (plus the final epoch)",
+             f"- checkpoints: {[m for m in cells[0]['marks'] if m in config['checkpoints']]} "
+             "(plus the final epoch)",
              "", "## Final-epoch outperformance (xi = m_cdnn/m_qdnn - 1)", "",
              "| function \\ sigma | " + " | ".join(f"{s:g}" for s in config["sigmas"]) + " |",
              "|---" * (len(config["sigmas"]) + 1) + "|"]
@@ -626,15 +611,6 @@ def _round_trip_check(table, seed: int) -> dict:
             "excluded": diag["excluded"], "warnings": diag["warnings"]}
 
 
-def _parse_dataset_label(label: str) -> dict:
-    out = {}
-    for part in label.split(";"):
-        if part and "=" in part:
-            key, value = part.split("=", 1)
-            out[key] = value
-    return out
-
-
 def _refit_from_ledger(path: str):
     """Rebuild a qualifier corpus from a regression-benchmark ledger by
     regenerating each dataset from its descriptor and characterizing it.
@@ -653,7 +629,7 @@ def _refit_from_ledger(path: str):
             raise ConfigError(f"refit ledger needs columns {LEDGER_COLUMNS}, "
                               f"got {reader.fieldnames}")
         for row in reader:
-            meta = _parse_dataset_label(row["dataset"])
+            meta = parse_dataset_label(row["dataset"])
             if not needed <= meta.keys():
                 raise ConfigError("refit ledger datasets must carry "
                                   + "/".join(sorted(needed)) + " descriptors")
@@ -832,6 +808,9 @@ def compute_dvcs(config: dict, workers: int) -> dict:
                                          config["ensemble"], cfg, config["seed"],
                                          epoch_checkpoints=checkpoints,
                                          n_workers=workers)
+    if not outcomes:
+        raise RuntimeError(f"no ledger row: {len(campaign['failed_fits'])} sets or "
+                           "(set, lam) cells were skipped or diverged")
 
     warnings: List[str] = []
     refit_table = refit_diag = None

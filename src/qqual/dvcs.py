@@ -1,9 +1,11 @@
 """Cross-section case study: ingest binned (Q2, xB, t, phi) data, build
 noise-rescaled pseudodata against a toy harmonic model, run paired
 classical/quantum extractions, and reduce the results to per-set
-outperformance outcomes, t-trends, and matched-control groupings.  A
-campaign cell returns its m values as one (replica, family, mark) array;
-``run_campaign`` reduces it to outcomes and the qualifier corpus."""
+outperformance outcomes, t-trends, and matched-control groupings.  Each
+replica trains its pair through ``optim.fit_pair`` in one
+``extract_cffs`` call; a campaign cell returns its m values as one
+(replica, family, mark) array, which ``run_campaign`` reduces to outcomes
+and the qualifier corpus."""
 
 from __future__ import annotations
 
@@ -17,9 +19,7 @@ import numpy as np
 
 # complexity and qualifier are imported where they run, so that ingesting
 # and validating data does not load them
-from . import cdnn as cdnn_mod
-from . import qdnn as qdnn_mod
-from .optim import TrainConfig, TrainingDivergence, checkpoint_marks, fit_probed, pool_map
+from .optim import FAMILIES, TrainConfig, checkpoint_marks, fit_pair, pool_map
 from .perfmetrics import m_reg, xi as xi_dvcs
 
 CSV_HEADER = ["experiment", "E_beam", "Q2", "xB", "t", "phi", "F", "sigma_F"]
@@ -197,35 +197,15 @@ def set_metrics(phi, f) -> np.ndarray:
     return characterize(dense, np.interp(dense, phi[order], f[order]))
 
 
-FAMILIES = ("cdnn", "qdnn")
-
-
-def _build_net(family: str, seed: int):
-    if family == "cdnn":
-        return cdnn_mod.build_default_cdnn(8, "regression", seed=seed)
-    if family == "qdnn":
-        return qdnn_mod.build_default_qdnn(8, task="regression", seed=seed)
-    raise ValueError(f"family must be 'cdnn' or 'qdnn', got {family!r}")
-
-
-def extract_cffs(pseudo: KinematicSet, family: str, seed: int, cfg: TrainConfig,
-                 marks: Sequence[int], grid_X: np.ndarray, design: np.ndarray
-                 ) -> Optional[np.ndarray]:
-    """Train one network of the chosen family on the set's points and, at
-    each mark epoch, project its curve on PHI_GRID (inputs ``grid_X``) onto
-    the model basis there (``design``) by least squares.  Returns the
-    (len(marks), n_params) projections, or None if training diverged."""
-    net = _build_net(family, seed)
-
-    def project(model) -> np.ndarray:
-        params, _, _, _ = np.linalg.lstsq(design, model.forward(grid_X), rcond=None)
-        return params
-
-    try:
-        return np.array(fit_probed(net, point_features(pseudo), pseudo.f, "mse", cfg,
-                                   marks, project))
-    except TrainingDivergence:
-        return None
+def extract_cffs(pseudo: KinematicSet, seed: int, cfg: TrainConfig, marks: Sequence[int],
+                 grid_X: np.ndarray, design: np.ndarray) -> List[Optional[list]]:
+    """Train the CDNN/QDNN pair on the set's points and, at each mark
+    epoch, project each net's curve on PHI_GRID (inputs ``grid_X``) onto
+    the model basis there (``design``) by least squares.  Returns, in
+    FAMILIES order, each family's per-mark projections, or None where
+    its training diverged."""
+    return fit_pair("regression", seed, point_features(pseudo), pseudo.f, "mse", cfg, marks,
+                    lambda net: np.linalg.lstsq(design, net.forward(grid_X), rcond=None)[0])
 
 
 @dataclass
@@ -276,8 +256,7 @@ def _campaign_cell(job: Tuple) -> Tuple[np.ndarray, Tuple[float, ...], float, Li
         pseudo_seq, train_seq = _rep_seed_seq(seed, kset.set_id, rep).spawn(2)
         pseudo = make_pseudodata(kset, truth, lam, pseudo_seq)
         train_seed = int(train_seq.generate_state(1)[0] & 0x7FFFFFFF)
-        cffs = [extract_cffs(pseudo, fam, train_seed, cfg, marks, grid_X, design)
-                for fam in FAMILIES]
+        cffs = extract_cffs(pseudo, train_seed, cfg, marks, grid_X, design)
         if any(c is None for c in cffs):
             diverged.append(rep)
             continue

@@ -1,10 +1,11 @@
 """Shared training loop: config, full-batch Adam updates, loss
-primitives, checkpointed training, and the process pool that parallel
-commands train through.
+primitives, checkpointed training, the paired run, and the process pool
+that parallel commands train through.
 
 Both model families train through the same loop so that paired benchmark
 runs differ only in the model, never in the optimizer.  A run read at
-checkpoint epochs trains through ``fit_probed``, at ``checkpoint_marks``.
+checkpoint epochs trains through ``fit_probed``, at ``checkpoint_marks``;
+every command builds, trains and reads its CDNN/QDNN pair through ``fit_pair``.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 LOSS_KINDS = ("mse", "bce")
+# the paired model families, in the order fit_pair returns them
+FAMILIES = ("cdnn", "qdnn")
 _BCE_EPS = 1e-7
 # Adam moment decay rates and denominator guard
 _ADAM_BETA1 = 0.9
@@ -136,6 +139,30 @@ def fit_probed(model, X: np.ndarray, y: np.ndarray, loss: str, cfg: TrainConfig,
             probes.append(probe(model))
 
     fit(model, X, y, loss, cfg, on_epoch=on_epoch)
+    return probes
+
+
+def fit_pair(task: str, seed: int, X: np.ndarray, y: np.ndarray, loss: str,
+             cfg: TrainConfig, marks: Sequence[int], probe: Callable[[object], object]
+             ) -> List[Optional[list]]:
+    """Build the CDNN and the QDNN for ``task`` from one seed, train each
+    through ``fit_probed`` and return, in FAMILIES order, each family's
+    probes, or None where its training diverged.  The QDNN takes one
+    qubit per feature of X up to qsim.MAX_QUBITS, two features per qubit
+    past it."""
+    # imported here: cdnn and qdnn import this module
+    from . import cdnn, qdnn, qsim
+
+    n_features = X.shape[1]
+    build_qdnn = (qdnn.build_default_qdnn if n_features <= qsim.MAX_QUBITS
+                  else qdnn.build_paired_feature_qdnn)
+    probes: List[Optional[list]] = []
+    for net in (cdnn.build_default_cdnn(n_features, task, seed=seed),
+                build_qdnn(n_features, task=task, seed=seed)):
+        try:
+            probes.append(fit_probed(net, X, y, loss, cfg, marks, probe))
+        except TrainingDivergence:
+            probes.append(None)
     return probes
 
 

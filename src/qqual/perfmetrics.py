@@ -1,7 +1,8 @@
 """Performance quantification for the paired benchmarks: confusion
 matrices, macro-precision classification efficiency, the integrated
-absolute-deviation regression metric, the outperformance ratio, and the
-bench-reg ledger row that forms it from one checkpoint's two m values."""
+absolute-deviation regression metric, the outperformance ratio, the
+``k=v;...`` dataset-label format the ledgers key their rows by, and the
+bench-reg ledger row that forms xi from one checkpoint's two m values."""
 
 from __future__ import annotations
 
@@ -65,12 +66,21 @@ def xi(m_cdnn: float, m_qdnn: float) -> float:
     return m_cdnn / m_qdnn - 1.0
 
 
+def dataset_label(meta: dict) -> str:
+    """The dict packed as ``k=v`` pairs joined by ';', in sorted key order."""
+    return ";".join(f"{k}={meta[k]}" for k in sorted(meta))
+
+
+def parse_dataset_label(label: str) -> dict:
+    """A label's ``k=v`` parts as a dict of strings; other parts are skipped."""
+    return dict(part.split("=", 1) for part in label.split(";") if "=" in part)
+
+
 LEDGER_COLUMNS = ["dataset", "epoch", "m_cdnn", "m_qdnn", "xi"]
 
 
 def ledger_row(meta: dict, epoch: int, m_cdnn: float, m_qdnn: float) -> list:
     """One experiment-ledger CSV row in LEDGER_COLUMNS order: 'dataset'
     packs the meta dict, and xi is formed from the two m values."""
-    label = ";".join(f"{k}={meta[k]}" for k in sorted(meta))
-    return [label, epoch, repr(float(m_cdnn)), repr(float(m_qdnn)),
+    return [dataset_label(meta), epoch, repr(float(m_cdnn)), repr(float(m_qdnn)),
             repr(float(xi(m_cdnn, m_qdnn)))]

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import qqual
-from qqual import cli, geometry
+from qqual import cdnn, cli, geometry, qdnn
 from qqual import dvcs as dv
 
 
@@ -343,8 +343,8 @@ class TestBenchReg:
                 return net
             return built
 
-        monkeypatch.setattr(cli, "build_default_cdnn", counting(cli.build_default_cdnn))
-        monkeypatch.setattr(cli, "build_default_qdnn", counting(cli.build_default_qdnn))
+        monkeypatch.setattr(cdnn, "build_default_cdnn", counting(cdnn.build_default_cdnn))
+        monkeypatch.setattr(qdnn, "build_default_qdnn", counting(qdnn.build_default_qdnn))
         for epochs, checkpoints, marks in ((3, (1, 3), [1, 3]), (3, (1, 2), [1, 2, 3]),
                                            (0, (2,), [0])):
             forwards.clear()
@@ -352,6 +352,16 @@ class TestBenchReg:
                                  0.05, 4, 0))
             assert cell["marks"] == marks and not cell["diverged"]
             assert sorted(forwards) == ["MlpModel"] * len(marks) + ["QdnnModel"] * len(marks)
+
+    def test_report_names_the_checkpoints_read(self, tmp_path):
+        # checkpoint 5 lies past the 2-epoch budget: the ledger and the report omit it
+        out = tmp_path / "br"
+        cfg = write_cfg(tmp_path, {"bench-reg": {"functions": ["quad"], "sigmas": [0.1],
+                                                 "epochs": 2, "checkpoints": [5, 1],
+                                                 "n_points": 24, "n_features": 2}})
+        assert cli.main(["bench-reg", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+        assert [row["epoch"] for row in read_csv_dicts(out / "ledger.csv")] == ["1", "2"]
+        assert "- checkpoints: [1] (plus the final epoch)\n" in (out / "report.md").read_text()
 
     def test_unknown_function_is_config_error(self, tmp_path):
         cfg = write_cfg(tmp_path, {"bench-reg": {"functions": ["septic"]}})
@@ -478,6 +488,38 @@ class TestDvcs:
         assert "rank" in report and "lam=1: outcome points cannot be mapped" in report
 
 
+class TestNoResult:
+    """A training run whose every cell diverged or was skipped has no row
+    to write: it exits 3, says how many cells it lost, and leaves only
+    resolved_config.json."""
+
+    def assert_fails(self, tmp_path, capsys, command, block, message):
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path, {command: block})
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == cli.EXIT_RUNTIME
+        assert sorted(p.name for p in out.iterdir()) == ["resolved_config.json"]
+        assert f"runtime failure: RuntimeError: no ledger row: {message}" in \
+            capsys.readouterr().err
+
+    def test_bench_class(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "fit_pair", lambda *args: [None, None])
+        self.assert_fails(tmp_path, capsys, "bench-class",
+                          {"ensemble": 1, "epochs": 1, "n_eval": 30, "workers": 1},
+                          "all 6 replicas were skipped")
+
+    def test_bench_reg(self, tmp_path, capsys):
+        self.assert_fails(tmp_path, capsys, "bench-reg",
+                          {"epochs": 3, "functions": ["quad"], "sigmas": [0.1],
+                           "n_points": 24, "n_features": 2, "learning_rate": 1e200},
+                          "all 1 cells diverged")
+
+    def test_dvcs(self, tmp_path, capsys):
+        self.assert_fails(tmp_path, capsys, "dvcs",
+                          {"max_sets": 4, "ensemble": 1, "epochs": 3, "lams": [1.0],
+                           "learning_rate": 1e51, "workers": 1},
+                          "4 sets or (set, lam) cells were skipped or diverged")
+
+
 class TestComputeWritesNothing:
     TINY = {
         "bench-class": {"ensemble": 1, "epochs": 0, "n_eval": 30},
@@ -509,42 +551,53 @@ class TestComputeWritesNothing:
 
 class TestScipyLoading:
     """qqual runs on numpy alone; scipy is a test-only reference, and
-    importing it would cost a fresh process most of its start-up time."""
+    importing it would cost a fresh process most of its start-up time.
+    The bench commands also leave the campaign modules unloaded."""
 
     ON_THEIR_OWN = ("bench-class", "bench-reg", "validate-data")
 
-    def scipy_loaded_by(self, tmp_path, commands):
+    def modules_loaded_by(self, tmp_path, commands):
         """Run `commands` in one fresh interpreter on tiny configs; return
-        the scipy modules loaded after the import and after each command."""
+        the scipy modules and the qqual modules loaded after the import and
+        after each command, as two dicts keyed by stage."""
         cfg = write_cfg(tmp_path, TestComputeWritesNothing.TINY)
         return run_fresh_interpreter("""
 import json, sys
 from qqual import cli
 cfg, out, *commands = sys.argv[1:]
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def loaded(package):
+    return sorted(m for m in sys.modules if m.split(".")[0] == package)
 
-seen = {"import": scipy_modules()}
+seen = {package: {"import": loaded(package)} for package in ("scipy", "qqual")}
 for command in commands:
     assert cli.main([command, "--config", cfg, "--out", out + "/" + command]) == 0
-    seen[command] = scipy_modules()
-print(json.dumps(seen))
+    for package, by_stage in seen.items():
+        by_stage[command] = loaded(package)
+print(json.dumps([seen["scipy"], seen["qqual"]]))
 """, cfg, tmp_path, *commands)
 
     def test_bench_commands_never_load_scipy(self, tmp_path):
-        loaded = self.scipy_loaded_by(tmp_path, ["bench-reg", "bench-class"])
+        loaded, _ = self.modules_loaded_by(tmp_path, ["bench-reg", "bench-class"])
         assert loaded == {"import": [], "bench-reg": [], "bench-class": []}
 
+    def test_bench_commands_never_load_campaign_modules(self, tmp_path):
+        # cli imports these where they run; so does optim.fit_pair its model builders
+        _, loaded = self.modules_loaded_by(tmp_path, ["bench-reg", "bench-class"])
+        assert list(loaded) == ["import", "bench-reg", "bench-class"]
+        campaign = {f"qqual.{m}" for m in ("dvcs", "complexity", "geometry", "qualifier")}
+        for stage, modules in loaded.items():
+            assert "qqual.cli" in modules and not campaign & set(modules), stage
+
     def test_validate_data_never_loads_scipy(self, tmp_path):
-        loaded = self.scipy_loaded_by(tmp_path, ["validate-data"])
+        loaded, _ = self.modules_loaded_by(tmp_path, ["validate-data"])
         assert loaded == {"import": [], "validate-data": []}
 
     def test_other_commands_never_load_scipy(self, tmp_path):
-        # every command the two tests above leave out, dvcs and qualify among them
+        # every command ON_THEIR_OWN leaves out, dvcs and qualify among them
         others = sorted(set(cli.COMMANDS) - set(self.ON_THEIR_OWN))
         assert {"dvcs", "qualify"} <= set(others)
-        loaded = self.scipy_loaded_by(tmp_path, others)
+        loaded, _ = self.modules_loaded_by(tmp_path, others)
         assert loaded == {name: [] for name in ["import", *others]}
 
 

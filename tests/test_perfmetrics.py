@@ -117,3 +117,20 @@ class TestLedger:
         assert pm.ledger_row({}, 1, 3.0, 1.5)[4] == "1.0"
         with pytest.raises(ValueError):
             pm.ledger_row({}, 1, 3.0, 0.0)
+
+
+class TestDatasetLabel:
+    @pytest.mark.parametrize("meta", [
+        {"function_id": "cos4x", "sigma": 0.25, "n_points": 100, "x_lo": -2.0, "x_hi": 4.0,
+         "seed": 123},
+        {"kind": "3func", "n_pairs": 250, "n_features": 16, "noise": 0.05},
+    ], ids=["bench-reg-meta", "bench-class-condition"])
+    def test_round_trip(self, meta):
+        label = pm.dataset_label(meta)
+        parsed = pm.parse_dataset_label(label)
+        assert list(parsed) == sorted(meta)
+        assert parsed == {k: str(v) for k, v in meta.items()}
+        assert pm.dataset_label(parsed) == label
+
+    def test_parts_without_a_value_are_skipped(self):
+        assert pm.parse_dataset_label("quad;sigma=0.1;;x=a=b") == {"sigma": "0.1", "x": "a=b"}
