@@ -37,7 +37,7 @@ import numpy as np
 # dvcs, complexity, geometry and qualifier are imported by the commands that use
 # them, so that bench-reg and bench-class start without loading them
 from . import svgplot
-from .datagen import REGRESSION_FUNCTIONS, gen_classification_set, gen_regression_curve
+from .datagen import REGRESSION_FUNCTIONS, X_RANGE, gen_classification_set, gen_regression_curve
 from .optim import FAMILIES, TrainConfig, checkpoint_marks, fit_pair, pool_map
 from .perfmetrics import (LEDGER_COLUMNS, classification_efficiency, confusion, dataset_label,
                           ledger_row, m_reg, parse_dataset_label, xi)
@@ -69,7 +69,6 @@ DEFAULTS: Dict[str, dict] = {
         "functions": sorted(REGRESSION_FUNCTIONS),
         "sigmas": [0.1, 0.25, 1.0],
         "n_points": 100,
-        "x_range": [-2.0, 4.0],
         "epochs": 50,
         "checkpoints": [10, 25, 50],
         "learning_rate": 0.05,
@@ -82,7 +81,6 @@ DEFAULTS: Dict[str, dict] = {
         "functions": sorted(REGRESSION_FUNCTIONS),
         "sigmas": [0.1, 1.0],
         "n_points": 100,
-        "x_range": [-2.0, 4.0],
         "epochs": [10, 25, 50],
         "round_trip": True,
         "refit_ledger": "",
@@ -99,9 +97,6 @@ DEFAULTS: Dict[str, dict] = {
         "learning_rate": 0.05,
         "resolution": 200,
         "smoothing": 3.0,
-        "bandwidth": 0.15,
-        "quantile_bins": 3,
-        "density_fraction": 0.5,
         "workers": 0,
     },
     "validate-data": {
@@ -210,16 +205,15 @@ def check_values(command: str, config: dict) -> None:
     if "sigmas" in config:
         numbers("sigmas", 0)
         distinct("sigmas")
-    if "x_range" in config:
-        numbers("x_range")
-        lo_hi = config["x_range"]
-        need("x_range", len(lo_hi) == 2 and lo_hi[0] < lo_hi[1], "[lo, hi] with lo < hi")
     if command == "qualify":
+        from .complexity import MAX_POINTS
+
         numbers("epochs", 1)
         need("epochs", len(config["epochs"]) > 0, "a nonempty list")
         distinct("epochs")
-        # the complexity metrics need 32 points (fractal_dimension)
-        need("n_points", config["n_points"] >= 32, ">= 32")
+        # the complexity metrics need 32 points (fractal_dimension) and fit
+        # MAX_POINTS into one transform window (fourier_complexity)
+        need("n_points", 32 <= config["n_points"] <= MAX_POINTS, f"in 32..{MAX_POINTS}")
     elif "epochs" in config:
         need("epochs", config["epochs"] >= 0, ">= 0")
     if command == "bench-class":
@@ -234,9 +228,6 @@ def check_values(command: str, config: dict) -> None:
         need("resolution", config["resolution"] >= 2, ">= 2")
         # a negative width would leave the maps unsmoothed while the report names it
         need("smoothing", config["smoothing"] >= 0, ">= 0")
-        need("bandwidth", config["bandwidth"] > 0, "> 0")
-        need("quantile_bins", config["quantile_bins"] >= 1, ">= 1")
-        need("density_fraction", 0 < config["density_fraction"] <= 1, "in (0, 1]")
 
 
 def worker_count(requested: int) -> int:
@@ -318,8 +309,8 @@ def _class_replica(job: tuple) -> tuple:
                                   cond["noise"], seed=e_seed)
     cfg = TrainConfig(epochs=epochs, learning_rate=lr)
     effs, reasons = dict.fromkeys(FAMILIES, math.nan), []
-    pair = fit_pair("classification", n_seed, train.X, train.y.astype(float), "bce", cfg,
-                    [epochs], lambda net: net.forward(test.X))
+    pair = fit_pair("classification", n_seed, train.X, train.y.astype(float), cfg, [epochs],
+                    lambda net: net.forward(test.X))
     for family, probes in zip(FAMILIES, pair):
         if probes is None:
             reasons.append(f"{family} training diverged")
@@ -469,21 +460,21 @@ def render_bench_class(config: dict, result: dict, out_dir: str) -> List[str]:
 # bench-reg
 
 
-def _regression_curve(seed: int, fid: str, sigma: float, n_points: int, x_range):
+def _regression_curve(seed: int, fid: str, sigma: float, n_points: int):
     """(curve, data seed) of one (function, sigma) cell: the dataset that
     bench-reg trains on is the one that qualify characterizes."""
     d_seed = _derived_seed(seed, fid, int(round(sigma * 1e6)), 0)
-    return gen_regression_curve(fid, n_points, tuple(x_range), sigma, seed=d_seed), d_seed
+    return gen_regression_curve(fid, n_points, sigma=sigma, seed=d_seed), d_seed
 
 
 def _reg_job(job: tuple) -> dict:
-    fid, sigma, n_points, x_range, epochs, checkpoints, lr, n_features, seed = job
-    curve, d_seed = _regression_curve(seed, fid, sigma, n_points, x_range)
+    fid, sigma, n_points, epochs, checkpoints, lr, n_features, seed = job
+    curve, d_seed = _regression_curve(seed, fid, sigma, n_points)
     n_seed = _derived_seed(seed, fid, int(round(sigma * 1e6)), 1)
     X = np.repeat(curve.xs[:, None], n_features, axis=1)
     cfg = TrainConfig(epochs=epochs, learning_rate=lr)
     marks = checkpoint_marks(epochs, checkpoints)
-    pair = fit_pair("regression", n_seed, X, curve.ys_noisy, "mse", cfg, marks,
+    pair = fit_pair("regression", n_seed, X, curve.ys_noisy, cfg, marks,
                     lambda net: net.forward(X))
     ms, preds, diverged = {}, {}, []
     for family, curves in zip(FAMILIES, pair):
@@ -507,9 +498,9 @@ def _is_reference_cell(fid: str, sigma: float, epochs: int) -> bool:
 
 
 def compute_bench_reg(config: dict, workers: int) -> dict:
-    jobs = [(fid, float(sigma), config["n_points"], tuple(config["x_range"]),
-             config["epochs"], tuple(config["checkpoints"]), config["learning_rate"],
-             config["n_features"], config["seed"])
+    jobs = [(fid, float(sigma), config["n_points"], config["epochs"],
+             tuple(config["checkpoints"]), config["learning_rate"], config["n_features"],
+             config["seed"])
             for fid in config["functions"] for sigma in config["sigmas"]]
     cells = pool_map(_reg_job, jobs, workers)
     ledger_rows, failures, final_xi = [], [], {}
@@ -519,8 +510,7 @@ def compute_bench_reg(config: dict, workers: int) -> dict:
             failures.append(f"{fid} sigma={sigma:g}: diverged ({', '.join(cell['diverged'])})")
             continue
         meta = {"function_id": fid, "sigma": sigma, "n_points": config["n_points"],
-                "x_lo": config["x_range"][0], "x_hi": config["x_range"][1],
-                "seed": cell["d_seed"]}
+                "x_lo": X_RANGE[0], "x_hi": X_RANGE[1], "seed": cell["d_seed"]}
         m_cdnn, m_qdnn = cell["ms"]["cdnn"], cell["ms"]["qdnn"]
         ledger_rows += [ledger_row(meta, ep, m_cdnn[ep], m_qdnn[ep]) for ep in cell["marks"]]
         final = cell["marks"][-1]  # marks are sorted: the last is the final epoch
@@ -634,10 +624,10 @@ def _refit_from_ledger(path: str):
                 raise ConfigError("refit ledger datasets must carry "
                                   + "/".join(sorted(needed)) + " descriptors")
             if row["dataset"] not in cache:
-                curve = gen_regression_curve(meta["function_id"], int(meta["n_points"]),
-                                             (float(meta["x_lo"]), float(meta["x_hi"])),
-                                             float(meta["sigma"]), seed=int(meta["seed"]))
                 try:
+                    curve = gen_regression_curve(meta["function_id"], int(meta["n_points"]),
+                                                 (float(meta["x_lo"]), float(meta["x_hi"])),
+                                                 float(meta["sigma"]), seed=int(meta["seed"]))
                     cache[row["dataset"]] = characterize(curve.xs, curve.ys_noisy)
                 except ValueError as exc:
                     raise ConfigError(f"cannot refit from {path}: {exc}")
@@ -663,20 +653,19 @@ def compute_qualify(config: dict, workers: int) -> dict:
     rows, groups = [], []
     centered = np.array(table.centerings)
     for ep in epochs:
-        rows.append(["centered_reference", ep, *[_fmt(v) for v in centered],
-                     _fmt(eval_qualifier(table, centered, ep)),
-                     sign_of_qualifier(table, centered, ep)])
+        xi_hat = eval_qualifier(table, centered, ep)
+        rows.append(["centered_reference", ep, *[_fmt(v) for v in centered], _fmt(xi_hat),
+                     sign_of_qualifier(xi_hat)])
     for fid in config["functions"]:
         for sigma in config["sigmas"]:
-            curve, _ = _regression_curve(config["seed"], fid, float(sigma), config["n_points"],
-                                         config["x_range"])
+            curve, _ = _regression_curve(config["seed"], fid, float(sigma), config["n_points"])
             arr = characterize(curve.xs, curve.ys_noisy)
             label = f"{fid};sigma={float(sigma):g}"
             xi_hats = []
             for ep in epochs:
                 xi_hat = eval_qualifier(table, arr, ep)
                 rows.append([label, ep, *[_fmt(v) for v in arr], _fmt(xi_hat),
-                             sign_of_qualifier(table, arr, ep)])
+                             sign_of_qualifier(xi_hat)])
                 xi_hats.append(xi_hat)
             eps_arr = np.array(epochs, dtype=float)
             groups.append((label, eps_arr, np.array(xi_hats), eps_arr, np.array(xi_hats)))
@@ -818,7 +807,8 @@ def compute_dvcs(config: dict, workers: int) -> dict:
         refit_table, refit_diag = fit_qualifier(campaign["qualifier_corpus"])
     except ValueError as exc:
         warnings.append(f"qualifier refit skipped: {exc}")
-    if refit_table is not None and epochs >= 1:
+    # a refit needs 3 distinct corpus epochs >= 1, so epochs >= 3 and every outcome gets a hat
+    if refit_table is not None:
         for o in outcomes:
             o.qualifier_hat = eval_qualifier(refit_table, np.array(o.metrics), epochs)
 
@@ -839,7 +829,7 @@ def compute_dvcs(config: dict, workers: int) -> dict:
         # keyed by stats.csv statistic name, in stats.csv row order
         stats = dict(zip(("area_xi_positive", "area_xi_negative"), area_fractions(xi_grid)))
         hat_grid = None
-        if refit_table is not None and all(o.qualifier_hat is not None for o in sub):
+        if refit_table is not None:
             hat_grid = build_surface(ScatterField(xs, ys,
                                                   np.array([o.qualifier_hat for o in sub])),
                                      config["resolution"], config["smoothing"])
@@ -847,17 +837,10 @@ def compute_dvcs(config: dict, workers: int) -> dict:
                              area_fractions(hat_grid)))
             stats["sign_agreement_xi_vs_xi_hat"] = sign_agreement(xi_grid, hat_grid)
         stats["sign_agreement_xi_vs_xi_self_check"] = sign_agreement(xi_grid, xi_grid)
-        trend = dv.t_trend(sub, bandwidth=config["bandwidth"])
-        q_trends, q_notes = dv.matched_controls(sub, "uncertainty_quantiles",
-                                                k=config["quantile_bins"],
-                                                bandwidth=config["bandwidth"])
-        d_trends, d_notes = dv.matched_controls(sub, "density_top_fraction",
-                                                fraction=config["density_fraction"],
-                                                bandwidth=config["bandwidth"])
-        control_notes += [f"lam={lam:g}: {n}" for n in q_notes + d_notes]
+        trends, notes = dv.t_trends(sub)
+        control_notes += [f"lam={lam:g}: {n}" for n in notes]
         maps.append({"lam": lam, "xi_grid": xi_grid, "hat_grid": hat_grid, "stats": stats,
-                     "crossings": trend.crossings,
-                     "trends": [("all sets", trend), *q_trends.items(), *d_trends.items()]})
+                     "crossings": trends[0][1].crossings, "trends": trends})
     return {"n_sets": len(sets), "n_ingested": n_ingested, "issues": issues, "lams": lams,
             "checkpoints": checkpoints, "outcomes": outcomes, "campaign": campaign,
             "refit_table": refit_table, "refit_diag": refit_diag, "maps": maps,
@@ -870,7 +853,7 @@ def render_dvcs(config: dict, result: dict, out_dir: str) -> List[str]:
     from .qualifier import save_table
 
     campaign, refit_diag = result["campaign"], result["refit_diag"]
-    if result["refit_table"] is not None and config["epochs"] >= 1:
+    if result["refit_table"] is not None:
         save_table(result["refit_table"], os.path.join(out_dir, "qualifier_refit.json"))
     _write_csv(os.path.join(out_dir, "ledger.csv"), dv.OUTCOME_COLUMNS,
                [dv.outcome_row(o) for o in result["outcomes"]])

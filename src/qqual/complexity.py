@@ -19,6 +19,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 _FOURIER_BINS = 10_000
+# the most samples fourier_complexity's zero-padded transform window holds
+MAX_POINTS = 2 * _FOURIER_BINS
 _KSG_K = 3
 _JITTER_SCALE = 1e-10
 _KSG_BLOCK = 1 << 18  # pairwise distances held at once by the KSG pass
@@ -164,8 +166,8 @@ def fourier_complexity(ys) -> float:
     ys = np.asarray(ys, dtype=np.float64)
     if len(ys) < 8:
         raise ValueError("need >= 8 points")
-    if len(ys) > 2 * _FOURIER_BINS:
-        raise ValueError(f"sequence exceeds the {2 * _FOURIER_BINS}-sample transform window")
+    if len(ys) > MAX_POINTS:
+        raise ValueError(f"sequence exceeds the {MAX_POINTS}-sample transform window")
     centered = ys - ys.mean()
     if np.all(centered == 0.0):
         return 0.0

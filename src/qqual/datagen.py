@@ -23,6 +23,8 @@ REGRESSION_FUNCTIONS: Dict[str, callable] = {
     "damped_cos4x": lambda x: np.cos(4.0 * x) * np.exp(-x ** 2 / 4.0),
     "two_tone": lambda x: np.sin(5.0 * x) + np.cos(2.0 * x),
 }
+# the x interval every regression curve is sampled on
+X_RANGE = (-2.0, 4.0)
 
 # Classification generator: three base frequencies, none of whose first or
 # second harmonics is a multiple of 8 or 16, so the per-sample feature sum
@@ -74,7 +76,7 @@ class LabeledDataset:
 
 
 def gen_regression_curve(function_id: str, n_points: int = 100,
-                         x_range: Tuple[float, float] = (-2.0, 4.0),
+                         x_range: Tuple[float, float] = X_RANGE,
                          sigma: float = 0.1, seed: int = 0) -> Curve:
     """Sample a target function on a uniform grid, endpoints included."""
     if function_id not in REGRESSION_FUNCTIONS:

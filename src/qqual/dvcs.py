@@ -1,11 +1,11 @@
 """Cross-section case study: ingest binned (Q2, xB, t, phi) data, build
 noise-rescaled pseudodata against a toy harmonic model, run paired
 classical/quantum extractions, and reduce the results to per-set
-outperformance outcomes, t-trends, and matched-control groupings.  Each
-replica trains its pair through ``optim.fit_pair`` in one
-``extract_cffs`` call; a campaign cell returns its m values as one
-(replica, family, mark) array, which ``run_campaign`` reduces to outcomes
-and the qualifier corpus."""
+outperformance outcomes, and smooths them against t, over all sets and
+inside fixed matched-control groups (``t_trends``).  Each replica trains
+its pair through ``optim.fit_pair`` in one ``extract_cffs`` call; a
+campaign cell returns its m values as one (replica, family, mark) array,
+which ``run_campaign`` reduces to outcomes and the qualifier corpus."""
 
 from __future__ import annotations
 
@@ -54,6 +54,11 @@ PHI_GRID.flags.writeable = False
 Q2_SCALE = 10.0
 T_SCALE = 2.0
 E_SCALE = 12.0
+# the t-trend analysis: Gaussian kernel width (GeV^2), the number of
+# relative-error quantile bins, and the share of sets with the most points
+T_BANDWIDTH = 0.15
+EPS_BINS = 3
+DENSE_FRACTION = 0.5
 
 
 class ModelFitError(ValueError):
@@ -204,7 +209,7 @@ def extract_cffs(pseudo: KinematicSet, seed: int, cfg: TrainConfig, marks: Seque
     the model basis there (``design``) by least squares.  Returns, in
     FAMILIES order, each family's per-mark projections, or None where
     its training diverged."""
-    return fit_pair("regression", seed, point_features(pseudo), pseudo.f, "mse", cfg, marks,
+    return fit_pair("regression", seed, point_features(pseudo), pseudo.f, cfg, marks,
                     lambda net: np.linalg.lstsq(design, net.forward(grid_X), rcond=None)[0])
 
 
@@ -342,10 +347,11 @@ class TrendResult:
     crossings: Tuple[float, ...]
 
 
-def t_trend(outcomes: Sequence[DvcsOutcome], bandwidth: float = 0.15) -> TrendResult:
-    """Outperformance against t, smoothed by Gaussian-kernel local linear
-    regression on a 101-point grid; with fewer than 5 distinct t values
-    only the raw scatter is returned (grid and trend None)."""
+def t_trend(outcomes: Sequence[DvcsOutcome]) -> TrendResult:
+    """Outperformance against t, smoothed by Gaussian-kernel (width
+    T_BANDWIDTH) local linear regression on a 101-point grid; with fewer
+    than 5 distinct t values only the raw scatter is returned (grid and
+    trend None)."""
     if not outcomes:
         raise ValueError("need at least one outcome")
     ts = np.asarray([o.t for o in outcomes], dtype=np.float64)
@@ -356,7 +362,7 @@ def t_trend(outcomes: Sequence[DvcsOutcome], bandwidth: float = 0.15) -> TrendRe
     grid = np.linspace(ts.min(), ts.max(), grid_n)
     trend = np.empty(grid_n)
     for i, t0 in enumerate(grid):
-        w = np.exp(-0.5 * ((ts - t0) / bandwidth) ** 2)
+        w = np.exp(-0.5 * ((ts - t0) / T_BANDWIDTH) ** 2)
         sw = w.sum()
         if sw <= 1e-12:
             trend[i] = np.nan
@@ -381,40 +387,31 @@ def t_trend(outcomes: Sequence[DvcsOutcome], bandwidth: float = 0.15) -> TrendRe
     return TrendResult(ts, xis, grid, trend, tuple(crossings))
 
 
-def matched_controls(outcomes: Sequence[DvcsOutcome], mode: str, k: int = 3,
-                     fraction: float = 0.5, bandwidth: float = 0.15
-                     ) -> Tuple[Dict[str, TrendResult], List[str]]:
-    """Re-run the t-trend inside control groups: relative-error quantile
-    bins, or the fraction of sets with the most points.  Groups with
-    fewer than 5 sets are omitted with a note."""
+def t_trends(outcomes: Sequence[DvcsOutcome]
+             ) -> Tuple[List[Tuple[str, TrendResult]], List[str]]:
+    """(label, t-trend) pairs and notes: the trend of all sets first, then
+    the trend inside each matched-control group, namely the EPS_BINS
+    relative-error quantile bins and the DENSE_FRACTION of sets with the
+    most points.  A group with fewer than 5 sets is omitted with a note."""
     outcomes = list(outcomes)
     if not outcomes:
         raise ValueError("need at least one outcome")
-    notes: List[str] = []
     groups: Dict[str, List[DvcsOutcome]] = {}
-    if mode == "uncertainty_quantiles":
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        eps = np.asarray([o.eps_bar for o in outcomes])
-        edges = np.quantile(eps, np.linspace(0.0, 1.0, k + 1))
-        for i in range(k):
-            lo, hi = edges[i], edges[i + 1]
-            sel = (eps >= lo) & ((eps <= hi) if i == k - 1 else (eps < hi))
-            groups[f"eps_bin_{i + 1}_of_{k}"] = [o for o, s in zip(outcomes, sel) if s]
-    elif mode == "density_top_fraction":
-        if not 0 < fraction <= 1:
-            raise ValueError("fraction must be in (0, 1]")
-        ranked = sorted(outcomes, key=lambda o: (-o.n_points, o.set_id))
-        keep = max(1, math.ceil(fraction * len(ranked)))
-        groups[f"densest_{fraction:g}"] = ranked[:keep]
-    else:
-        raise ValueError("mode must be 'uncertainty_quantiles' or 'density_top_fraction'")
-    trends: Dict[str, TrendResult] = {}
+    eps = np.asarray([o.eps_bar for o in outcomes])
+    edges = np.quantile(eps, np.linspace(0.0, 1.0, EPS_BINS + 1))
+    for i in range(EPS_BINS):
+        lo, hi = edges[i], edges[i + 1]
+        sel = (eps >= lo) & ((eps <= hi) if i == EPS_BINS - 1 else (eps < hi))
+        groups[f"eps_bin_{i + 1}_of_{EPS_BINS}"] = [o for o, s in zip(outcomes, sel) if s]
+    ranked = sorted(outcomes, key=lambda o: (-o.n_points, o.set_id))
+    groups[f"densest_{DENSE_FRACTION:g}"] = ranked[:math.ceil(DENSE_FRACTION * len(ranked))]
+    trends = [("all sets", t_trend(outcomes))]
+    notes: List[str] = []
     for label, members in groups.items():
         if len(members) < 5:
             notes.append(f"group {label}: only {len(members)} sets, omitted")
-            continue
-        trends[label] = t_trend(members, bandwidth=bandwidth)
+        else:
+            trends.append((label, t_trend(members)))
     return trends, notes
 
 

@@ -142,17 +142,18 @@ def fit_probed(model, X: np.ndarray, y: np.ndarray, loss: str, cfg: TrainConfig,
     return probes
 
 
-def fit_pair(task: str, seed: int, X: np.ndarray, y: np.ndarray, loss: str,
-             cfg: TrainConfig, marks: Sequence[int], probe: Callable[[object], object]
+def fit_pair(task: str, seed: int, X: np.ndarray, y: np.ndarray, cfg: TrainConfig,
+             marks: Sequence[int], probe: Callable[[object], object]
              ) -> List[Optional[list]]:
     """Build the CDNN and the QDNN for ``task`` from one seed, train each
-    through ``fit_probed`` and return, in FAMILIES order, each family's
-    probes, or None where its training diverged.  The QDNN takes one
-    qubit per feature of X up to qsim.MAX_QUBITS, two features per qubit
-    past it."""
+    through ``fit_probed`` on the task's loss (bce for classification, mse
+    for regression) and return, in FAMILIES order, each family's probes,
+    or None where its training diverged.  The QDNN takes one qubit per
+    feature of X up to qsim.MAX_QUBITS, two features per qubit past it."""
     # imported here: cdnn and qdnn import this module
     from . import cdnn, qdnn, qsim
 
+    loss = "bce" if task == "classification" else "mse"
     n_features = X.shape[1]
     build_qdnn = (qdnn.build_default_qdnn if n_features <= qsim.MAX_QUBITS
                   else qdnn.build_paired_feature_qdnn)

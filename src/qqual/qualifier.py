@@ -95,9 +95,9 @@ def eval_qualifier(table: QualifierTable, metrics, epoch: int) -> float:
     return float(out)
 
 
-def sign_of_qualifier(table: QualifierTable, metrics, epoch: int) -> str:
-    """Predicted winner, with a dead band |xi_hat| < 1e-9 -> boundary."""
-    value = eval_qualifier(table, metrics, epoch)
+def sign_of_qualifier(value: float) -> str:
+    """Predicted winner of a qualifier value xi_hat, with a dead band
+    |xi_hat| < 1e-9 -> boundary."""
     if abs(value) < SIGN_DEAD_BAND:
         return BOUNDARY
     return QDNN_FAVORED if value > 0 else CDNN_FAVORED

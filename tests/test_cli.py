@@ -92,15 +92,25 @@ class TestConfigResolution:
         code = cli.main(["qualify", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == cli.EXIT_CONFIG
 
-    def test_unknown_key_exit_code(self, tmp_path):
-        cfg = write_cfg(tmp_path, {"dvcs": {"lambda_values": [1.0]}})
-        code = cli.main(["dvcs", "--config", cfg, "--out", str(tmp_path / "o")])
-        assert code == cli.EXIT_CONFIG
+    # lambda_values was never a key; the other five were, and are now constants
+    @pytest.mark.parametrize("command, key", [
+        ("dvcs", "lambda_values"),
+        ("bench-reg", "x_range"),
+        ("qualify", "x_range"),
+        ("dvcs", "bandwidth"),
+        ("dvcs", "quantile_bins"),
+        ("dvcs", "density_fraction"),
+    ], ids=lambda v: v)
+    def test_unknown_key_exit_code(self, tmp_path, capsys, command, key):
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path, {command: {key: [1.0]}})
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert f"unknown key {command}.{key}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, block", [
         ("bench-reg", {"epochs": -1}),
         ("bench-reg", {"sigmas": ["a"]}),
-        ("bench-reg", {"x_range": [1.0]}),
         ("dvcs", {"lams": ["a"]}),
         ("bench-class", {"learning_rate": 0}),
         ("qualify", {"n_points": 10}),
@@ -113,11 +123,13 @@ class TestConfigResolution:
         ("bench-reg", {"functions": []}),
         ("bench-reg", {"sigmas": []}),
         ("dvcs", {"lams": []}),
-    ], ids=["bench-reg-negative-epochs", "bench-reg-text-sigma", "bench-reg-one-bound-x-range",
-            "dvcs-text-lam", "bench-class-zero-learning-rate", "qualify-10-points",
+        # past the Fourier transform window, after seconds of O(n^2) mutual information
+        ("qualify", {"n_points": 20_001}),
+    ], ids=["bench-reg-negative-epochs", "bench-reg-text-sigma", "dvcs-text-lam", "bench-class-zero-learning-rate", "qualify-10-points",
             "bench-reg-repeated-function", "bench-reg-repeated-sigma", "dvcs-repeated-lam",
             "qualify-repeated-epoch", "dvcs-negative-smoothing", "bench-class-zero-ensemble",
-            "bench-reg-no-function", "bench-reg-no-sigma", "dvcs-no-lam"])
+            "bench-reg-no-function", "bench-reg-no-sigma", "dvcs-no-lam",
+            "qualify-20001-points"])
     def test_bad_value_is_config_error_before_any_output(self, tmp_path, command, block):
         out = tmp_path / "o"
         cfg = write_cfg(tmp_path, {command: block})
@@ -269,6 +281,20 @@ class TestQualify:
         assert cli.main(["qualify", "--config", cfg2, "--out", str(out)]) == cli.EXIT_CONFIG
         assert not (out / "ledger.csv").exists()
 
+    @pytest.mark.parametrize("label", [
+        "function_id=quad;n_points=48;seed=1;sigma=0.1;x_hi=-2.0;x_lo=4.0",
+        "function_id=septic;n_points=48;seed=1;sigma=0.1;x_hi=4.0;x_lo=-2.0",
+    ], ids=["reversed-x-range", "unknown-function"])
+    def test_refit_ledger_label_that_regenerates_no_curve_is_config_error(self, tmp_path,
+                                                                          label):
+        ledger = tmp_path / "ledger.csv"
+        ledger.write_text("dataset,epoch,m_cdnn,m_qdnn,xi\n"
+                          + "".join(f"{label},{ep},1.0,1.0,0.0\n" for ep in (1, 2, 3)))
+        out = tmp_path / "q"
+        cfg = write_cfg(tmp_path, {"qualify": {"refit_ledger": str(ledger)}})
+        assert cli.main(["qualify", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert not (out / "ledger.csv").exists()
+
 
 class TestBenchClass:
     def test_smoke_run_emits_table_ledger_report(self, tmp_path):
@@ -348,8 +374,7 @@ class TestBenchReg:
         for epochs, checkpoints, marks in ((3, (1, 3), [1, 3]), (3, (1, 2), [1, 2, 3]),
                                            (0, (2,), [0])):
             forwards.clear()
-            cell = cli._reg_job(("quad", 0.1, 24, (-2.0, 4.0), epochs, checkpoints,
-                                 0.05, 4, 0))
+            cell = cli._reg_job(("quad", 0.1, 24, epochs, checkpoints, 0.05, 4, 0))
             assert cell["marks"] == marks and not cell["diverged"]
             assert sorted(forwards) == ["MlpModel"] * len(marks) + ["QdnnModel"] * len(marks)
 

@@ -544,25 +544,12 @@ class TestTTrend:
 
 
 class TestMatchedControls:
+    """The matched-control groups that ``t_trends`` smooths after all sets."""
+
     def linear_outcomes(self):
         ts = np.linspace(-1.4, -0.2, 30)
         return [trend_outcome(f"s{i}", t, t + 0.8, eps_bar=0.05 + 0.01 * i,
                               n_points=20 + i) for i, t in enumerate(ts)]
-
-    def test_single_quantile_is_unbinned_trend(self):
-        outs = self.linear_outcomes()
-        full = dvcs.t_trend(outs)
-        groups, notes = dvcs.matched_controls(outs, "uncertainty_quantiles", k=1)
-        assert notes == [] and len(groups) == 1
-        assert np.allclose(next(iter(groups.values())).trend, full.trend)
-
-    def test_full_fraction_is_whole_sample(self):
-        outs = self.linear_outcomes()
-        full = dvcs.t_trend(outs)
-        groups, notes = dvcs.matched_controls(outs, "density_top_fraction",
-                                              fraction=1.0)
-        assert notes == [] and len(groups) == 1
-        assert np.allclose(next(iter(groups.values())).trend, full.trend)
 
     def test_confounded_bins_go_flat(self):
         # outperformance depends only on the relative error, so controlling
@@ -573,30 +560,25 @@ class TestMatchedControls:
             eps = (0.1, 0.2, 0.3)[i % 3]
             outs.append(trend_outcome(f"c{i}", float(rng.uniform(-1.4, -0.2)),
                                       10.0 * eps, eps_bar=eps))
-        groups, _ = dvcs.matched_controls(outs, "uncertainty_quantiles", k=3)
-        assert len(groups) == 3
-        for trend in groups.values():
+        trends, notes = dvcs.t_trends(outs)
+        assert notes == []
+        assert [label for label, _ in trends] == [
+            "all sets", "eps_bin_1_of_3", "eps_bin_2_of_3", "eps_bin_3_of_3", "densest_0.5"]
+        assert np.ptp(trends[0][1].trend) > 1e-3
+        for _, trend in trends[1:4]:
             assert np.ptp(trend.trend) < 1e-9
 
     def test_thin_groups_omitted_with_note(self):
-        outs = self.linear_outcomes()[:12]
-        groups, notes = dvcs.matched_controls(outs, "uncertainty_quantiles", k=3)
-        assert groups == {}
-        assert len(notes) == 3 and all("omitted" in n for n in notes)
-        groups, notes = dvcs.matched_controls(outs, "density_top_fraction",
-                                              fraction=0.3)
-        assert groups == {} and len(notes) == 1
+        outs = self.linear_outcomes()[:8]
+        trends, notes = dvcs.t_trends(outs)
+        # three relative-error bins of 2-3 sets and the densest 4 sets
+        assert [label for label, _ in trends] == ["all sets"]
+        assert len(notes) == 4 and all("omitted" in n for n in notes)
+        assert np.allclose(trends[0][1].trend, dvcs.t_trend(outs).trend)
 
     def test_validation(self):
-        outs = self.linear_outcomes()
         with pytest.raises(ValueError):
-            dvcs.matched_controls(outs, "by_moon_phase")
-        with pytest.raises(ValueError):
-            dvcs.matched_controls(outs, "uncertainty_quantiles", k=0)
-        with pytest.raises(ValueError):
-            dvcs.matched_controls(outs, "density_top_fraction", fraction=0.0)
-        with pytest.raises(ValueError):
-            dvcs.matched_controls([], "uncertainty_quantiles")
+            dvcs.t_trends([])
 
 
 class TestIngest:

@@ -187,8 +187,8 @@ def _pair_data(n_features, task):
     rng = np.random.default_rng(4)
     X = rng.uniform(-1.0, 1.0, size=(12, n_features))
     if task == "classification":
-        return X, (X[:, 0] > 0).astype(float), "bce"
-    return X, X.sum(axis=1), "mse"
+        return X, (X[:, 0] > 0).astype(float)
+    return X, X.sum(axis=1)
 
 
 class TestFitPair:
@@ -198,10 +198,10 @@ class TestFitPair:
         (16, 8, qdnn.build_paired_feature_qdnn),  # past the cap: two features per qubit
     ])
     def test_builds_both_nets_from_one_seed(self, task, n_features, n_qubits, build_qdnn):
-        X, y, loss = _pair_data(n_features, task)
+        X, y = _pair_data(n_features, task)
         # an untrained run read at mark 0 returns the nets as built
-        (c_net,), (q_net,) = optim.fit_pair(task, 5, X, y, loss, optim.TrainConfig(epochs=0),
-                                            [0], lambda net: net)
+        (c_net,), (q_net,) = optim.fit_pair(task, 5, X, y, optim.TrainConfig(epochs=0), [0],
+                                            lambda net: net)
         assert q_net.circuit.n_qubits == n_qubits
         assert np.array_equal(q_net.params, build_qdnn(n_features, task=task, seed=5).params)
         assert np.array_equal(c_net.params,
@@ -209,13 +209,13 @@ class TestFitPair:
 
     @pytest.mark.parametrize("diverging", [cdnn.MlpModel, qdnn.QdnnModel])
     def test_a_diverged_family_reads_none(self, monkeypatch, diverging):
-        X, y, loss = _pair_data(4, "regression")
+        X, y = _pair_data(4, "regression")
         cfg, marks = optim.TrainConfig(epochs=3), [1, 3]
 
         def probe(net):
             return net.forward(X)
 
-        solo = [optim.fit_probed(net, X, y, loss, cfg, marks, probe)
+        solo = [optim.fit_probed(net, X, y, "mse", cfg, marks, probe)
                 for net in (cdnn.build_default_cdnn(4, "regression", seed=2),
                             qdnn.build_default_qdnn(4, task="regression", seed=2))]
         # the second step's loss is NaN: mark 1 was read, yet the family reads None
@@ -228,7 +228,7 @@ class TestFitPair:
             return (math.nan if len(steps) == 2 else value), grad
 
         monkeypatch.setattr(diverging, "loss_and_grad", failing)
-        pair = optim.fit_pair("regression", 2, X, y, loss, cfg, marks, probe)
+        pair = optim.fit_pair("regression", 2, X, y, cfg, marks, probe)
         for net_probes, solo_probes, family in zip(pair, solo, (cdnn.MlpModel, qdnn.QdnnModel)):
             if family is diverging:
                 assert net_probes is None

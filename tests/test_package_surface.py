@@ -19,6 +19,10 @@ or a dataclass field with ``init=True``) must be passed at some
 construction in the package or in ``perfbench/``, by keyword or by
 position, or be stored into from outside the object (``obj.f = ...`` or
 ``obj.f[k] = ...``); a field that nothing sets is a constant.
+
+Every config key in ``cli.DEFAULTS`` must be read as ``config["key"]``
+somewhere in ``cli.py``; a key that no command reads is a setting that
+does nothing.
 """
 
 import ast
@@ -273,3 +277,20 @@ def test_field_rule_flags_only_fields_nothing_sets(tmp_path):
         "    r = Rec(1, 2)\n    r.c['k'] = 3\n    return r, Canvas(1, 2)\n")
     assert fields_no_construction_sets(package, benchmark) == [
         ("mod.py", "Canvas", "bg"), ("mod.py", "Rec", "unset")]
+
+
+def config_keys_never_read():
+    """(command, key) of every DEFAULTS entry that cli.py never reads as
+    ``config["key"]``."""
+    from qqual import cli
+
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    read = {node.slice.value for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "config"
+            and isinstance(node.slice, ast.Constant)}
+    return sorted((command, key) for command, block in cli.DEFAULTS.items()
+                  for key in block if key not in read)
+
+
+def test_every_config_key_is_read():
+    assert [f"{command}.{key}" for command, key in config_keys_never_read()] == []

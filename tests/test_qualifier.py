@@ -72,14 +72,14 @@ class TestSign:
     def test_dead_band_boundary(self):
         t = qf.reference_table()
         m = metrics_at_centerings(t)
-        assert qf.sign_of_qualifier(t, m, 5) == qf.BOUNDARY
+        assert qf.sign_of_qualifier(qf.eval_qualifier(t, m, 5)) == qf.BOUNDARY
 
     def test_positive_negative(self):
         t = qf.reference_table()
         m = metrics_at_centerings(t)
         m[0] += 1.0  # row-1 at n=0 gives -1.17
-        assert qf.sign_of_qualifier(t, m, 0) == qf.CDNN_FAVORED
-        assert qf.sign_of_qualifier(t, m, 100) == qf.QDNN_FAVORED
+        assert qf.sign_of_qualifier(qf.eval_qualifier(t, m, 0)) == qf.CDNN_FAVORED
+        assert qf.sign_of_qualifier(qf.eval_qualifier(t, m, 100)) == qf.QDNN_FAVORED
 
 
 class TestTableSerialization:
