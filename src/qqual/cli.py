@@ -605,7 +605,7 @@ def _refit_from_ledger(path: str):
     """Rebuild a qualifier corpus from a regression-benchmark ledger by
     regenerating each dataset from its descriptor and characterizing it.
     A ledger too small to refit from is a config error."""
-    from .complexity import characterize
+    from .complexity import MAX_POINTS, characterize
     from .qualifier import QualifierCorpusEntry, fit_qualifier
 
     if not os.path.exists(path):
@@ -625,6 +625,10 @@ def _refit_from_ledger(path: str):
                                   + "/".join(sorted(needed)) + " descriptors")
             if row["dataset"] not in cache:
                 try:
+                    # before any work: characterize is O(n^2) up to the window's limit
+                    if int(meta["n_points"]) > MAX_POINTS:
+                        raise ValueError(f"n_points exceeds the {MAX_POINTS}-sample "
+                                         "transform window")
                     curve = gen_regression_curve(meta["function_id"], int(meta["n_points"]),
                                                  (float(meta["x_lo"]), float(meta["x_hi"])),
                                                  float(meta["sigma"]), seed=int(meta["seed"]))

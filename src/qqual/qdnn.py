@@ -69,13 +69,13 @@ class QdnnModel:
     def loss_and_grad(self, X: np.ndarray, y: np.ndarray, loss: str) -> Tuple[float, np.ndarray]:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         y = np.asarray(y, dtype=np.float64)
-        states, vals = qsim.run_circuit(self.circuit, self.theta, X)
+        run, vals = qsim.run_circuit(self.circuit, self.theta, X)
         e = vals.mean(axis=1)
         value, dpred = optim.loss_and_output_grad(loss, self.scale * e + self.offset, y)
         # cotangent of vals: the transpose of the mean applied to scale * dpred
         n_obs = vals.shape[1]
         cot = np.repeat((self.scale * dpred)[:, None] / n_obs, n_obs, axis=1)
-        grad_theta = qsim.vjp(self.circuit, self.theta, X, states, cot)
+        grad_theta = qsim.vjp(run, cot)
         if not self.trainable_map:
             return value, grad_theta
         d_scale = float(dpred @ e)

@@ -19,13 +19,21 @@ Qulacs, arXiv:2011.13524):
   broadcast outer products;
 - each later run of rotations becomes one 2x2 matrix per qubit, the
   product of that qubit's gates in gate order (per row when a feature
-  drives one of them), applied by one in-place kernel;
+  drives one of them), applied by one in-place kernel; the products of
+  all of a block's qubits are formed together, one chain position at a
+  time;
 - each run of CNOTs becomes one basis-index permutation, applied as one
   gather;
 - every <Z_q> is read from |psi|^2, computed once.
 
 Gradients come from ``vjp``, one adjoint sweep back through the same
-blocks.
+blocks.  ``run_circuit`` returns a ``Run`` that keeps, for each trainable
+block, the state at the block's end (the prefix's is rebuilt from its
+kets), and every block's partial chain products, so the sweep carries only
+the adjoint state lam back: it never un-applies psi or recomputes a gate
+matrix or a chain product.  At a trainable block, each qubit's two
+off-diagonal overlaps are one contraction each, and the diagonal ones of
+all qubits come from one product read through a bit table.
 """
 
 from __future__ import annotations
@@ -123,10 +131,6 @@ def _rotation_matrices(paulis: np.ndarray, angles) -> np.ndarray:
     return np.cos(half) * eye - 1j * np.sin(half) * paulis
 
 
-def _mul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("ij...,jk...->ik...", a, b)
-
-
 def _dagger(u: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(u, 0, 1))
 
@@ -157,11 +161,16 @@ def _cnot_permutation(n_qubits: int, cnots: Sequence[Gate]) -> np.ndarray:
     return perm
 
 
+def _bit_table(n_qubits: int) -> np.ndarray:
+    """(n, 2**n): the bit of qubit q in each basis index, as 0.0 or 1.0."""
+    idx = np.arange(2 ** n_qubits)
+    shifts = n_qubits - 1 - np.arange(n_qubits)
+    return ((idx >> shifts[:, None]) & 1).astype(np.float64)
+
+
 def _z_signs(n_qubits: int, qubits: Sequence[int]) -> np.ndarray:
     """(len(qubits), 2**n): the eigenvalue of Z_q on each basis state."""
-    idx = np.arange(2 ** n_qubits)
-    bits = [(idx >> (n_qubits - 1 - q)) & 1 for q in qubits]
-    return 1.0 - 2.0 * np.array(bits, dtype=np.float64).reshape(len(qubits), 2 ** n_qubits)
+    return 1.0 - 2.0 * _bit_table(n_qubits)[list(qubits)]
 
 
 class _CnotRun(NamedTuple):
@@ -171,22 +180,36 @@ class _CnotRun(NamedTuple):
     inverse: np.ndarray
 
 
+class _Step(NamedTuple):
+    """One chain position of a rotation block, counted from the block's
+    end, for all of its qubits at once: the matrices of the gates there
+    multiply each qubit's W from the right.  Slots number the block's
+    qubits in block order."""
+
+    param_slots: np.ndarray
+    params: np.ndarray  # the param index of each of those gates
+    paulis: np.ndarray  # (2, 2, len(params), 1) their generators
+    feature_slots: np.ndarray
+    features: np.ndarray  # the feature-stack entry of each of those gates
+
+
+class _Rotations(NamedTuple):
+    qubits: np.ndarray  # the qubits the block touches; slot s is qubits[s]
+    steps: Tuple[_Step, ...]
+
+
 class _Plan(NamedTuple):
-    # rotation blocks and _CnotRun blocks in turn.  A rotation block is a
-    # tuple of (qubit, chain) pairs, one per qubit it touches, and a chain
-    # lists that qubit's gates in gate order as (k, gate), k numbering the
-    # circuit's rotations.  blocks[0] holds the rotations before the first
-    # CNOT (the product-state prefix) and may be empty.
+    # _Rotations and _CnotRun blocks in turn.  blocks[0] holds the
+    # rotations before the first CNOT (the product-state prefix) and may
+    # be empty.
     blocks: tuple
     # indices of the blocks that hold a trainable gate
     trainable: Tuple[int, ...]
-    # slots[k] = (is_feature, j): rotation k's matrix is entry j of the
-    # param stack (j is its param index) or of the feature stack
-    slots: Tuple[Tuple[bool, int], ...]
     param_paulis: np.ndarray  # (2, 2, P) in param-index order
     feature_paulis: np.ndarray  # (2, 2, F)
     feature_cols: np.ndarray  # (F,) feature index of each feature gate
     z_signs: np.ndarray  # (n_observables, 2**n)
+    bits: np.ndarray  # (n, 2**n), from _bit_table
 
 
 def _stack_paulis(gates: Sequence[Gate]) -> np.ndarray:
@@ -194,38 +217,53 @@ def _stack_paulis(gates: Sequence[Gate]) -> np.ndarray:
     return paulis.reshape(-1, 2, 2).transpose(1, 2, 0)
 
 
+def _indices(values) -> np.ndarray:
+    return np.array(list(values), dtype=np.intp)
+
+
+def _rotations(run: Sequence[Gate], feature_gates: list) -> _Rotations:
+    """One run of rotations as a block; appends its feature gates to the
+    feature stack, in gate order."""
+    entry = {}
+    for i, gate in enumerate(run):
+        if gate.param is None:
+            entry[i] = len(feature_gates)
+            feature_gates.append(gate)
+    qubits = sorted({g.target for g in run})
+    chains = [[(i, g) for i, g in enumerate(run) if g.target == q][::-1] for q in qubits]
+    steps = []
+    for t in range(max(map(len, chains), default=0)):
+        here = [(s, c[t]) for s, c in enumerate(chains) if t < len(c)]
+        params = [(s, g) for s, (_, g) in here if g.param is not None]
+        features = [(s, entry[i]) for s, (i, g) in here if g.param is None]
+        steps.append(_Step(
+            _indices(s for s, _ in params), _indices(g.param for _, g in params),
+            _stack_paulis([g for _, g in params])[..., None],
+            _indices(s for s, _ in features), _indices(j for _, j in features)))
+    return _Rotations(_indices(qubits), tuple(steps))
+
+
 def _build_plan(n_qubits: int, gates: Sequence[Gate], observables: Sequence[int]) -> _Plan:
     blocks = []
-    slots = []
     feature_gates = []
     for is_cnot, run in groupby(gates, key=lambda g: g.kind == "cnot"):
         run = list(run)
-        if is_cnot:
-            if not blocks:
-                blocks.append(())
-            perm = _cnot_permutation(n_qubits, run)
-            blocks.append(_CnotRun(perm, np.argsort(perm)))
+        if not is_cnot:
+            blocks.append(_rotations(run, feature_gates))
             continue
-        numbered = []
-        for gate in run:
-            numbered.append((len(slots), gate))
-            if gate.param is None:
-                slots.append((True, len(feature_gates)))
-                feature_gates.append(gate)
-            else:
-                slots.append((False, gate.param))
-        qubits = sorted({g.target for g in run})
-        blocks.append(tuple(
-            (q, tuple((k, g) for k, g in numbered if g.target == q)) for q in qubits))
+        if not blocks:
+            blocks.append(_rotations([], feature_gates))
+        perm = _cnot_permutation(n_qubits, run)
+        blocks.append(_CnotRun(perm, np.argsort(perm)))
     if not blocks:
-        blocks.append(())
-    trainable = tuple(i for i, block in enumerate(blocks) if not isinstance(block, _CnotRun)
-                      and any(g.param is not None for _, chain in block for _, g in chain))
+        blocks.append(_rotations([], feature_gates))
+    trainable = tuple(i for i, block in enumerate(blocks) if isinstance(block, _Rotations)
+                      and any(len(step.params) for step in block.steps))
     param_gates = sorted((g for g in gates if g.param is not None), key=lambda g: g.param)
-    return _Plan(tuple(blocks), trainable, tuple(slots),
+    return _Plan(tuple(blocks), trainable,
                  _stack_paulis(param_gates), _stack_paulis(feature_gates),
                  np.array([g.feature for g in feature_gates], dtype=np.intp),
-                 _z_signs(n_qubits, observables))
+                 _z_signs(n_qubits, observables), _bit_table(n_qubits))
 
 
 @dataclass(frozen=True)
@@ -287,42 +325,83 @@ class CircuitSpec:
             yield from layer
 
 
-def _gate_matrices(plan: _Plan, params: np.ndarray, features: np.ndarray) -> list:
-    """Each rotation's matrix, numbered as in the plan: (2, 2) for a param
-    gate, (2, 2, B) for a feature gate."""
-    by_param = _rotation_matrices(plan.param_paulis, params)
-    by_feature = _rotation_matrices(plan.feature_paulis, features[:, plan.feature_cols].T)
-    return [by_feature[:, :, j] if is_feature else by_param[:, :, j]
-            for is_feature, j in plan.slots]
+class Run(NamedTuple):
+    """One forward pass, as ``run_circuit`` returns it and ``vjp`` reads it.
+
+    Besides the final states it keeps what the adjoint sweep needs, all of
+    it arrays the forward made anyway.  For each rotation block, the
+    partial products W_t of its chains, one (2, 2, Q, 1) or (2, 2, Q, B)
+    stack per chain position t from the block's end: W_t is the product of
+    the gates after position t, and the last one is the fused matrix the
+    block applied.  For each trainable block after the prefix, the state
+    at the block's end; the CNOT gather after the block writes a new array,
+    so nothing later overwrites it.  The prefix's end state is a product
+    state that the sweep rebuilds from the fused matrices: a forward that
+    kept it would hold one more state block for every call.
+    """
+
+    spec: CircuitSpec
+    states: np.ndarray  # (B, 2**n) final states
+    # block index -> (state at the block's end or None, [W_0, W_1, ...])
+    kept: dict
 
 
-def _fused(chain, mats: list) -> np.ndarray:
-    """One qubit's chain multiplied into one matrix, later gates to the left."""
-    u = mats[chain[-1][0]]
-    for k, _ in reversed(chain[:-1]):
-        u = _mul2(u, mats[k])
-    return u
+def _fuse(block: _Rotations, by_param: np.ndarray, by_feature: np.ndarray) -> list:
+    """The partial products W_0 = I, W_1, ... of a block's chains, later
+    gates to the left, all of its qubits at once.  The stack gains a row
+    axis at the first feature gate it takes in."""
+    w = np.repeat(_EYE[:, :, None, None], len(block.qubits), axis=2)
+    ws = [w]
+    for step in block.steps:
+        if len(step.features) and w.shape[3] == 1:
+            w = np.repeat(w, by_feature.shape[3], axis=3)
+        else:
+            w = w.copy()
+        for slots, mats in ((step.param_slots, by_param[:, :, step.params]),
+                            (step.feature_slots, by_feature[:, :, step.features])):
+            if len(slots):
+                w[:, :, slots] = np.einsum("ijmb,jkmb->ikmb", w[:, :, slots], mats)
+        ws.append(w)
+    return ws
 
 
-def _execute(spec: CircuitSpec, params: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """Run the circuit's plan on a batch of feature rows; returns (B, 2**n) states."""
+def _slot(w: np.ndarray, s: int) -> np.ndarray:
+    """Slot s of a W stack: (2, 2), or (2, 2, B) when it has a row axis."""
+    return w[:, :, s, 0] if w.shape[3] == 1 else w[:, :, s]
+
+
+def _product_state(block: _Rotations, fused: np.ndarray, batch: int,
+                   n_qubits: int) -> np.ndarray:
+    """(B, 2**n) state at the prefix's end: the product of each qubit's
+    fused matrix applied to |0>, and |0> on the qubits it leaves alone."""
+    kets = {q: _slot(fused, s)[:, 0] for s, q in enumerate(block.qubits)}
+    state = np.ones((batch, 1), dtype=np.complex128)
+    for q in range(n_qubits):
+        ket = kets.get(q, _EYE[:, 0]).T  # (2,), or (B, 2) when a feature drives it
+        state = (state[:, :, None] * ket[..., None, :]).reshape(batch, -1)
+    return state
+
+
+def _execute(spec: CircuitSpec, params: np.ndarray, features: np.ndarray) -> Run:
+    """Run the circuit's plan on a batch of feature rows."""
     plan = spec._plan
     batch = features.shape[0]
     n = spec.n_qubits
-    mats = _gate_matrices(plan, params, features)
-    prefix, *rest = plan.blocks
-    kets = {q: _fused(chain, mats)[:, 0] for q, chain in prefix}
-    state = np.ones((batch, 1), dtype=np.complex128)
-    for q in range(n):
-        ket = kets.get(q, _EYE[:, 0]).T  # (2,), or (B, 2) when a feature drives it
-        state = (state[:, :, None] * ket[..., None, :]).reshape(batch, -1)
-    for block in rest:
+    by_param = _rotation_matrices(plan.param_paulis, params)[..., None]
+    by_feature = _rotation_matrices(plan.feature_paulis, features[:, plan.feature_cols].T)
+    kept = {}
+    for i, block in enumerate(plan.blocks):
         if isinstance(block, _CnotRun):
             state = state[:, block.perm]
+            continue
+        ws = _fuse(block, by_param, by_feature)
+        if i == 0:
+            state = _product_state(block, ws[-1], batch, n)
         else:
-            for q, chain in block:
-                _apply_2x2(_on_qubit(state, n, q), _fused(chain, mats))
-    return state
+            for s, q in enumerate(block.qubits):
+                _apply_2x2(_on_qubit(state, n, q), _slot(ws[-1], s))
+        kept[i] = (state if i and i in plan.trainable else None, ws)
+    return Run(spec, state, kept)
 
 
 def _check_args(spec: CircuitSpec, params, features) -> Tuple[np.ndarray, np.ndarray]:
@@ -342,82 +421,106 @@ def _check_args(spec: CircuitSpec, params, features) -> Tuple[np.ndarray, np.nda
 
 def run_circuit(spec: CircuitSpec, params: Sequence[float], features: np.ndarray):
     """Run all layers from |0...0> on each row of a (B, F) feature batch;
-    returns the (B, 2**n) states and the (B, n_observables) expectations.
+    returns the ``Run`` (its ``states`` are the (B, 2**n) final states)
+    and the (B, n_observables) expectations.
     """
     params, feats = _check_args(spec, params, features)
-    states = _execute(spec, params, feats)
-    probs = states.real ** 2 + states.imag ** 2
-    return states, np.einsum("bi,oi->bo", probs, spec._plan.z_signs)
+    run = _execute(spec, params, feats)
+    probs = run.states.real ** 2 + run.states.imag ** 2
+    return run, np.einsum("bi,oi->bo", probs, spec._plan.z_signs)
 
 
-def _overlap(lam_conj: np.ndarray, psi: np.ndarray, n_qubits: int, qubit: int) -> np.ndarray:
-    """(2, 2, B) overlaps R[i, j, b] = sum conj(lam_b) psi_b over the basis
-    states with ``qubit`` at i in lam and at j in psi, so that
-    <lam_b|M|psi_b> = sum_ij M[i, j] R[i, j, b] for any 2x2 M on that qubit."""
-    lc = _on_qubit(lam_conj, n_qubits, qubit)
-    ps = _on_qubit(psi, n_qubits, qubit)
-    rows = [np.einsum("blr,blr->b", lc[:, :, i, :], ps[:, :, j, :])
-            for i in (0, 1) for j in (0, 1)]
-    return np.stack(rows).reshape(2, 2, -1)
+def _overlaps(lam: np.ndarray, psi: np.ndarray, bits: np.ndarray, qubits: np.ndarray,
+              n_qubits: int, per_row: bool) -> np.ndarray:
+    """(2, 2, Q, B) overlaps R[i, j, s, b] = sum conj(lam_b) psi_b over the
+    basis states with qubit ``qubits[s]`` at i in lam and at j in psi, so
+    that <lam_b|M|psi_b> = sum_ij M[i, j] R[i, j, s, b] for any 2x2 M on
+    that qubit; with ``per_row`` False, summed over the batch into a last
+    axis of length 1.  Each qubit's two off-diagonal terms are one
+    contraction each; the diagonal terms of every qubit come from one
+    product conj(lam) psi, read through the (n, 2**n) bit table."""
+    rows = lam.shape[0] if per_row else 1
+    pair = "blr,blr->b" if per_row else "blr,blr->"
+    out = np.empty((2, 2, len(qubits), rows), dtype=np.complex128)
+    prod = lam.conj()
+    for s, q in enumerate(qubits):
+        lc = _on_qubit(prod, n_qubits, q)
+        ps = _on_qubit(psi, n_qubits, q)
+        out[0, 1, s] = np.einsum(pair, lc[:, :, 0, :], ps[:, :, 1, :])
+        out[1, 0, s] = np.einsum(pair, lc[:, :, 1, :], ps[:, :, 0, :])
+    if per_row:
+        prod *= psi
+    else:
+        prod = np.einsum("bi,bi->i", prod, psi)[None]
+    ones = (np.einsum("bi,qi->qb", prod.real, bits)
+            + 1j * np.einsum("bi,qi->qb", prod.imag, bits))[qubits]
+    out[1, 1] = ones
+    out[0, 0] = prod.sum(axis=1) - ones
+    return out
 
 
-def vjp(spec: CircuitSpec, params: Sequence[float], features: np.ndarray,
-        state: np.ndarray, cotangent) -> np.ndarray:
+def _block_grad(grad: np.ndarray, block: _Rotations, ws: list, lam: np.ndarray,
+                psi: np.ndarray, bits: np.ndarray, n_qubits: int) -> None:
+    """Write the gradient entries of one trainable block's param gates.
+
+    A gate exp(-i theta P / 2) at chain position t contributes
+    Im <lam|W_t P W_t^dagger|psi> at the block's end, W_t being the later
+    gates of its chain, so each position forms the generators of all of
+    its param gates in one call.  Once W has taken in a feature gate, the
+    generators are per row and contract with each row's overlaps; in a
+    block with no such generator, they contract with the overlaps summed
+    over the batch.
+    """
+    per_row = any(w.shape[3] > 1 for step, w in zip(block.steps, ws) if len(step.params))
+    overlaps = _overlaps(lam, psi, bits, block.qubits, n_qubits, per_row)
+    for step, w in zip(block.steps, ws):
+        if len(step.params):
+            wp = w[:, :, step.param_slots]
+            gen = np.einsum("ijmb,jkmb,lkmb->ilmb", wp, step.paulis, wp.conj())
+            grad[step.params] = np.einsum("ijmb,ijmb->m", gen,
+                                          overlaps[:, :, step.param_slots]).imag
+
+
+def vjp(run: Run, cotangent) -> np.ndarray:
     """Gradient of sum(cotangent * expectations) over the trainable params.
 
-    Adjoint method (Jones & Gacon, arXiv:2009.02823).  ``state`` is the
-    final (B, 2**n) state ``run_circuit`` returned for the same params and
-    (B, F) features, and the (B, n_observables) ``cotangent`` weights its
-    expectations.  The sweep walks the plan's blocks backward with psi and
-    lam = sum_o c_o Z_o psi.  A gate exp(-i theta P / 2) contributes
-    Im <lam|P|psi> just after it; at the end of its rotation block that is
-    Im <lam|W P W^dagger|psi>, W being the later gates of its qubit's
-    chain, so one overlap matrix per qubit (``_overlap``) serves every gate
-    of the chain.  The sweep then un-applies
-    each fused chain once, and a CNOT run by its inverse gather.  It stops
-    in the earliest block with a trainable gate, so the gates before it (a
-    feature embedding) are never undone.  Returns shape (P,), summed over
-    the batch.
+    Adjoint method (Jones & Gacon, arXiv:2009.02823).  ``run`` is what
+    ``run_circuit`` returned for the params and the (B, F) features, and
+    the (B, n_observables) ``cotangent`` weights its expectations.  The
+    sweep carries lam alone, starting from lam = sum_o c_o Z_o psi, back
+    through the plan's blocks: a CNOT run by its inverse gather, a rotation
+    block by the conjugate transposes of the fused matrices the forward
+    kept.  At a trainable block it pairs lam with the state the forward
+    kept at that block's end, so psi is never un-applied, and one overlap
+    matrix per qubit serves every gate of that qubit's chain
+    (``_block_grad``).  The sweep stops in the earliest trainable block, so
+    the gates before it (a feature embedding) are never undone.  Returns
+    shape (P,), summed over the batch.
     """
-    params, feats = _check_args(spec, params, features)
-    batch = feats.shape[0]
-    n = spec.n_qubits
-    n_obs = len(spec.observables)
-    state = np.asarray(state, dtype=np.complex128)
-    cot = np.asarray(cotangent, dtype=np.float64)
-    if state.shape != (batch, 2 ** n):
-        raise ValueError(f"state shape {state.shape} does not match the circuit and features")
-    if cot.shape != (batch, n_obs):
-        raise ValueError(f"expected cotangent shape {(batch, n_obs)}, got {cot.shape}")
-    grad = np.zeros(spec.n_params)
+    spec = run.spec
     plan = spec._plan
+    n = spec.n_qubits
+    batch = run.states.shape[0]
+    cot = np.asarray(cotangent, dtype=np.float64)
+    if cot.shape != (batch, len(spec.observables)):
+        raise ValueError(
+            f"expected cotangent shape {(batch, len(spec.observables))}, got {cot.shape}")
+    grad = np.zeros(spec.n_params)
     if not plan.trainable:
         return grad
-    mats = _gate_matrices(plan, params, feats)
-    # psi and lam share one block so each step un-applies both in one call
-    weights = np.einsum("bo,oi->bi", cot, plan.z_signs)
-    pair = np.stack([state, weights * state])
+    lam = np.einsum("bo,oi->bi", cot, plan.z_signs) * run.states
     first = plan.trainable[0]
     for i in range(len(plan.blocks) - 1, first - 1, -1):
         block = plan.blocks[i]
         if isinstance(block, _CnotRun):
-            pair = pair[:, :, block.inverse]
+            lam = lam[:, block.inverse]
             continue
-        lam_conj = pair[1].conj() if i in plan.trainable else None
-        fused = []
-        for q, chain in block:
-            w = _EYE  # the chain's gates after the current one
-            overlap = None
-            for k, gate in reversed(chain):
-                if gate.param is not None:
-                    if overlap is None:
-                        overlap = _overlap(lam_conj, pair[0], n, q)
-                    gen = _mul2(_mul2(w, _PAULI[gate.kind]), _dagger(w))
-                    grad[gate.param] = np.einsum("ij...,ij...->...", gen, overlap).sum().imag
-                w = _mul2(w, mats[k])
-            fused.append((q, w))
+        psi, ws = run.kept[i]
+        if i == 0:
+            psi = _product_state(block, ws[-1], batch, n)
+        if i in plan.trainable:
+            _block_grad(grad, block, ws, lam, psi, plan.bits, n)
         if i > first:
-            for q, u in fused:
-                _apply_2x2(_on_qubit(pair, n, q), _dagger(u))
+            for s, q in enumerate(block.qubits):
+                _apply_2x2(_on_qubit(lam, n, q), _dagger(_slot(ws[-1], s)))
     return grad
-

@@ -110,7 +110,7 @@ class TestExactValues:
             n = int(rng.integers(1, 5))
             spec, p = random_circuit(rng, n, int(rng.integers(1, 5)))
             params = rng.uniform(-2 * np.pi, 2 * np.pi, size=p)
-            state = qsim.run_circuit(spec, params, np.zeros((1, 0)))[0][0]
+            state = qsim.run_circuit(spec, params, np.zeros((1, 0)))[0].states[0]
             worst_norm = max(worst_norm, abs(np.vdot(state, state).real - 1.0))
         dt = time.time() - t0
         ok = worst_grad <= 1e-6 and worst_norm <= 1e-10 and dt < 10.0

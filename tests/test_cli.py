@@ -296,6 +296,24 @@ class TestQualify:
         assert not (out / "ledger.csv").exists()
 
 
+    def test_refit_ledger_label_past_the_point_limit_is_rejected_before_characterizing(
+            self, tmp_path, monkeypatch):
+        from qqual import complexity
+
+        def characterize(*args):
+            raise AssertionError("characterize called")
+
+        monkeypatch.setattr(complexity, "characterize", characterize)
+        label = "function_id=quad;n_points=20001;seed=1;sigma=0.1;x_hi=4.0;x_lo=-2.0"
+        ledger = tmp_path / "ledger.csv"
+        ledger.write_text("dataset,epoch,m_cdnn,m_qdnn,xi\n"
+                          + "".join(f"{label},{ep},1.0,1.0,0.0\n" for ep in (1, 2, 3)))
+        out = tmp_path / "q"
+        cfg = write_cfg(tmp_path, {"qualify": {"refit_ledger": str(ledger)}})
+        assert cli.main(["qualify", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert not (out / "ledger.csv").exists()
+
+
 class TestBenchClass:
     def test_smoke_run_emits_table_ledger_report(self, tmp_path):
         out = tmp_path / "bc"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,22 @@ class TestGradient:
             m.params = p0
             assert g[i] == pytest.approx((lp - lm) / (2 * h), abs=1e-6)
 
+    def test_q12_gradient_peak_stays_under_ten_state_blocks(self):
+        # the adjoint sweep keeps block states and carries lam alone; an
+        # (n_qubits, B, 2**n) intermediate would be 12 blocks on its own
+        rng = np.random.default_rng(12)
+        m = qdnn.build_default_qdnn(12, seed=12)
+        X = rng.uniform(-2.0, 4.0, size=(24, 12))
+        y = rng.normal(size=24)
+        tracemalloc.start()
+        try:
+            m.loss_and_grad(X, y, "mse")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = 24 * 2 ** 12 * 16
+        assert peak < 10 * block
+
     def test_classification_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(8)
         m = qdnn.build_default_qdnn(2, 1, task="classification", seed=8)
@@ -119,8 +137,8 @@ class TestSingleReadout:
     def test_forward_reads_the_readout_qubit(self):
         m = self._model()
         X = np.random.default_rng(3).normal(size=(5, 3))
-        states, _ = qsim.run_circuit(m.circuit, m.theta, X)
-        z2 = [expectation(s, 2) for s in states]
+        run, _ = qsim.run_circuit(m.circuit, m.theta, X)
+        z2 = [expectation(s, 2) for s in run.states]
         assert np.allclose(m.forward(X), 0.5 - 0.5 * np.array(z2), atol=1e-14)
 
     def test_mean_of_one_expectation_is_that_expectation(self):

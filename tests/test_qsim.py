@@ -174,16 +174,16 @@ class TestRunCircuit:
         spec = qsim.CircuitSpec(3, layers, spec.observables)
         params = rng.normal(size=p)
         X = rng.normal(size=(6, 3))
-        states, vals = qsim.run_circuit(spec, params, X)
+        run, vals = qsim.run_circuit(spec, params, X)
         for i in range(6):
-            s_i, v_i = qsim.run_circuit(spec, params, X[i:i + 1])
-            assert np.allclose(s_i[0], states[i], atol=1e-13)
+            r_i, v_i = qsim.run_circuit(spec, params, X[i:i + 1])
+            assert np.allclose(r_i.states[0], run.states[i], atol=1e-13)
             assert np.allclose(v_i[0], vals[i], atol=1e-13)
 
     def test_no_observables_gives_empty_values(self):
         spec = qsim.CircuitSpec(2, [[qsim.ry(0, param=0), qsim.cnot(0, 1)]])
-        state, vals = qsim.run_circuit(spec, [0.4], np.zeros((3, 0)))
-        assert state.shape == (3, 4) and vals.shape == (3, 0)
+        run, vals = qsim.run_circuit(spec, [0.4], np.zeros((3, 0)))
+        assert run.states.shape == (3, 4) and vals.shape == (3, 0)
 
     def test_param_count_checked(self):
         spec = qsim.CircuitSpec(1, [[qsim.ry(0, param=0)]], [0])
@@ -286,15 +286,21 @@ def sequential_run(spec, params, x):
     return state, np.array([expectation(state, q) for q in spec.observables])
 
 
-def plan_tags(spec):
-    """Which paths of the fused plan a circuit exercises, read from its gates."""
-    gates = list(spec.gates())
-    tags = {("qubits", spec.n_qubits)}
-    runs = [[]]  # alternating rotation and CNOT runs, starting with rotations
-    for g in gates:
+def gate_runs(spec):
+    """The gates as alternating rotation and CNOT runs, starting with
+    rotations (an empty first run when the circuit starts with a CNOT)."""
+    runs = [[]]
+    for g in spec.gates():
         if (g.kind == "cnot") != (len(runs) % 2 == 0):
             runs.append([])
         runs[-1].append(g)
+    return runs
+
+
+def plan_tags(spec):
+    """Which paths of the fused plan a circuit exercises, read from its gates."""
+    tags = {("qubits", spec.n_qubits)}
+    runs = gate_runs(spec)
     if len(runs) == 1:
         tags.add("no cnot")
     prefix = runs[0]
@@ -314,6 +320,27 @@ def plan_tags(spec):
     return tags
 
 
+def sweep_tags(spec):
+    """Which branches of the adjoint sweep a circuit exercises, read from its gates."""
+    tags = {("qubits", spec.n_qubits)}
+    runs = gate_runs(spec)
+    trainable = [i for i in range(0, len(runs), 2) if any(g.param is not None for g in runs[i])]
+    for i in trainable:
+        run = runs[i]
+        for q in {g.target for g in run}:
+            sources = ["param" if g.param is not None else "feature"
+                       for g in run if g.target == q]
+            if "param" in sources and "feature" in sources[sources.index("param") + 1:]:
+                tags.add("param gate before a feature gate on its qubit")
+        if len({g.target for g in run}) < spec.n_qubits:
+            tags.add("trainable block on some of the qubits")
+    if trainable and trainable[-1] == len(runs) - 1 > 0:
+        tags.add("trainable last block after a cnot")
+    if any(b - a == 2 for a, b in zip(trainable, trainable[1:])):
+        tags.add("cnot run between trainable blocks")
+    return tags
+
+
 class TestFusedPlan:
     def test_matches_gate_by_gate_application(self):
         seen = set()
@@ -325,10 +352,10 @@ class TestFusedPlan:
             params = rng.uniform(-np.pi, np.pi, size=spec.n_params)
             batched = seed % 2 == 1
             X = rng.normal(size=(int(rng.integers(2, 5)) if batched else 1, n_feat))
-            states, vals = qsim.run_circuit(spec, params, X)
+            run, vals = qsim.run_circuit(spec, params, X)
             for b, x in enumerate(X):
                 ref_state, ref_vals = sequential_run(spec, params, x)
-                assert np.max(np.abs(states[b] - ref_state)) <= 1e-12
+                assert np.max(np.abs(run.states[b] - ref_state)) <= 1e-12
                 assert np.max(np.abs(vals[b] - ref_vals)) <= 1e-12
             seen |= plan_tags(spec) | {"batch" if batched else "batch of one"}
         assert seen >= {
@@ -340,10 +367,10 @@ class TestFusedPlan:
 
 class TestAdjointGradient:
     def test_matches_parameter_shift_on_random_circuits(self):
-        seen_gates, seen_obs_counts = set(), set()
+        seen_gates, seen_obs_counts, seen_sweep = set(), set(), set()
         for seed in range(60):
             rng = np.random.default_rng(seed)
-            n = int(rng.integers(1, 5))
+            n = 8 if seed in (11, 40) else int(rng.integers(1, 5))
             n_feat = int(rng.integers(1, 4))
             spec = random_mixed_circuit(rng, n, int(rng.integers(4, 16)), n_feat)
             params = rng.uniform(-np.pi, np.pi, size=spec.n_params)
@@ -351,8 +378,8 @@ class TestAdjointGradient:
             batched = seed % 2 == 1
             X = rng.normal(size=(int(rng.integers(2, 6)) if batched else 1, n_feat))
             cot = rng.normal(size=(len(X), n_obs))
-            state, _ = qsim.run_circuit(spec, params, X)
-            got = qsim.vjp(spec, params, X, state, cot)
+            run, _ = qsim.run_circuit(spec, params, X)
+            got = qsim.vjp(run, cot)
             oracle = np.zeros(spec.n_params)
             for o in range(n_obs):
                 g = parameter_shift_grad(spec, params, X, observable_index=o)
@@ -361,24 +388,34 @@ class TestAdjointGradient:
             assert np.max(np.abs(got - oracle), initial=0.0) <= 1e-12
             seen_gates |= gate_tags(spec)
             seen_obs_counts.add(min(n_obs, 2))
+            seen_sweep |= {(tag, "batch" if batched else "batch of one")
+                           for tag in sweep_tags(spec)}
         kinds = [(k, src) for k in qsim.ROTATION_KINDS for src in ("feature", "param")]
         assert seen_gates >= set(kinds) | {("cnot", "control above"), ("cnot", "control below")}
         assert seen_obs_counts == {1, 2}
+        # a per-row generator must meet a batch of several rows, or summing
+        # its overlaps over the batch first would go unnoticed
+        assert seen_sweep >= {
+            ("param gate before a feature gate on its qubit", "batch"),
+            ("trainable last block after a cnot", "batch"),
+            ("cnot run between trainable blocks", "batch"),
+            ("trainable block on some of the qubits", "batch"),
+            (("qubits", 8), "batch"), (("qubits", 8), "batch of one")}
 
     def test_no_trainable_gate_gives_empty_gradient(self):
         spec = qsim.CircuitSpec(1, [[qsim.rx(0, feature=0)]], [0])
-        state, _ = qsim.run_circuit(spec, [], [[0.3]])
-        assert qsim.vjp(spec, [], [[0.3]], state, [[1.0]]).shape == (0,)
+        run, _ = qsim.run_circuit(spec, [], [[0.3]])
+        assert qsim.vjp(run, [[1.0]]).shape == (0,)
 
     def test_shape_mismatches_rejected(self):
         spec = qsim.CircuitSpec(2, [[qsim.rx(0, feature=0), qsim.ry(1, param=0)]],
                                 [0, 1])
         X = np.zeros((3, 1))
-        state, _ = qsim.run_circuit(spec, [0.2], X)
+        run, _ = qsim.run_circuit(spec, [0.2], X)
         with pytest.raises(ValueError, match="cotangent"):
-            qsim.vjp(spec, [0.2], X, state, np.ones((3, 1)))
-        with pytest.raises(ValueError, match="state"):
-            qsim.vjp(spec, [0.2], X, state[0], np.ones((3, 2)))
+            qsim.vjp(run, np.ones((3, 1)))
+        with pytest.raises(ValueError, match="cotangent"):
+            qsim.vjp(run, np.ones((2, 2)))
 
 
 class TestNormPreservation:
@@ -389,5 +426,5 @@ class TestNormPreservation:
         n = int(rng.integers(1, 5))
         spec, p = random_circuit(rng, n, int(rng.integers(1, 5)))
         params = rng.uniform(-2 * np.pi, 2 * np.pi, size=p)
-        state, _ = qsim.run_circuit(spec, params, NO_FEATURES)
-        assert abs(np.vdot(state[0], state[0]).real - 1.0) < 1e-10
+        run, _ = qsim.run_circuit(spec, params, NO_FEATURES)
+        assert abs(np.vdot(run.states[0], run.states[0]).real - 1.0) < 1e-10
