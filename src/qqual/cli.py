@@ -830,6 +830,10 @@ def compute_dvcs(config: dict, workers: int) -> dict:
             continue
         xi_grid = build_surface(ScatterField(xs, ys, np.array([o.xi_dvcs for o in sub])),
                                 config["resolution"], config["smoothing"])
+        if not xi_grid.mask.any():  # the hat grid, on the same points, has the same mask
+            warnings.append(f"lam={lam:g}: no grid point lies in the outcome points' "
+                            "triangulation, maps skipped")
+            continue
         # keyed by stats.csv statistic name, in stats.csv row order
         stats = dict(zip(("area_xi_positive", "area_xi_negative"), area_fractions(xi_grid)))
         hat_grid = None

@@ -1,9 +1,9 @@
 """Regime-map construction over a scattered 2-D field: Delaunay
-triangulation, linear interpolation masked to the triangulation's hull,
-edge-renormalized Gaussian smoothing, zero-level-set extraction
-(marching-squares segments joined where their endpoints coincide
-exactly), area fractions, and the sign-agreement score between two fields
-on one grid."""
+triangulation, linear interpolation masked to the grid points that the
+triangulation covers, edge-renormalized Gaussian smoothing, zero-level-set
+extraction (marching-squares segments joined where their endpoints
+coincide exactly), area fractions, and the sign-agreement score between
+two fields on one grid."""
 
 from __future__ import annotations
 
@@ -12,8 +12,6 @@ from typing import List, Tuple
 
 import numpy as np
 
-DEFAULT_RESOLUTION = 200
-DEFAULT_SMOOTHING = 3.0
 _INF = -1  # the vertex at infinity of the ghost triangles
 _BARY_EPS = 100 * np.finfo(np.float64).eps  # in-triangle slack on barycentric coordinates
 
@@ -59,21 +57,6 @@ def _exact_coords(pts: np.ndarray) -> Tuple[List[int], List[int]]:
     scale = max(d for _, d in ratios)
     ints = [n * (scale // d) for n, d in ratios]
     return ints[0::2], ints[1::2]
-
-
-def points_in_hull(hull: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Boolean inside-or-on test against a CCW hull, vectorized."""
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    scale = max(np.ptp(hull[:, 0]), np.ptp(hull[:, 1]), 1e-300)
-    inside = np.ones(xs.shape, dtype=bool)
-    n = len(hull)
-    for k in range(n):
-        x0, y0 = hull[k]
-        x1, y1 = hull[(k + 1) % n]
-        cross = (x1 - x0) * (ys - y0) - (y1 - y0) * (xs - x0)
-        inside &= cross >= -1e-12 * scale * scale
-    return inside
 
 
 def delaunay(points) -> np.ndarray:
@@ -171,26 +154,6 @@ def delaunay(points) -> np.ndarray:
                     dtype=np.intp).reshape(-1, 3)
 
 
-def hull_vertices(points, tri: np.ndarray) -> np.ndarray:
-    """Counter-clockwise hull vertices of a triangulation `tri` of
-    `points`, as indices: the edges that no other triangle shares, walked
-    as one cycle, less the vertices where that boundary runs straight on
-    (decided exactly)."""
-    edges = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]).tolist()
-    # triangles are counter-clockwise, so an inner edge comes once each way
-    shared = set(map(tuple, edges))
-    after = {a: b for a, b in edges if (b, a) not in shared}
-    cycle = [min(after)]
-    while after[cycle[-1]] != cycle[0]:
-        cycle.append(after[cycle[-1]])
-    X, Y = _exact_coords(np.asarray(points, dtype=np.float64)[cycle])
-    n = len(cycle)
-    # a corner turns left: its neighbours are not in line with it
-    corner = [(X[k] - X[k - 1]) * (Y[(k + 1) % n] - Y[k - 1])
-              != (Y[k] - Y[k - 1]) * (X[(k + 1) % n] - X[k - 1]) for k in range(n)]
-    return np.array(cycle, dtype=np.intp)[corner]
-
-
 def _interpolate(fld: ScatterField, tri: np.ndarray, x_axis: np.ndarray,
                  y_axis: np.ndarray) -> np.ndarray:
     """Barycentric-linear values of the field on a uniform grid, NaN
@@ -263,33 +226,23 @@ def _gaussian_smooth(a: np.ndarray, sigma: float) -> np.ndarray:
     return a
 
 
-def build_surface(fld: ScatterField, resolution: int = DEFAULT_RESOLUTION,
-                  smoothing: float = DEFAULT_SMOOTHING) -> GridField:
-    """Barycentric-linear interpolation onto a uniform grid masked to the
-    hull, then Gaussian smoothing (width in grid cells) renormalized at
-    the mask edge so boundary cells average only masked neighbors."""
+def build_surface(fld: ScatterField, resolution: int, smoothing: float) -> GridField:
+    """Barycentric-linear interpolation onto a uniform grid over the
+    points' bounding box, masked to the grid points that lie in some
+    triangle of their triangulation (as `_interpolate` decides), then
+    Gaussian smoothing (width in grid cells) renormalized at the mask edge
+    so boundary cells average only masked neighbors."""
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
-    pts = np.column_stack([fld.xs, fld.ys])
-    tri = delaunay(pts)
     x_axis = np.linspace(fld.xs.min(), fld.xs.max(), resolution)
     y_axis = np.linspace(fld.ys.min(), fld.ys.max(), resolution)
-    gx, gy = np.meshgrid(x_axis, y_axis)
-    mask = points_in_hull(pts[hull_vertices(pts, tri)], gx, gy)
-    values = _interpolate(fld, tri, x_axis, y_axis)
-    # FP wobble at the hull edge can leave masked points just outside the
-    # triangulation; fill those few from the nearest sample (lowest index on a tie)
-    holes = mask & ~np.isfinite(values)
-    if np.any(holes):
-        d2 = (gx[holes][:, None] - fld.xs) ** 2 + (gy[holes][:, None] - fld.ys) ** 2
-        values[holes] = fld.values[np.argmin(d2, axis=1)]
+    values = _interpolate(fld, delaunay(np.column_stack([fld.xs, fld.ys])), x_axis, y_axis)
     if smoothing > 0:
+        mask = np.isfinite(values)
         num = _gaussian_smooth(np.where(mask, values, 0.0), smoothing)
         den = _gaussian_smooth(mask.astype(np.float64), smoothing)
         sm = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
         values = np.where(mask, sm, np.nan)
-    else:
-        values = np.where(mask, values, np.nan)
     return GridField(x_axis, y_axis, values)
 
 

@@ -205,13 +205,22 @@ class TestGeometrySuite:
         return edges
 
     def test_geometry_suite(self):
-        # hull equivalence against a brute-force edge oracle
-        hull_ok = True
+        # the mask against a brute-force hull: a grid point inside every
+        # hull edge by more than tol is masked, one outside an edge is not
+        tol = 1e-9
+        mask_ok, compared = True, 0
         for seed in range(3):
             pts = np.random.default_rng(seed).uniform(-5, 5, size=(100, 2))
-            cyc = g.hull_vertices(pts, g.delaunay(pts)).tolist()
-            mine = {(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1])}
-            hull_ok = hull_ok and mine == self.brute_hull_edges(pts)
+            grid = g.build_surface(g.ScatterField(pts[:, 0], pts[:, 1], pts[:, 0]), 120, 0.0)
+            gx, gy = np.meshgrid(grid.x_axis, grid.y_axis)
+            depth = np.full(gx.shape, np.inf)  # least distance inside an edge
+            for i, j in self.brute_hull_edges(pts):
+                d = pts[j] - pts[i]
+                depth = np.minimum(depth, (d[0] * (gy - pts[i, 1]) - d[1] * (gx - pts[i, 0]))
+                                   / np.hypot(d[0], d[1]))
+            inside, outside = depth > tol, depth < -tol
+            mask_ok = mask_ok and grid.mask[inside].all() and not grid.mask[outside].any()
+            compared += int(inside.sum() + outside.sum())
         # affine-field interpolation exactness
         pts = np.random.default_rng(0).uniform(-1, 3, size=(60, 2))
         fld = g.ScatterField(pts[:, 0], pts[:, 1],
@@ -229,10 +238,11 @@ class TestGeometrySuite:
         cell = lin.x_axis[1] - lin.x_axis[0]
         contour_err = max(float(np.abs(p[:, 1] - p[:, 0]).max()) / np.sqrt(2.0)
                           for p in polys) if polys else math.inf
-        ok = hull_ok and affine_err <= 1e-10 and contour_err <= cell + 1e-9
+        ok = mask_ok and affine_err <= 1e-10 and contour_err <= cell + 1e-9
         report("geometry suite", ok,
-               f"hull edge sets match brute force on 3x100-point clouds="
-               f"{hull_ok}; affine interpolation error {affine_err:.1e} "
+               f"mask matches a brute-force hull beyond {tol:g} of its edges on "
+               f"3x100-point clouds at 120x120 ({compared} grid points compared)="
+               f"{mask_ok}; affine interpolation error {affine_err:.1e} "
                f"(tol 1e-10); linear zero-contour offset {contour_err:.4f} "
                f"<= one cell ({cell:.4f})")
 

@@ -351,6 +351,26 @@ class TestBenchClass:
         ledger = read_csv(out / "ledger.csv")
         assert len(ledger) - 1 + len(skipped) == 6 * 60
 
+    @pytest.mark.slow
+    def test_trained_replicas_that_predict_one_class_are_skipped(self, tmp_path):
+        # a large learning rate drives trained CDNNs to a single class
+        out = tmp_path / "bc"
+        cfg = write_cfg(tmp_path, {"bench-class": {"epochs": 3, "ensemble": 20,
+                                                   "learning_rate": 5.0}})
+        assert cli.main(["bench-class", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+        ledger = read_csv(out / "ledger.csv")
+        assert len(ledger) == 82
+        section = (out / "report.md").read_text().split("## Skipped replicas")[1]
+        skipped = [line[2:].split(": ", 1) for line in section.split("## Notes")[0].splitlines()
+                   if line.startswith("- ")]
+        reasons = [reason for _, reason in skipped]
+        assert len(reasons) == 39
+        assert reasons.count("cdnn predicted only class 0") == 37
+        assert reasons.count("cdnn predicted only class 1") == 2
+        skipped_keys = {tuple(replica.rsplit(" rep ", 1)) for replica, _ in skipped}
+        assert len(skipped_keys) == 39
+        assert not skipped_keys & {(row[0], row[1]) for row in ledger[1:]}
+
 
 class TestBenchReg:
     def test_ledger_consistency_and_cell_files(self, tmp_path):
@@ -529,6 +549,20 @@ class TestDvcs:
         assert not (out / "map_lam1p0.svg").exists()
         report = (out / "report.md").read_text()
         assert "rank" in report and "lam=1: outcome points cannot be mapped" in report
+
+    def test_grid_outside_the_triangulation_skips_its_map(self, tmp_path):
+        # a 2 x 2 grid is the bounding box's corners, which no sample point
+        # of the synthetic corpus sits on, so no grid point is masked
+        out = tmp_path / "dv"
+        cfg = write_cfg(tmp_path, {"dvcs": {"resolution": 2, "epochs": 1, "max_sets": 8,
+                                            "ensemble": 1, "lams": [1.0], "workers": 1}})
+        assert cli.main(["dvcs", "--config", cfg, "--seed", "1",
+                         "--out", str(out)]) == cli.EXIT_OK
+        assert len(read_csv_dicts(out / "ledger.csv")) == 8
+        assert read_csv(out / "stats.csv") == [["lam", "statistic", "value"]]
+        assert not (out / "map_lam1p0.svg").exists()
+        assert ("lam=1: no grid point lies in the outcome points' triangulation, maps skipped"
+                in (out / "report.md").read_text())
 
 
 class TestNoResult:

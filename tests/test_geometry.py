@@ -10,17 +10,6 @@ import geometry_oracles as oracles
 from qqual import geometry as g
 
 
-def signed_area2(hull):
-    x, y = hull[:, 0], hull[:, 1]
-    return float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
-
-def hull(pts):
-    """The hull that build_surface masks with: its triangulation's."""
-    pts = np.asarray(pts, dtype=np.float64)
-    return pts[g.hull_vertices(pts, g.delaunay(pts))]
-
-
 def lattice(nx, ny, dx=1.0, dy=1.0):
     gx, gy = np.meshgrid(np.arange(nx) * dx, np.arange(ny) * dy)
     return np.column_stack([gx.ravel(), gy.ravel()])
@@ -36,39 +25,7 @@ def diagonal_edge_set(rng):
 
 
 class TestConvexHull:
-    def test_brute_force_membership(self):
-        for seed in range(10):
-            pts = np.random.default_rng(seed).normal(size=(100, 2))
-            h = hull(pts)
-            assert signed_area2(h) > 0  # counter-clockwise
-            assert g.points_in_hull(h, pts[:, 0], pts[:, 1]).all()
-            in_set = {tuple(p) for p in pts.tolist()}
-            assert all(tuple(v) in in_set for v in h.tolist())
-
-    def test_square_with_collinear_point(self):
-        h = hull([[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0], [0.4, 0.6]])
-        assert len(h) == 4
-        assert {tuple(v) for v in h.tolist()} == {(0, 0), (1, 0), (1, 1), (0, 1)}
-
-    def test_lattice_keeps_only_its_corners(self):
-        # 20 lattice points lie on the boundary; the straight runs go
-        h = hull(lattice(6, 6))
-        assert len(h) == 4
-        assert {tuple(v) for v in h.tolist()} == {(0, 0), (5, 0), (5, 5), (0, 5)}
-
-    def test_matches_qhull_vertices(self):
-        rng = np.random.default_rng(12)
-        sets = [rng.uniform(-1.0, 3.0, size=(int(rng.integers(3, 120)), 2))
-                * rng.uniform(0.01, 100.0, size=2) for _ in range(40)]
-        sets += [lattice(int(nx), int(ny), *rng.uniform(0.01, 3.0, size=2))
-                 for nx, ny in rng.integers(2, 9, size=(20, 2))]
-        sets += [diagonal_edge_set(rng) for _ in range(40)]
-        for trial, pts in enumerate(sets):
-            got = g.hull_vertices(pts, g.delaunay(pts))
-            want = ConvexHull(pts).vertices  # counter-clockwise in 2-D
-            assert sorted(got.tolist()) == sorted(want.tolist()), trial
-            start = int(np.flatnonzero(got == want[0])[0])
-            assert np.array_equal(np.roll(got, -start), want), trial
+    """A point set whose convex hull has no area has no triangulation."""
 
     def test_collinear_rejected(self):
         with pytest.raises(ValueError):
@@ -175,7 +132,7 @@ class TestDelaunay:
             p = pts[tri]
             areas = doubled_areas(p)
             assert (areas > 0).all()
-            hull_area = signed_area2(hull(pts))
+            hull_area = 2.0 * ConvexHull(pts).volume
             assert abs(areas.sum() - hull_area) <= 1e-12 * hull_area
             for a, b, c in p.tolist():
                 assert not any(strictly_in_circumcircle(a, b, c, q) for q in pts.tolist())
@@ -186,19 +143,26 @@ class TestDelaunay:
 
     def test_grid_values_match_per_point_search(self):
         # every grid point against every triangle; the grid rows and columns
-        # run along the horizontal and vertical edges of a lattice of samples
+        # run along the horizontal and vertical edges of a lattice of samples,
+        # or the grid's diagonal runs along a hull edge, where the two
+        # computations' roundoff decides and only the values are compared
         rng = np.random.default_rng(8)
         eps = 100 * np.finfo(np.float64).eps
+        cases = []
         for trial in range(30):
             if trial % 2:
                 pts = rng.uniform(0.0, 6.0, size=(int(rng.integers(3, 40)), 2))
             else:
                 ny, nx = (int(v) for v in rng.integers(2, 7, size=2))
-                pts = np.column_stack([a.ravel() for a in np.meshgrid(np.arange(nx) * 1.0,
-                                                                      np.arange(ny) * 1.0)])
+                pts = lattice(nx, ny)
+            cases.append((pts, 4 * int(np.ptp(pts[:, 0])) + 1, 4 * int(np.ptp(pts[:, 1])) + 1,
+                          False))
+        diagonal_rng = np.random.default_rng(4)
+        cases += [(diagonal_edge_set(diagonal_rng), 120, 120, True) for _ in range(20)]
+        for trial, (pts, nx, ny, on_edge) in enumerate(cases):
             vals = np.sin(3.0 * pts[:, 0]) + pts[:, 1] ** 2
-            x_axis = np.linspace(pts[:, 0].min(), pts[:, 0].max(), 4 * int(np.ptp(pts[:, 0])) + 1)
-            y_axis = np.linspace(pts[:, 1].min(), pts[:, 1].max(), 4 * int(np.ptp(pts[:, 1])) + 1)
+            x_axis = np.linspace(pts[:, 0].min(), pts[:, 0].max(), nx)
+            y_axis = np.linspace(pts[:, 1].min(), pts[:, 1].max(), ny)
             tri = g.delaunay(pts)
             got = g._interpolate(g.ScatterField(pts[:, 0], pts[:, 1], vals), tri, x_axis, y_axis)
             p = pts[tri]
@@ -210,12 +174,14 @@ class TestDelaunay:
             b2 = 1.0 - b0 - b1
             inside = (b0 >= -eps) & (b1 >= -eps) & (b2 >= -eps)
             found = inside.any(axis=1)
-            assert np.array_equal(np.isfinite(got).ravel(), found), trial
-            k = inside.argmax(axis=1)[found]
+            finite = np.isfinite(got).ravel()
+            decided = ~np.eye(ny, nx, dtype=bool).ravel() if on_edge else True
+            assert np.array_equal(finite & decided, found & decided), trial
+            rows = np.flatnonzero(found & finite)
+            k = inside.argmax(axis=1)[rows]
             v = vals[tri]
-            rows = np.flatnonzero(found)
             want = (b0[rows, k] * v[k, 0] + b1[rows, k] * v[k, 1] + b2[rows, k] * v[k, 2])
-            assert np.abs(got.ravel()[found] - want).max() <= 1e-12 * np.abs(vals).max(), trial
+            assert np.abs(got.ravel()[rows] - want).max() <= 1e-12 * np.abs(vals).max(), trial
 
     def test_tie_keeps_first_diagonal(self):
         # the unit square's four corners are cocircular; in (x, y) order the
@@ -295,35 +261,10 @@ class TestBuildSurface:
                 wins += 1
         assert wins >= 18
 
-    def test_holes_take_nearest_sample_lowest_index(self, monkeypatch):
-        # masked points the triangulation misses take the nearest sample's
-        # value; of equally near samples, the first
-        fld, pts = self.make_plane_field(seed=2, n=40)
-        fld = g.ScatterField(np.append(fld.xs, pts[7, 0]), np.append(fld.ys, pts[7, 1]),
-                             np.append(fld.values, 99.0))  # a later copy of sample 7
-        interpolate = g._interpolate
-        punched = []
-
-        def with_holes(field, tri, x_axis, y_axis):
-            out = interpolate(field, tri, x_axis, y_axis)
-            rows = np.searchsorted(y_axis, field.ys[:10])
-            cols = np.searchsorted(x_axis, field.xs[:10])
-            punched.extend(zip(rows.tolist(), cols.tolist()))
-            out[rows, cols] = np.nan
-            return out
-
-        monkeypatch.setattr(g, "_interpolate", with_holes)
-        grid = g.build_surface(fld, resolution=50, smoothing=0.0)
-        punched = [(i, j) for i, j in punched if grid.mask[i, j]]
-        assert len(punched) >= 5
-        for i, j in punched:
-            d2 = (grid.x_axis[j] - fld.xs) ** 2 + (grid.y_axis[i] - fld.ys) ** 2
-            assert grid.values[i, j] == fld.values[np.flatnonzero(d2 == d2.min())[0]]
-        assert any(grid.values[i, j] == fld.values[7] for i, j in punched)
-
     def test_holes_on_a_diagonal_hull_edge(self):
         # grid points on a hull edge along the grid's diagonal can fall
-        # outside every triangle by roundoff; each takes the nearest sample
+        # outside every triangle by roundoff; the mask leaves them out, as
+        # the interpolation does
         rng = np.random.default_rng(4)
         n_holes = 0
         for _ in range(20):
@@ -331,20 +272,10 @@ class TestBuildSurface:
             fld = g.ScatterField(pts[:, 0], pts[:, 1], rng.standard_normal(len(pts)))
             grid = g.build_surface(fld, resolution=120, smoothing=0.0)
             raw = g._interpolate(fld, g.delaunay(pts), grid.x_axis, grid.y_axis)
-            assert np.array_equal(grid.values[np.isfinite(raw)], raw[np.isfinite(raw)])
-            holes = grid.mask & ~np.isfinite(raw)
-            for i, j in np.argwhere(holes):
-                d2 = (grid.x_axis[j] - fld.xs) ** 2 + (grid.y_axis[i] - fld.ys) ** 2
-                assert grid.values[i, j] == fld.values[np.argmin(d2)]
-            n_holes += int(holes.sum())
+            assert np.array_equal(grid.mask, np.isfinite(raw))
+            assert np.array_equal(grid.values, raw, equal_nan=True)
+            n_holes += int(np.sum(~grid.mask.diagonal()))
         assert n_holes > 0
-
-    def test_default_parameters(self):
-        fld, _ = self.make_plane_field(seed=5, n=30)
-        grid = g.build_surface(fld)
-        assert len(grid.x_axis) == 200 and len(grid.y_axis) == 200
-        explicit = g.build_surface(fld, resolution=200, smoothing=3.0)
-        assert np.array_equal(grid.values, explicit.values, equal_nan=True)
 
     def test_nonfinite_values_rejected(self):
         # a NaN sample would otherwise leave a hole in the mask, which is
@@ -353,12 +284,12 @@ class TestBuildSurface:
         values = fld.values.copy()
         values[4] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            g.build_surface(g.ScatterField(fld.xs, fld.ys, values))
+            g.build_surface(g.ScatterField(fld.xs, fld.ys, values), 200, 3.0)
 
     def test_resolution_validated(self):
         fld, _ = self.make_plane_field()
         with pytest.raises(ValueError):
-            g.build_surface(fld, resolution=1)
+            g.build_surface(fld, resolution=1, smoothing=3.0)
 
 
 def scanned_lines(grid):
@@ -433,7 +364,8 @@ class TestZeroContour:
             theta, phase = rng.uniform(0.0, 2.0 * np.pi, 2)
             vals = (np.cos(theta) * (u - 0.5) + np.sin(theta) * (v - 0.5)
                     + 0.12 * np.sin(2.0 * np.pi * (2.0 * u + 1.5 * v) + phase))
-            grid = g.build_surface(g.ScatterField(1.0 + 9.0 * u, 0.1 + 0.5 * v, vals))
+            grid = g.build_surface(g.ScatterField(1.0 + 9.0 * u, 0.1 + 0.5 * v, vals),
+                                   resolution=200, smoothing=3.0)
             got, want = g.zero_contour(grid), scanned_lines(grid)
             assert len(got) == len(want) > 0
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
