@@ -908,12 +908,13 @@ def render_dvcs(config: dict, result: dict, out_dir: str) -> List[str]:
         lines += [f"- {f}" for f in campaign["failed_fits"]] + [""]
     if campaign["diverged"]:
         lines += [f"Diverged replicas excluded pairwise: {len(campaign['diverged'])}.", ""]
-    lines += ["## Regime statistics", "",
-              "| lam | area(xi>0) | area(xi_hat>0) | sign agreement | t-crossings |",
-              "|---|---|---|---|---|"]
-    for lam in result["lams"]:
-        if lam not in by_lam:
-            continue
+    lines += ["## Regime statistics", ""]
+    if by_lam:
+        lines += ["| lam | area(xi>0) | area(xi_hat>0) | sign agreement | t-crossings |",
+                  "|---|---|---|---|---|"]
+    else:
+        lines.append("No noise scale was mapped; the Warnings below say why.")
+    for lam in (lam for lam in result["lams"] if lam in by_lam):
         stats = by_lam[lam]["stats"]
         hat_s, agr_s = (f"{stats[k]:.3f}" if k in stats else "n/a"
                         for k in ("area_xi_hat_positive", "sign_agreement_xi_vs_xi_hat"))
@@ -937,8 +938,9 @@ def render_dvcs(config: dict, result: dict, out_dir: str) -> List[str]:
         lines += ["", "## Warnings", ""] + [f"- {w}" for w in result["warnings"]]
     lines.append("")
     _write_text(os.path.join(out_dir, "report.md"), "\n".join(lines))
-    return [f"dvcs: {len(result['outcomes'])} outcomes, "
-            f"areas {['%.3f' % v for v in ordered]}, monotone={monotone}"]
+    mapped = (f"areas {['%.3f' % v for v in ordered]}, monotone={monotone}" if ordered
+              else "no noise scale mapped (see report Warnings)")
+    return [f"dvcs: {len(result['outcomes'])} outcomes, {mapped}"]
 
 
 # ---------------------------------------------------------------------------

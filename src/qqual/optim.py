@@ -3,15 +3,15 @@ primitives, checkpointed training, the paired run, and the process pool
 that parallel commands train through.
 
 Both model families train through the same loop so that paired benchmark
-runs differ only in the model, never in the optimizer.  A run read at
-checkpoint epochs trains through ``fit_probed``, at ``checkpoint_marks``;
-every command builds, trains and reads its CDNN/QDNN pair through ``fit_pair``.
+runs differ only in the model, never in the optimizer.  ``fit`` reads a
+run at its ``checkpoint_marks``; every command builds, trains and reads
+its CDNN/QDNN pair through ``fit_pair``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -80,20 +80,14 @@ class _Adam:
         return params - self.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
 
-def fit(
-    model,
-    X: np.ndarray,
-    y: np.ndarray,
-    loss: str,
-    cfg: TrainConfig,
-    on_epoch: Optional[Callable[[int, object, float], None]] = None,
-) -> List[float]:
-    """Train a model in place; returns the per-epoch loss history.
-
-    The model exposes ``params`` (flat float vector, settable) and
-    ``loss_and_grad(X, y, loss)`` evaluated at its current params.  Each
-    epoch is one Adam step on the full batch; history records each
-    epoch's pre-update loss.
+def fit(model, X: np.ndarray, y: np.ndarray, loss: str, cfg: TrainConfig,
+        marks: Sequence[int] = (), probe: Optional[Callable[[object], object]] = None
+        ) -> Tuple[List[float], list]:
+    """Train a model in place, one full-batch Adam step per epoch; returns
+    each epoch's pre-update loss and ``probe(model)`` read at each of the
+    sorted ``marks``: mark 0 before the first step, mark k after the k-th
+    update.  The model exposes ``params`` (flat float vector, settable)
+    and ``loss_and_grad(X, y, loss)`` evaluated at its current params.
     """
     if loss not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {loss!r}")
@@ -105,6 +99,7 @@ def fit(
         raise ValueError("feature/label length mismatch")
     opt = _Adam(cfg.learning_rate, model.params.size)
     history: List[float] = []
+    probes = [probe(model)] if 0 in marks else []
     for epoch in range(cfg.epochs):
         value, grad = model.loss_and_grad(X, y, loss)
         if not np.isfinite(value):
@@ -116,9 +111,9 @@ def fit(
             )
         model.params = new_params
         history.append(float(value))
-        if on_epoch is not None:
-            on_epoch(epoch + 1, model, history[-1])
-    return history
+        if epoch + 1 in marks:
+            probes.append(probe(model))
+    return history, probes
 
 
 def checkpoint_marks(epochs: int, checkpoints: Sequence[int]) -> List[int]:
@@ -127,26 +122,11 @@ def checkpoint_marks(epochs: int, checkpoints: Sequence[int]) -> List[int]:
     return sorted({int(c) for c in checkpoints if 0 < int(c) <= epochs} | {epochs})
 
 
-def fit_probed(model, X: np.ndarray, y: np.ndarray, loss: str, cfg: TrainConfig,
-               marks: Sequence[int], probe: Callable[[object], object]) -> list:
-    """Train as ``fit`` does and return ``probe(model)`` at each of the
-    sorted ``marks``, in order; mark 0 is probed before the first step.
-    Divergence raises TrainingDivergence, as in ``fit``."""
-    probes = [probe(model)] if marks[0] == 0 else []
-
-    def on_epoch(epoch, _model, _loss):
-        if epoch in marks:
-            probes.append(probe(model))
-
-    fit(model, X, y, loss, cfg, on_epoch=on_epoch)
-    return probes
-
-
 def fit_pair(task: str, seed: int, X: np.ndarray, y: np.ndarray, cfg: TrainConfig,
              marks: Sequence[int], probe: Callable[[object], object]
              ) -> List[Optional[list]]:
     """Build the CDNN and the QDNN for ``task`` from one seed, train each
-    through ``fit_probed`` on the task's loss (bce for classification, mse
+    through ``fit`` on the task's loss (bce for classification, mse
     for regression) and return, in FAMILIES order, each family's probes,
     or None where its training diverged.  The QDNN takes one qubit per
     feature of X up to qsim.MAX_QUBITS, two features per qubit past it."""
@@ -161,7 +141,7 @@ def fit_pair(task: str, seed: int, X: np.ndarray, y: np.ndarray, cfg: TrainConfi
     for net in (cdnn.build_default_cdnn(n_features, task, seed=seed),
                 build_qdnn(n_features, task=task, seed=seed)):
         try:
-            probes.append(fit_probed(net, X, y, loss, cfg, marks, probe))
+            probes.append(fit(net, X, y, loss, cfg, marks, probe)[1])
         except TrainingDivergence:
             probes.append(None)
     return probes

@@ -107,9 +107,9 @@ class TestTrain:
     def test_zero_epochs_unchanged(self):
         m = cdnn.build_default_cdnn(2, "regression", seed=0)
         p0 = m.params.copy()
-        hist = optim.fit(m, np.zeros((4, 2)), np.zeros(4), "mse",
-                         optim.TrainConfig(epochs=0))
-        assert hist == []
+        losses, _ = optim.fit(m, np.zeros((4, 2)), np.zeros(4), "mse",
+                              optim.TrainConfig(epochs=0))
+        assert losses == []
         assert np.array_equal(m.params, p0)
 
     def test_xor_is_learnable(self):

@@ -550,19 +550,25 @@ class TestDvcs:
         report = (out / "report.md").read_text()
         assert "rank" in report and "lam=1: outcome points cannot be mapped" in report
 
-    def test_grid_outside_the_triangulation_skips_its_map(self, tmp_path):
+    def test_grid_outside_the_triangulation_skips_its_map(self, tmp_path, capsys):
         # a 2 x 2 grid is the bounding box's corners, which no sample point
-        # of the synthetic corpus sits on, so no grid point is masked
+        # of the synthetic corpus sits on, so no grid point is masked; with
+        # no noise scale mapped, the ledger is still the campaign's result
         out = tmp_path / "dv"
         cfg = write_cfg(tmp_path, {"dvcs": {"resolution": 2, "epochs": 1, "max_sets": 8,
                                             "ensemble": 1, "lams": [1.0], "workers": 1}})
         assert cli.main(["dvcs", "--config", cfg, "--seed", "1",
                          "--out", str(out)]) == cli.EXIT_OK
+        assert "dvcs: 8 outcomes, no noise scale mapped (see report Warnings)" in \
+            capsys.readouterr().out
         assert len(read_csv_dicts(out / "ledger.csv")) == 8
         assert read_csv(out / "stats.csv") == [["lam", "statistic", "value"]]
         assert not (out / "map_lam1p0.svg").exists()
+        report = (out / "report.md").read_text()
+        assert "| lam |" not in report
+        assert "No noise scale was mapped; the Warnings below say why." in report
         assert ("lam=1: no grid point lies in the outcome points' triangulation, maps skipped"
-                in (out / "report.md").read_text())
+                in report)
 
 
 class TestNoResult:

@@ -466,17 +466,17 @@ class TestCampaign:
         fits = []
         real_fit = optim.fit
 
-        def flaky_fit(model, X, y, loss, cfg, on_epoch=None):
+        def flaky_fit(model, X, y, loss, cfg, marks, probe):
             fits.append(1)
             if len(fits) % 6 != 3:
-                return real_fit(model, X, y, loss, cfg, on_epoch)
+                return real_fit(model, X, y, loss, cfg, marks, probe)
 
-            def stop_after_mark(epoch, m, value):
-                on_epoch(epoch, m, value)
-                if epoch == 2:
-                    raise TrainingDivergence(epoch, 0.0)
+            def stop_after_mark(m):
+                # marks are [2, 4], so the first read is mark 2's
+                probe(m)
+                raise TrainingDivergence(2, 0.0)
 
-            return real_fit(model, X, y, loss, cfg, stop_after_mark)
+            return real_fit(model, X, y, loss, cfg, marks, stop_after_mark)
 
         monkeypatch.setattr(optim, "fit", flaky_fit)
         m, _, _, diverged = dvcs._campaign_cell(job)

@@ -97,17 +97,17 @@ class TestFit:
     def test_zero_epochs(self):
         X, y = self._data()
         model = _Quadratic(0.5)
-        hist = optim.fit(model, X, y, "mse", optim.TrainConfig(epochs=0))
-        assert hist == []
+        losses, _ = optim.fit(model, X, y, "mse", optim.TrainConfig(epochs=0))
+        assert losses == []
         assert model.params[0] == 0.5
 
     def test_history_is_pre_update_loss(self):
         X, y = self._data()
         model = _Quadratic(0.0)
         v0 = model.loss_and_grad(X, y, "mse")[0]
-        hist = optim.fit(model, X, y, "mse", optim.TrainConfig(epochs=3))
-        assert hist[0] == pytest.approx(v0)
-        assert len(hist) == 3
+        losses, _ = optim.fit(model, X, y, "mse", optim.TrainConfig(epochs=3))
+        assert losses[0] == pytest.approx(v0)
+        assert len(losses) == 3
 
     def test_tiny_learning_rate_barely_moves_params(self):
         # Kingma & Ba 2015, sec. 2.1: an Adam step lr * m_hat / (sqrt(v_hat) + eps)
@@ -132,12 +132,13 @@ class TestFit:
         # the parameter is about 1e300, whose 2-norm would overflow to inf
         assert err.value.param_norm == pytest.approx(1e300, rel=1e-6)
 
-    def test_on_epoch_callback_sees_each_epoch(self):
+    def test_a_mark_at_every_epoch_sees_each_epoch(self):
+        # the loss read at mark k is the pre-update loss of epoch k + 1
         X, y = self._data()
-        seen = []
-        optim.fit(_Quadratic(0.0), X, y, "mse", optim.TrainConfig(epochs=4),
-                  on_epoch=lambda n, m, l: seen.append(n))
-        assert seen == [1, 2, 3, 4]
+        losses, probes = optim.fit(_Quadratic(0.0), X, y, "mse", optim.TrainConfig(epochs=4),
+                                   [0, 1, 2, 3, 4], lambda m: m.loss_and_grad(X, y, "mse")[0])
+        assert len(probes) == 5
+        assert probes[:4] == losses
 
     @pytest.mark.parametrize("epochs, checkpoints, marks", [
         (50, [10, 25, 50], [10, 25, 50]),
@@ -148,14 +149,14 @@ class TestFit:
     def test_checkpoint_marks(self, epochs, checkpoints, marks):
         assert optim.checkpoint_marks(epochs, checkpoints) == marks
 
-    def test_fit_probed_reads_each_mark_once(self):
+    def test_fit_reads_each_mark_once(self):
         # each probe equals the parameters of a run stopped at that mark;
         # mark 0 is read before the first step
         X, y = self._data()
         for epochs, marks in ((4, [1, 3, 4]), (0, [0])):
-            probes = optim.fit_probed(_Quadratic(0.5), X, y, "mse",
-                                      optim.TrainConfig(epochs=epochs), marks,
-                                      lambda model: model.params[0])
+            _, probes = optim.fit(_Quadratic(0.5), X, y, "mse",
+                                  optim.TrainConfig(epochs=epochs), marks,
+                                  lambda model: model.params[0])
             stopped = []
             for mark in marks:
                 model = _Quadratic(0.5)
@@ -177,8 +178,8 @@ class TestSharedLoopWithCdnn:
         runs = []
         for _ in range(2):
             net = cdnn.build_default_cdnn(2, "classification", seed=3)
-            hist = optim.fit(net, X, y, "bce", optim.TrainConfig(epochs=10))
-            runs.append((hist, net.params.copy()))
+            losses, _ = optim.fit(net, X, y, "bce", optim.TrainConfig(epochs=10))
+            runs.append((losses, net.params.copy()))
         assert runs[0][0] == runs[1][0]
         assert np.array_equal(runs[0][1], runs[1][1])
 
@@ -215,7 +216,7 @@ class TestFitPair:
         def probe(net):
             return net.forward(X)
 
-        solo = [optim.fit_probed(net, X, y, "mse", cfg, marks, probe)
+        solo = [optim.fit(net, X, y, "mse", cfg, marks, probe)[1]
                 for net in (cdnn.build_default_cdnn(4, "regression", seed=2),
                             qdnn.build_default_qdnn(4, task="regression", seed=2))]
         # the second step's loss is NaN: mark 1 was read, yet the family reads None

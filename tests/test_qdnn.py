@@ -164,9 +164,9 @@ class TestTrain:
     def test_zero_epochs_unchanged(self):
         m = qdnn.build_default_qdnn(2, 1, seed=0)
         p0 = m.params.copy()
-        hist = optim.fit(m, np.zeros((4, 2)), np.zeros(4), "mse",
-                         optim.TrainConfig(epochs=0))
-        assert hist == []
+        losses, _ = optim.fit(m, np.zeros((4, 2)), np.zeros(4), "mse",
+                              optim.TrainConfig(epochs=0))
+        assert losses == []
         assert np.array_equal(m.params, p0)
 
     def test_exactly_representable_target_is_learned(self):
@@ -176,8 +176,8 @@ class TestTrain:
         m = qdnn.QdnnModel(circuit, [0.05], scale=1.0, offset=0.0)
         X = np.array([[-1.0], [0.0], [1.0], [2.0]])
         y = 0.8 * np.cos(X[:, 0] + 0.4) - 0.1
-        hist = optim.fit(m, X, y, "mse", optim.TrainConfig(epochs=500))
-        assert hist[-1] < 1e-3
+        losses, _ = optim.fit(m, X, y, "mse", optim.TrainConfig(epochs=500))
+        assert losses[-1] < 1e-3
 
     def test_bitwise_deterministic_history(self):
         rng = np.random.default_rng(2)
@@ -186,8 +186,8 @@ class TestTrain:
         runs = []
         for _ in range(2):
             m = qdnn.build_default_qdnn(3, 1, seed=4)
-            hist = optim.fit(m, X, y, "mse", optim.TrainConfig(epochs=6))
-            runs.append((hist, m.params.copy()))
+            losses, _ = optim.fit(m, X, y, "mse", optim.TrainConfig(epochs=6))
+            runs.append((losses, m.params.copy()))
         assert runs[0][0] == runs[1][0]
         assert np.array_equal(runs[0][1], runs[1][1])
 
@@ -213,7 +213,7 @@ class TestLossImprovement:
             ys = np.cos(4.0 * xs) + 0.1 * rng.normal(size=xs.size)
             X = np.repeat(xs.reshape(-1, 1), 8, axis=1)
             m = qdnn.build_default_qdnn(8, 2, seed=seed)
-            hist = optim.fit(m, X, ys, "mse", optim.TrainConfig(epochs=20))
-            if np.mean(hist[-10:]) < np.mean(hist[:10]):
+            losses, _ = optim.fit(m, X, ys, "mse", optim.TrainConfig(epochs=20))
+            if np.mean(losses[-10:]) < np.mean(losses[:10]):
                 wins += 1
         assert wins >= 8

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -428,3 +431,43 @@ class TestNormPreservation:
         params = rng.uniform(-2 * np.pi, 2 * np.pi, size=p)
         run, _ = qsim.run_circuit(spec, params, NO_FEATURES)
         assert abs(np.vdot(run.states[0], run.states[0]).real - 1.0) < 1e-10
+
+
+# numpy functions that hand their reduction to BLAS
+BLAS_CALLS = {"dot", "matmul", "vdot", "inner", "tensordot"}
+
+
+def blas_uses(source):
+    """(line, what) for each BLAS entry point in ``source``: ``@``, a call
+    of dot/matmul/vdot/inner/tensordot (as an np function or an array
+    method) or of anything under np.linalg, and an np.einsum given an
+    ``optimize`` argument (which may route its contractions through
+    tensordot)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        name = ast.unparse(node.func)
+        if (node.func.attr in BLAS_CALLS or name.startswith("np.linalg.")
+                or name == "np.einsum" and any(k.arg == "optimize" for k in node.keywords)):
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_simulator_makes_no_blas_call():
+    # a BLAS reduction would make results depend on the BLAS thread count,
+    # and a threaded BLAS call on a mid-sized batch can stall for
+    # milliseconds; only a sampled bench-reg config would notice either
+    source = (Path(qsim.__file__).parent / "qsim.py").read_text()
+    assert blas_uses(source) == []
+
+
+def test_blas_guard_sees_each_entry_point():
+    source = "\n".join([
+        "a = b @ c", "a @= b", "np.dot(a, b)", "x.dot(b)", "np.matmul(a, b)",
+        "np.vdot(a, b)", "np.inner(a, b)", "np.tensordot(a, b)", "np.linalg.norm(a)",
+        "np.einsum('ij,jk', a, b, optimize=True)",
+        "np.einsum('ij,jk', a, b)", "a * b", "np.sum(a)"])
+    assert [line for line, _ in blas_uses(source)] == list(range(1, 11))
