@@ -2,10 +2,12 @@
 rotation layers with CNOT-ring entanglers, a readout that averages the
 circuit's Pauli-Z expectations, and an affine output map.  Gradients of
 circuit angles come from one forward run and one adjoint sweep
-(``qsim.vjp``); the output map trains by the chain rule."""
+(``qsim.vjp``); the output map trains by the chain rule.  Predictions
+read the weighted expectations alone (``qsim.readout``)."""
 
 from __future__ import annotations
 
+import functools
 from typing import List, Tuple
 
 import numpy as np
@@ -61,7 +63,8 @@ class QdnnModel:
 
     def readout_expectations(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        return qsim.run_circuit(self.circuit, self.theta, X)[1].mean(axis=1)
+        n_obs = len(self.circuit.observables)
+        return qsim.readout(self.circuit, self.theta, X, np.full(n_obs, 1.0 / n_obs))
 
     def forward(self, X: np.ndarray) -> np.ndarray:
         return self.scale * self.readout_expectations(X) + self.offset
@@ -101,6 +104,14 @@ def _ring_layers(n_qubits: int, n_layers: int) -> List[List[qsim.Gate]]:
     return layers
 
 
+@functools.lru_cache(maxsize=None)
+def _circuit(n_qubits: int, embed: Tuple[qsim.Gate, ...], n_layers: int,
+             observables: Tuple[int, ...]) -> qsim.CircuitSpec:
+    """The compiled circuit of one network shape, built once per process:
+    every paired run builds its QDNN anew, and a CircuitSpec is frozen."""
+    return qsim.CircuitSpec(n_qubits, [embed] + _ring_layers(n_qubits, n_layers), observables)
+
+
 def _finish_build(n_qubits, embed, n_layers, task, seed) -> QdnnModel:
     # a classifier reads qubit 0 alone, a regressor the mean over every qubit
     if task == "classification":
@@ -109,8 +120,7 @@ def _finish_build(n_qubits, embed, n_layers, task, seed) -> QdnnModel:
         observables, scale, offset, trainable = tuple(range(n_qubits)), 1.0, 0.0, True
     else:
         raise ValueError(f"unknown task {task!r}")
-    layers = [embed] + _ring_layers(n_qubits, n_layers)
-    circuit = qsim.CircuitSpec(n_qubits, layers, observables)
+    circuit = _circuit(n_qubits, tuple(embed), n_layers, observables)
     rng = np.random.default_rng(seed)
     theta = rng.uniform(-np.pi / 10, np.pi / 10, size=circuit.n_params)
     return QdnnModel(circuit, theta, scale, offset, trainable)

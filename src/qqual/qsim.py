@@ -26,6 +26,13 @@ Qulacs, arXiv:2011.13524):
   gather;
 - every <Z_q> is read from |psi|^2, computed once.
 
+``readout`` returns weighted expectations alone, for predictions.  When
+every feature gate sits in the prefix and the columns that vary over the
+batch drive a set V of qubits with 2**|V| below the batch size, the rows'
+prefix states lie in the span of V's basis states, so it runs the rest of
+the plan on those 2**|V| states instead of on every row and reads each
+row from their weighted overlaps.
+
 Gradients come from ``vjp``, one adjoint sweep back through the same
 blocks.  ``run_circuit`` returns a ``Run`` that keeps, for each trainable
 block, the state at the block's end (the prefix's is rebuilt from its
@@ -210,6 +217,9 @@ class _Plan(NamedTuple):
     feature_cols: np.ndarray  # (F,) feature index of each feature gate
     z_signs: np.ndarray  # (n_observables, 2**n)
     bits: np.ndarray  # (n, 2**n), from _bit_table
+    # (F,) target qubit of each feature gate when all of them sit in the
+    # prefix, else None: where ``readout`` may take the row-span path
+    embed_qubits: Optional[np.ndarray]
 
 
 def _stack_paulis(gates: Sequence[Gate]) -> np.ndarray:
@@ -260,10 +270,13 @@ def _build_plan(n_qubits: int, gates: Sequence[Gate], observables: Sequence[int]
     trainable = tuple(i for i, block in enumerate(blocks) if isinstance(block, _Rotations)
                       and any(len(step.params) for step in block.steps))
     param_gates = sorted((g for g in gates if g.param is not None), key=lambda g: g.param)
+    in_prefix = sum(len(step.features) for step in blocks[0].steps)
+    embed_qubits = (_indices(g.target for g in feature_gates)
+                    if in_prefix == len(feature_gates) else None)
     return _Plan(tuple(blocks), trainable,
                  _stack_paulis(param_gates), _stack_paulis(feature_gates),
                  np.array([g.feature for g in feature_gates], dtype=np.intp),
-                 _z_signs(n_qubits, observables), _bit_table(n_qubits))
+                 _z_signs(n_qubits, observables), _bit_table(n_qubits), embed_qubits)
 
 
 @dataclass(frozen=True)
@@ -370,37 +383,62 @@ def _slot(w: np.ndarray, s: int) -> np.ndarray:
     return w[:, :, s, 0] if w.shape[3] == 1 else w[:, :, s]
 
 
+def _prefix_kets(block: _Rotations, fused: np.ndarray) -> dict:
+    """qubit -> its fused prefix matrix applied to |0>: a (2,) ket, or
+    (B, 2) when a feature drives it; the prefix leaves other qubits at |0>."""
+    return {q: _slot(fused, s)[:, 0].T for s, q in enumerate(block.qubits)}
+
+
+def _kron_kets(kets: Sequence[np.ndarray], batch: int) -> np.ndarray:
+    """(batch, 2**len(kets)) product states of (2,) or (batch, 2) kets, the
+    first ket on the most significant bit."""
+    state = np.ones((batch, 1), dtype=np.complex128)
+    for ket in kets:
+        state = (state[:, :, None] * ket[..., None, :]).reshape(batch, -1)
+    return state
+
+
 def _product_state(block: _Rotations, fused: np.ndarray, batch: int,
                    n_qubits: int) -> np.ndarray:
     """(B, 2**n) state at the prefix's end: the product of each qubit's
     fused matrix applied to |0>, and |0> on the qubits it leaves alone."""
-    kets = {q: _slot(fused, s)[:, 0] for s, q in enumerate(block.qubits)}
-    state = np.ones((batch, 1), dtype=np.complex128)
-    for q in range(n_qubits):
-        ket = kets.get(q, _EYE[:, 0]).T  # (2,), or (B, 2) when a feature drives it
-        state = (state[:, :, None] * ket[..., None, :]).reshape(batch, -1)
+    kets = _prefix_kets(block, fused)
+    return _kron_kets([kets.get(q, _EYE[:, 0]) for q in range(n_qubits)], batch)
+
+
+def _angles(plan: _Plan, params: np.ndarray, features: np.ndarray):
+    """The rotation matrices of the param gates, (2, 2, P, 1), and of the
+    feature gates for each row, (2, 2, F, B)."""
+    return (_rotation_matrices(plan.param_paulis, params)[..., None],
+            _rotation_matrices(plan.feature_paulis, features[:, plan.feature_cols].T))
+
+
+def _evolve(spec: CircuitSpec, state: np.ndarray, by_param: np.ndarray,
+            by_feature: np.ndarray, kept: dict) -> np.ndarray:
+    """Run the plan's blocks after the prefix on the prefix's end states,
+    recording in ``kept`` what ``Run`` keeps of each rotation block."""
+    plan = spec._plan
+    for i, block in enumerate(plan.blocks[1:], 1):
+        if isinstance(block, _CnotRun):
+            state = state[:, block.perm]
+            continue
+        ws = _fuse(block, by_param, by_feature)
+        for s, q in enumerate(block.qubits):
+            _apply_2x2(_on_qubit(state, spec.n_qubits, q), _slot(ws[-1], s))
+        kept[i] = (state if i in plan.trainable else None, ws)
     return state
 
 
 def _execute(spec: CircuitSpec, params: np.ndarray, features: np.ndarray) -> Run:
     """Run the circuit's plan on a batch of feature rows."""
     plan = spec._plan
-    batch = features.shape[0]
-    n = spec.n_qubits
-    by_param = _rotation_matrices(plan.param_paulis, params)[..., None]
-    by_feature = _rotation_matrices(plan.feature_paulis, features[:, plan.feature_cols].T)
-    kept = {}
-    for i, block in enumerate(plan.blocks):
-        if isinstance(block, _CnotRun):
-            state = state[:, block.perm]
-            continue
-        ws = _fuse(block, by_param, by_feature)
-        if i == 0:
-            state = _product_state(block, ws[-1], batch, n)
-        else:
-            for s, q in enumerate(block.qubits):
-                _apply_2x2(_on_qubit(state, n, q), _slot(ws[-1], s))
-        kept[i] = (state if i and i in plan.trainable else None, ws)
+    by_param, by_feature = _angles(plan, params, features)
+    ws = _fuse(plan.blocks[0], by_param, by_feature)
+    kept = {0: (None, ws)}
+    # no local holds the prefix state, so the first CNOT gather frees it;
+    # one more live state block costs a 181-row q8 forward about 10%
+    state = _evolve(spec, _product_state(plan.blocks[0], ws[-1], features.shape[0], spec.n_qubits),
+                    by_param, by_feature, kept)
     return Run(spec, state, kept)
 
 
@@ -428,6 +466,51 @@ def run_circuit(spec: CircuitSpec, params: Sequence[float], features: np.ndarray
     run = _execute(spec, params, feats)
     probs = run.states.real ** 2 + run.states.imag ** 2
     return run, np.einsum("bi,oi->bo", probs, spec._plan.z_signs)
+
+
+def readout(spec: CircuitSpec, params: Sequence[float], features: np.ndarray,
+            weights: Sequence[float]) -> np.ndarray:
+    """(B,) weighted expectations sum_o weights[o] <Z_o> of each row of a
+    (B, F) feature batch: ``run_circuit(spec, params, features)[1] @ weights``
+    up to rounding, with nothing kept for a gradient.
+
+    When every feature gate sits in the product-state prefix, row b's
+    state there is c(b) (x) the same kets on every other qubit, c(b) being
+    the product of its prefix kets on the span V: the qubits whose feature
+    gates read a column that varies over the batch.  If the r = 2**|V|
+    basis states of V are fewer than the rows, the rest of the plan runs on
+    r column states Psi_s (basis state s on V, the fixed prefix kets
+    elsewhere), and row b reads c(b)^dagger M c(b) with
+    M = conj(Psi) diag(d) Psi^T and d = sum_o weights[o] z_o, which is the
+    same number.  Otherwise every row runs through the plan and reads
+    |psi|^2 . d.
+    """
+    params, feats = _check_args(spec, params, features)
+    plan = spec._plan
+    d = np.einsum("o,oi->i", np.asarray(weights, dtype=np.float64), plan.z_signs)
+    span = None
+    if plan.embed_qubits is not None:
+        varies = np.any(feats != feats[:1], axis=0)[plan.feature_cols]
+        # not np.unique: its first call imports numpy.ma, 14 ms per process
+        span = sorted(set(plan.embed_qubits[varies].tolist()))
+    if span is None or 2 ** len(span) >= len(feats):
+        states = _execute(spec, params, feats).states
+        return np.einsum("bi,i->b", states.real ** 2 + states.imag ** 2, d)
+    by_param, by_feature = _angles(plan, params, feats)
+    kets = _prefix_kets(plan.blocks[0], _fuse(plan.blocks[0], by_param, by_feature)[-1])
+    r = 2 ** len(span)
+    # off the span a ket is the same in every row; on it, column s takes
+    # the basis ket of each bit of s, span[0] on the most significant one
+    columns = [k if k.ndim == 1 else k[0]
+               for k in (kets.get(q, _EYE[:, 0]) for q in range(spec.n_qubits))]
+    for j, q in enumerate(span):
+        columns[q] = _EYE[(np.arange(r) >> (len(span) - 1 - j)) & 1]
+    # a CNOT gather leaves the row axis fastest in memory, and so do the
+    # row kets; einsum runs about twice as fast on C-ordered operands
+    psi = np.ascontiguousarray(_evolve(spec, _kron_kets(columns, r), by_param, by_feature, {}))
+    m = np.einsum("si,ti->st", psi.conj(), psi * d)
+    c = np.ascontiguousarray(_kron_kets([kets[q] for q in span], feats.shape[0]))
+    return np.einsum("bs,bs->b", c.conj(), np.einsum("st,bt->bs", m, c)).real
 
 
 def _overlaps(lam: np.ndarray, psi: np.ndarray, bits: np.ndarray, qubits: np.ndarray,

@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from qqual import cdnn, dvcs, optim, qdnn
+from qqual import cdnn, dvcs, optim, qdnn, qsim
 from qqual.optim import TrainConfig, TrainingDivergence
 from qqual.perfmetrics import m_reg
 
@@ -249,6 +249,22 @@ class TestExtraction:
         grid_rows.clear()
         extract(pseudo, "qdnn", 1, 3, checkpoints=(1, 2))
         assert sorted(grid_rows) == ["MlpModel"] * 3 + ["QdnnModel"] * 3
+
+    def test_qdnn_projections_simulate_the_span_of_the_grid_rows(self, monkeypatch):
+        # the grid's 181 rows vary only in the four phi harmonics, so each
+        # QDNN projection runs 2**4 basis states through the circuit, and
+        # training on a 12-point set runs 12 rows
+        rows = []
+        apply = qsim._apply_2x2
+
+        def recording(psi, u):
+            rows.append(psi.shape[0])
+            apply(psi, u)
+
+        monkeypatch.setattr(qsim, "_apply_2x2", recording)
+        pseudo = pseudodata(make_set(n=12), 0.0, seed=0)
+        assert len(extract(pseudo, "qdnn", 1, 2, checkpoints=(1,))) == 2
+        assert max(rows) == 16
 
     def test_noiseless_cdnn_recovery(self, monkeypatch):
         # the QDNN of each pair stops at its first step: 300 QDNN epochs

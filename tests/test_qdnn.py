@@ -125,6 +125,46 @@ class TestGradient:
             assert g[i] == pytest.approx((lp - lm) / (2 * h), rel=1e-4, abs=1e-6)
 
 
+class TestDeadAngles:
+    # the last layer's RZ angles (24-31 at 8 qubits) act just before the
+    # CNOT ring and the Z readout: a diagonal gate before a basis
+    # permutation only moves phases, which Z cannot see.  The ring maps
+    # Z_0 to Z_1...Z_{n-1}, so a classifier, which reads qubit 0 alone,
+    # cannot see that layer's RY on qubit 0 (angle 16) either.
+    DEAD = {"regression": list(range(24, 32)), "classification": [16] + list(range(24, 32))}
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_dead_angles_have_no_gradient_and_no_effect(self, task):
+        rng = np.random.default_rng(8)
+        m = qdnn.build_default_qdnn(8, 2, task=task, seed=1)
+        m.theta = rng.uniform(-np.pi, np.pi, size=m.circuit.n_params)
+        X = rng.uniform(-2.0, 4.0, size=(20, 8))
+        y = (rng.uniform(size=20) > 0.5).astype(float)
+        loss = "bce" if task == "classification" else "mse"
+        _, grad = m.loss_and_grad(X, y, loss)
+        dead = self.DEAD[task]
+        live = np.delete(np.arange(m.circuit.n_params), dead)
+        assert np.max(np.abs(grad[dead])) < 1e-15
+        assert np.min(np.abs(grad[live])) > 1e-6
+        before = m.forward(X)
+        m.theta[dead] += rng.uniform(-np.pi, np.pi, size=len(dead))
+        assert np.max(np.abs(m.forward(X) - before)) < 1e-14
+
+
+class TestReadoutWeights:
+    @pytest.mark.parametrize("build", [
+        lambda: qdnn.build_default_qdnn(8, task="regression", seed=2),
+        lambda: qdnn.build_paired_feature_qdnn(16, task="classification", seed=2)])
+    def test_readout_is_the_mean_expectation(self, build):
+        # four varying columns, the rest constant, as in a dvcs set's grid
+        m = build()
+        rng = np.random.default_rng(3)
+        X = np.repeat(rng.normal(size=(1, m.n_features)), 60, axis=0)
+        X[:, :4] = rng.normal(size=(60, 4))
+        want = qsim.run_circuit(m.circuit, m.theta, X)[1].mean(axis=1)
+        assert np.max(np.abs(m.readout_expectations(X) - want)) <= 1e-14
+
+
 class TestSingleReadout:
     def _model(self):
         layers = [[qsim.rx(q, feature=q) for q in range(3)],

@@ -368,6 +368,71 @@ class TestFusedPlan:
             ("qubits", 1), ("qubits", 12), "batch of one", "batch"}
 
 
+def embedded_circuit(rng, n_qubits, n_feat):
+    """Feature gates of random kinds before the first CNOT, one or two on a
+    qubit (the paired embedding puts an RX and an RZ on one), then random
+    trainable layers whose first rotations join the prefix."""
+    embed = [qsim.Gate(str(rng.choice(qsim.ROTATION_KINDS)), int(q), feature=int(f))
+             for q, f in zip(rng.integers(n_qubits, size=int(rng.integers(1, 2 * n_qubits + 1))),
+                             rng.integers(n_feat, size=2 * n_qubits))]
+    body, _ = random_circuit(rng, n_qubits, int(rng.integers(1, 4)))
+    observables = sorted({int(q) for q in rng.integers(n_qubits, size=int(rng.integers(1, 4)))})
+    return qsim.CircuitSpec(n_qubits, [embed] + list(body.layers), observables)
+
+
+def readout_tags(spec, X, weights):
+    """Which path of ``readout`` a batch takes and what it exercises, read
+    from the gates, the batch and the kind of weights."""
+    tags = {("qubits", spec.n_qubits)}
+    if len(X) == 1:
+        tags.add("batch of one")
+    runs = gate_runs(spec)
+    if any(g.feature is not None for run in runs[2::2] for g in run):
+        return tags | {"feature rotation after a cnot"}
+    constant = {j for j in range(X.shape[1]) if np.all(X[:, j] == X[0, j])}
+    prefix = [g for g in runs[0] if g.feature is not None]
+    span = {g.target for g in prefix if g.feature not in constant}
+    if 2 ** len(span) < len(X):
+        # 0: no column varies; 3: several bits order the basis states
+        tags |= {("row span over qubits", min(len(span), 3)), ("row span", weights)}
+    else:
+        tags.add("span as large as the batch")
+    if any(g.target in span and g.feature in constant for g in prefix):
+        tags.add("constant and varying feature on one qubit")
+    return tags
+
+
+class TestReadout:
+    def test_matches_weighted_expectations_on_random_circuits(self):
+        seen = set()
+        for seed in range(80):
+            rng = np.random.default_rng(seed)
+            n = 8 if seed in (5, 7) else int(rng.integers(1, 6))
+            n_feat = int(rng.integers(1, n + 2))
+            if seed % 3 == 0:
+                spec = random_mixed_circuit(rng, n, int(rng.integers(4, 16)), n_feat)
+            else:
+                spec = embedded_circuit(rng, n, n_feat)
+            params = rng.uniform(-np.pi, np.pi, size=spec.n_params)
+            X = rng.normal(size=(int(rng.choice([1, 2, 5, 40])), n_feat))
+            X[:, rng.random(n_feat) < 0.3] = rng.normal()
+            n_obs = len(spec.observables)
+            # classification reads one observable, regression the mean
+            kind = ("one observable", "mean", "random")[seed // 3 % 3]
+            weights = {"one observable": np.eye(n_obs)[0], "mean": np.full(n_obs, 1.0 / n_obs),
+                       "random": rng.normal(size=n_obs)}[kind]
+            got = qsim.readout(spec, params, X, weights)
+            want = qsim.run_circuit(spec, params, X)[1] @ weights
+            assert got.shape == (len(X),)
+            assert np.max(np.abs(got - want)) <= 1e-14
+            seen |= readout_tags(spec, X, kind)
+        assert seen >= {
+            ("row span over qubits", 0), ("row span over qubits", 3),
+            ("row span", "one observable"), ("row span", "mean"), ("row span", "random"),
+            "span as large as the batch", "batch of one", "feature rotation after a cnot",
+            "constant and varying feature on one qubit", ("qubits", 8)}
+
+
 class TestAdjointGradient:
     def test_matches_parameter_shift_on_random_circuits(self):
         seen_gates, seen_obs_counts, seen_sweep = set(), set(), set()
