@@ -399,6 +399,8 @@ def readout_tags(spec, X, weights):
         tags.add("span as large as the batch")
     if any(g.target in span and g.feature in constant for g in prefix):
         tags.add("constant and varying feature on one qubit")
+    if not any(g.feature is not None for g in spec.gates()) and len(X) > 1:
+        tags.add("no feature gate")
     return tags
 
 
@@ -409,8 +411,10 @@ class TestReadout:
             rng = np.random.default_rng(seed)
             n = 8 if seed in (5, 7) else int(rng.integers(1, 6))
             n_feat = int(rng.integers(1, n + 2))
-            if seed % 3 == 0:
+            if seed % 4 == 0:
                 spec = random_mixed_circuit(rng, n, int(rng.integers(4, 16)), n_feat)
+            elif seed % 4 == 1:
+                spec, _ = random_circuit(rng, n, int(rng.integers(1, 4)))
             else:
                 spec = embedded_circuit(rng, n, n_feat)
             params = rng.uniform(-np.pi, np.pi, size=spec.n_params)
@@ -430,7 +434,7 @@ class TestReadout:
             ("row span over qubits", 0), ("row span over qubits", 3),
             ("row span", "one observable"), ("row span", "mean"), ("row span", "random"),
             "span as large as the batch", "batch of one", "feature rotation after a cnot",
-            "constant and varying feature on one qubit", ("qubits", 8)}
+            "constant and varying feature on one qubit", "no feature gate", ("qubits", 8)}
 
 
 class TestAdjointGradient:
