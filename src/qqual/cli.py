@@ -316,8 +316,9 @@ def _class_replica(job: tuple) -> tuple:
             reasons.append(f"{family} training diverged")
             continue
         preds = (probes[0] >= 0.5).astype(int)
-        classes = np.unique(preds)
-        if classes.size < 2:
+        # a set, not np.unique: its first call imports numpy.ma, ~10 ms per process
+        classes = sorted(set(preds.tolist()))
+        if len(classes) < 2:
             # precision of the class never predicted is undefined
             reasons.append(f"{family} predicted only class {classes[0]}")
             continue

@@ -3,7 +3,9 @@ rotation layers with CNOT-ring entanglers, a readout that averages the
 circuit's Pauli-Z expectations, and an affine output map.  Gradients of
 circuit angles come from one forward run and one adjoint sweep
 (``qsim.vjp``); the output map trains by the chain rule.  Predictions
-read the weighted expectations alone (``qsim.readout``)."""
+read the weighted expectations alone (``qsim.readout``).  Both simulate
+the span of the batch's embedded rows when it is small enough (see
+``qsim``): bench-reg's one x on every qubit gives 9 states for 100 rows."""
 
 from __future__ import annotations
 

@@ -54,7 +54,9 @@ def parameter_shift_grad(spec: qsim.CircuitSpec, params: Sequence[float],
     row of a (B, F) feature batch: shape (B, P).
 
     grad[:, k] = (f(theta_k + pi/2) - f(theta_k - pi/2)) / 2, from 2P
-    circuit runs.
+    circuit runs per row.  Each row runs as a batch of one, which always
+    takes the row path, so the oracle never reads the span path that a
+    batch of it may take.
     """
     if not spec.observables:
         raise ValueError("circuit declares no observables")
@@ -66,9 +68,13 @@ def parameter_shift_grad(spec: qsim.CircuitSpec, params: Sequence[float],
     for k in range(spec.n_params):
         theta = params[k]
         shifted[k] = theta + np.pi / 2
-        plus = qsim.run_circuit(spec, shifted, feats)[1][:, observable_index]
+        plus = _row_by_row(spec, shifted, feats)[:, observable_index]
         shifted[k] = theta - np.pi / 2
-        minus = qsim.run_circuit(spec, shifted, feats)[1][:, observable_index]
+        minus = _row_by_row(spec, shifted, feats)[:, observable_index]
         shifted[k] = theta
         grad[:, k] = 0.5 * (plus - minus)
     return grad
+
+
+def _row_by_row(spec: qsim.CircuitSpec, params: np.ndarray, feats: np.ndarray) -> np.ndarray:
+    return np.concatenate([qsim.run_circuit(spec, params, row[None])[1] for row in feats])

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import qqual
-from qqual import cdnn, cli, geometry, qdnn
+from qqual import cdnn, cli, geometry, qdnn, qsim
 from qqual import dvcs as dv
 
 
@@ -416,6 +416,22 @@ class TestBenchReg:
             assert cell["marks"] == marks and not cell["diverged"]
             assert sorted(forwards) == ["MlpModel"] * len(marks) + ["QdnnModel"] * len(marks)
 
+    def test_qdnn_simulates_the_span_of_the_repeated_rows(self, monkeypatch):
+        # one x repeated on all 8 qubits puts each row in the 9-state
+        # symmetric span, so training and checkpoints run 9 states, not
+        # the 100 rows of the reg-train cell
+        rows = []
+        apply = qsim._apply_2x2
+
+        def recording(psi, u):
+            rows.append(psi.shape[0])
+            apply(psi, u)
+
+        monkeypatch.setattr(qsim, "_apply_2x2", recording)
+        cell = cli._reg_job(("quad", 0.1, 100, 6, (2, 4, 6), 0.05, 8, 0))
+        assert cell["marks"] == [2, 4, 6] and not cell["diverged"]
+        assert rows and max(rows) == 9
+
     def test_report_names_the_checkpoints_read(self, tmp_path):
         # checkpoint 5 lies past the 2-epoch budget: the ledger and the report omit it
         out = tmp_path / "br"
@@ -635,14 +651,16 @@ class TestComputeWritesNothing:
 class TestScipyLoading:
     """qqual runs on numpy alone; scipy is a test-only reference, and
     importing it would cost a fresh process most of its start-up time.
-    The bench commands also leave the campaign modules unloaded."""
+    The bench commands also leave the campaign modules unloaded, and no
+    command loads numpy.ma, which np.unique and np.quantile import on
+    their first call (about 10 ms a process)."""
 
     ON_THEIR_OWN = ("bench-class", "bench-reg", "validate-data")
 
     def modules_loaded_by(self, tmp_path, commands):
         """Run `commands` in one fresh interpreter on tiny configs; return
-        the scipy modules and the qqual modules loaded after the import and
-        after each command, as two dicts keyed by stage."""
+        the scipy, qqual and numpy.ma modules loaded after the import and
+        after each command, as one dict keyed by stage for each package."""
         cfg = write_cfg(tmp_path, TestComputeWritesNothing.TINY)
         return run_fresh_interpreter("""
 import json, sys
@@ -650,37 +668,42 @@ from qqual import cli
 cfg, out, *commands = sys.argv[1:]
 
 def loaded(package):
-    return sorted(m for m in sys.modules if m.split(".")[0] == package)
+    return sorted(m for m in sys.modules if m == package or m.startswith(package + "."))
 
-seen = {package: {"import": loaded(package)} for package in ("scipy", "qqual")}
+seen = {package: {"import": loaded(package)} for package in ("scipy", "qqual", "numpy.ma")}
 for command in commands:
     assert cli.main([command, "--config", cfg, "--out", out + "/" + command]) == 0
     for package, by_stage in seen.items():
         by_stage[command] = loaded(package)
-print(json.dumps([seen["scipy"], seen["qqual"]]))
+print(json.dumps(seen))
 """, cfg, tmp_path, *commands)
 
     def test_bench_commands_never_load_scipy(self, tmp_path):
-        loaded, _ = self.modules_loaded_by(tmp_path, ["bench-reg", "bench-class"])
+        loaded = self.modules_loaded_by(tmp_path, ["bench-reg", "bench-class"])["scipy"]
         assert loaded == {"import": [], "bench-reg": [], "bench-class": []}
+
+    def test_bench_and_dvcs_commands_never_load_numpy_ma(self, tmp_path):
+        loaded = self.modules_loaded_by(tmp_path, ["bench-reg", "bench-class", "dvcs"])
+        assert loaded["numpy.ma"] == {"import": [], "bench-reg": [], "bench-class": [],
+                                      "dvcs": []}
 
     def test_bench_commands_never_load_campaign_modules(self, tmp_path):
         # cli imports these where they run; so does optim.fit_pair its model builders
-        _, loaded = self.modules_loaded_by(tmp_path, ["bench-reg", "bench-class"])
+        loaded = self.modules_loaded_by(tmp_path, ["bench-reg", "bench-class"])["qqual"]
         assert list(loaded) == ["import", "bench-reg", "bench-class"]
         campaign = {f"qqual.{m}" for m in ("dvcs", "complexity", "geometry", "qualifier")}
         for stage, modules in loaded.items():
             assert "qqual.cli" in modules and not campaign & set(modules), stage
 
     def test_validate_data_never_loads_scipy(self, tmp_path):
-        loaded, _ = self.modules_loaded_by(tmp_path, ["validate-data"])
+        loaded = self.modules_loaded_by(tmp_path, ["validate-data"])["scipy"]
         assert loaded == {"import": [], "validate-data": []}
 
     def test_other_commands_never_load_scipy(self, tmp_path):
         # every command ON_THEIR_OWN leaves out, dvcs and qualify among them
         others = sorted(set(cli.COMMANDS) - set(self.ON_THEIR_OWN))
         assert {"dvcs", "qualify"} <= set(others)
-        loaded, _ = self.modules_loaded_by(tmp_path, others)
+        loaded = self.modules_loaded_by(tmp_path, others)["scipy"]
         assert loaded == {name: [] for name in ["import", *others]}
 
 

@@ -3,6 +3,7 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qqual import cdnn, dvcs, optim, qdnn, qsim
 from qqual.optim import TrainConfig, TrainingDivergence
@@ -595,6 +596,17 @@ class TestMatchedControls:
     def test_validation(self):
         with pytest.raises(ValueError):
             dvcs.t_trends([])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40),
+        # ties, signed zeros and short inputs
+        st.lists(st.sampled_from([-1.5, -0.0, 0.0, 0.25, 2.0]), min_size=1, max_size=6)),
+        st.lists(st.floats(0.0, 1.0), max_size=6))
+    def test_quantiles_equal_numpys_bit_for_bit(self, values, qs):
+        values = np.array(values)
+        for q in (np.linspace(0.0, 1.0, dvcs.EPS_BINS + 1), np.array(qs)):
+            assert dvcs._linear_quantiles(values, q).tobytes() == np.quantile(values, q).tobytes()
 
 
 class TestIngest:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qqual import qsim
+from qqual import qdnn, qsim
 from qsim_oracles import apply_gate, expectation, parameter_shift_grad
 
 # the (1, 0) batch of a circuit that reads no feature
@@ -380,25 +380,57 @@ def embedded_circuit(rng, n_qubits, n_feat):
     return qsim.CircuitSpec(n_qubits, [embed] + list(body.layers), observables)
 
 
+def span_rule(spec, X):
+    """(path, groups) that a batch takes, read from the gates and the batch.
+
+    The span path needs every feature gate in the first rotation run, each
+    before the param gates of its qubit.  Qubits whose feature gates have
+    the same kinds and read equal columns hold equal kets in every row and
+    form a group (a dict value); qubits whose columns are constant over the
+    batch form none.  The span path then needs r = prod(g + 1) column states
+    with 4r <= B and r**2 <= 2**n; else the batch takes the row path."""
+    runs = gate_runs(spec)
+    if any(g.feature is not None for run in runs[2::2] for g in run):
+        return "feature rotation after a cnot", {}
+    trained, embeds = set(), {}
+    for g in runs[0]:
+        if g.param is not None:
+            trained.add(g.target)
+        elif g.target in trained:
+            return "param gate before a feature gate on its qubit", {}
+        else:
+            embeds.setdefault(g.target, []).append(g)
+    groups = {}
+    for q, gates in embeds.items():
+        cols = X[:, [g.feature for g in gates]]
+        if np.any(cols != cols[0]):
+            groups.setdefault((tuple(g.kind for g in gates), cols.tobytes()), []).append(q)
+    r = int(np.prod([len(g) + 1 for g in groups.values()]))
+    if 4 * r > len(X):
+        return "4r > B", groups
+    if r * r > 2 ** spec.n_qubits:
+        return "r**2 > 2**n", groups
+    return "span", groups
+
+
 def readout_tags(spec, X, weights):
     """Which path of ``readout`` a batch takes and what it exercises, read
     from the gates, the batch and the kind of weights."""
     tags = {("qubits", spec.n_qubits)}
     if len(X) == 1:
         tags.add("batch of one")
-    runs = gate_runs(spec)
-    if any(g.feature is not None for run in runs[2::2] for g in run):
-        return tags | {"feature rotation after a cnot"}
-    constant = {j for j in range(X.shape[1]) if np.all(X[:, j] == X[0, j])}
-    prefix = [g for g in runs[0] if g.feature is not None]
-    span = {g.target for g in prefix if g.feature not in constant}
-    if 2 ** len(span) < len(X):
-        # 0: no column varies; 3: several bits order the basis states
-        tags |= {("row span over qubits", min(len(span), 3)), ("row span", weights)}
-    else:
-        tags.add("span as large as the batch")
-    if any(g.target in span and g.feature in constant for g in prefix):
-        tags.add("constant and varying feature on one qubit")
+    path, groups = span_rule(spec, X)
+    tags.add(path)
+    if path == "span":
+        # 0: every row is one state; 3: several digits order the columns
+        tags |= {("span groups", min(len(groups), 3)), ("span", weights)}
+        if any(len(g) > 1 for g in groups.values()):
+            tags.add("a group of several qubits")
+        varying = {q for g in groups.values() for q in g}
+        constant = {j for j in range(X.shape[1]) if np.all(X[:, j] == X[0, j])}
+        if any(g.target in varying and g.feature in constant for g in gate_runs(spec)[0]
+               if g.feature is not None):
+            tags.add("constant and varying feature on one qubit")
     if not any(g.feature is not None for g in spec.gates()) and len(X) > 1:
         tags.add("no feature gate")
     return tags
@@ -409,7 +441,7 @@ class TestReadout:
         seen = set()
         for seed in range(80):
             rng = np.random.default_rng(seed)
-            n = 8 if seed in (5, 7) else int(rng.integers(1, 6))
+            n = 8 if seed % 10 in (5, 7) else int(rng.integers(1, 6))
             n_feat = int(rng.integers(1, n + 2))
             if seed % 4 == 0:
                 spec = random_mixed_circuit(rng, n, int(rng.integers(4, 16)), n_feat)
@@ -418,7 +450,9 @@ class TestReadout:
             else:
                 spec = embedded_circuit(rng, n, n_feat)
             params = rng.uniform(-np.pi, np.pi, size=spec.n_params)
-            X = rng.normal(size=(int(rng.choice([1, 2, 5, 40])), n_feat))
+            X = rng.normal(size=(int(rng.choice([1, 2, 5, 40, 100])), n_feat))
+            # equal columns, as bench-reg repeats x, and constant ones
+            X[:, rng.random(n_feat) < 0.3] = X[:, :1]
             X[:, rng.random(n_feat) < 0.3] = rng.normal()
             n_obs = len(spec.observables)
             # classification reads one observable, regression the mean
@@ -426,15 +460,124 @@ class TestReadout:
             weights = {"one observable": np.eye(n_obs)[0], "mean": np.full(n_obs, 1.0 / n_obs),
                        "random": rng.normal(size=n_obs)}[kind]
             got = qsim.readout(spec, params, X, weights)
-            want = qsim.run_circuit(spec, params, X)[1] @ weights
+            # each row alone takes the row path
+            want = np.concatenate([qsim.run_circuit(spec, params, x[None])[1] for x in X]) @ weights
             assert got.shape == (len(X),)
             assert np.max(np.abs(got - want)) <= 1e-14
+            assert (qsim._span(spec, X) is not None) == (span_rule(spec, X)[0] == "span")
             seen |= readout_tags(spec, X, kind)
         assert seen >= {
-            ("row span over qubits", 0), ("row span over qubits", 3),
-            ("row span", "one observable"), ("row span", "mean"), ("row span", "random"),
-            "span as large as the batch", "batch of one", "feature rotation after a cnot",
+            ("span groups", 0), ("span groups", 3), "a group of several qubits",
+            ("span", "one observable"), ("span", "mean"), ("span", "random"),
+            "4r > B", "r**2 > 2**n", "param gate before a feature gate on its qubit",
+            "batch of one", "feature rotation after a cnot",
             "constant and varying feature on one qubit", "no feature gate", ("qubits", 8)}
+
+
+def row_path_vals(spec, params, X):
+    """Expectations of each row run as a batch of one: the row path."""
+    return np.concatenate([qsim.run_circuit(spec, params, x[None])[1] for x in X])
+
+
+def row_path_grad(spec, params, X, cot):
+    """vjp summed over the rows, each run as a batch of one: the row path."""
+    return sum(qsim.vjp(qsim.run_circuit(spec, params, x[None])[0], c[None])
+               for x, c in zip(X, cot))
+
+
+def shift_rule_grad(spec, params, X, cot):
+    """Gradient of sum(cot * expectations) by the two-point shift rule, on
+    the row path."""
+    grad = np.zeros(spec.n_params)
+    for k in range(spec.n_params):
+        for sign in (1.0, -1.0):
+            shifted = np.array(params, dtype=np.float64)
+            shifted[k] += sign * np.pi / 2
+            grad[k] += sign * 0.5 * np.sum(cot * row_path_vals(spec, shifted, X))
+    return grad
+
+
+def ring_circuit(n_qubits, embed, n_layers=2):
+    return qsim.CircuitSpec(n_qubits, [embed] + qdnn._ring_layers(n_qubits, n_layers),
+                            range(n_qubits))
+
+
+def span_shape(name, rng):
+    """(circuit, batch, radices of the span it must take) of one named shape."""
+    if name == "8 equal columns":  # bench-reg: one x on every qubit
+        X = np.repeat(rng.uniform(-2, 4, (36, 1)), 8, axis=1)
+        return qdnn.build_default_qdnn(8).circuit, X, (9,)
+    if name == "4 varying and 4 constant columns":  # a dvcs grid
+        X = np.column_stack([np.full((64, 4), rng.normal(size=4)), rng.normal(size=(64, 4))])
+        return qdnn.build_default_qdnn(8).circuit, X, (2, 2, 2, 2)
+    if name == "two groups and a singleton":  # groups {0, 3} and {1, 5}, then {7}
+        X = np.full((72, 9), 0.4)
+        X[:, [0, 3]] = rng.normal(size=(72, 1))
+        X[:, [1, 5]] = rng.normal(size=(72, 1))
+        X[:, 7] = rng.normal(size=72)
+        return ring_circuit(9, [qsim.rx(q, feature=q) for q in range(9)], 1), X, (3, 3, 2)
+    # the paired embedding, RX(a) then RZ(b) on every qubit, a and b varying
+    ab = rng.normal(size=(36, 2))
+    X = np.repeat(ab, 8, axis=1)
+    return qdnn.build_paired_feature_qdnn(16).circuit, X, (9,)
+
+
+class TestSpanPath:
+    @pytest.mark.parametrize("name", ["8 equal columns", "4 varying and 4 constant columns",
+                                      "two groups and a singleton", "paired embedding"])
+    def test_matches_row_path_and_shift_rule(self, name):
+        rng = np.random.default_rng(23)
+        spec, X, radices = span_shape(name, rng)
+        assert qsim._span(spec, X).radices == radices
+        params = rng.uniform(-np.pi, np.pi, size=spec.n_params)
+        n_obs = len(spec.observables)
+        run, vals = qsim.run_circuit(spec, params, X)
+        assert run.states.shape[0] == np.prod(radices)
+        want = row_path_vals(spec, params, X)
+        assert np.max(np.abs(vals - want)) <= 1e-12 * np.max(np.abs(want))
+        weights = rng.normal(size=n_obs)
+        assert np.max(np.abs(qsim.readout(spec, params, X, weights) - want @ weights)) <= 1e-12
+        # a random cotangent, and one whose columns are equal, as the QDNN's mean passes
+        cots = [rng.normal(size=(len(X), n_obs)), np.repeat(rng.normal(size=(len(X), 1)), n_obs, 1)]
+        for cot in cots:
+            got = qsim.vjp(run, cot)
+            row = row_path_grad(spec, params, X, cot)
+            assert np.max(np.abs(got - row)) <= 1e-12 * np.max(np.abs(row))
+        oracle = shift_rule_grad(spec, params, X, cots[0])
+        assert np.max(np.abs(qsim.vjp(run, cots[0]) - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+    def test_param_gate_before_a_feature_gate_takes_the_row_path(self):
+        ring = [qsim.cnot(q, (q + 1) % 8) for q in range(8)]
+        embed = [qsim.rx(q, feature=q) for q in range(8)]
+        X = np.repeat(np.random.default_rng(2).normal(size=(100, 1)), 8, axis=1)
+        spec = qsim.CircuitSpec(8, [embed + [qsim.ry(0, param=0)], ring], range(8))
+        assert qsim._span(spec, X).radices == (9,)
+        spec = qsim.CircuitSpec(8, [[qsim.ry(0, param=0)] + embed, ring], range(8))
+        assert spec._plan.span_blocks is None and qsim._span(spec, X) is None
+
+    def test_equal_columns_under_different_gates_are_not_grouped(self):
+        # RX(x) and RY(x) make different kets: one column under two kinds is two groups
+        rng = np.random.default_rng(3)
+        X = np.repeat(rng.normal(size=(100, 1)), 8, axis=1)
+        kinds = [qsim.rx, qsim.ry]
+        # two groups of four: r = 25, and 25**2 > 2**8 keeps it on the row path
+        spec = ring_circuit(8, [kinds[q // 4](q, feature=q) for q in range(8)])
+        assert qsim._span(spec, X) is None
+        # two groups of two beside four constant columns
+        X[:, 4:] = 0.3
+        spec = ring_circuit(8, [kinds[q // 2 % 2](q, feature=q) for q in range(8)])
+        assert qsim._span(spec, X).radices == (3, 3)
+        params = rng.uniform(-np.pi, np.pi, size=spec.n_params)
+        cot = rng.normal(size=(100, 8))
+        row = row_path_grad(spec, params, X, cot)
+        got = qsim.vjp(qsim.run_circuit(spec, params, X)[0], cot)
+        assert np.max(np.abs(got - row)) <= 1e-12 * np.max(np.abs(row))
+
+    def test_fewer_than_four_rows_per_column_state_take_the_row_path(self):
+        spec = qdnn.build_default_qdnn(8).circuit
+        X = np.repeat(np.random.default_rng(4).normal(size=(36, 1)), 8, axis=1)
+        assert qsim._span(spec, X[:35]) is None
+        assert qsim._span(spec, X).radices == (9,)
 
 
 class TestAdjointGradient:
