@@ -3,7 +3,9 @@
 ``apply_gate`` runs qsim's kernels one gate at a time, so it is the
 sequential reference for the fused plan; ``expectation`` reads Pauli-Z on
 a hand-built state; ``parameter_shift_grad`` is the exact two-point shift
-rule that the adjoint gradient ``qsim.vjp`` is checked against.
+rule that the adjoint gradient ``qsim.vjp`` is checked against;
+``row_path_expectations`` runs each row alone, on the row path that a
+batch on the span path is checked against.
 """
 
 from typing import Optional, Sequence
@@ -68,13 +70,15 @@ def parameter_shift_grad(spec: qsim.CircuitSpec, params: Sequence[float],
     for k in range(spec.n_params):
         theta = params[k]
         shifted[k] = theta + np.pi / 2
-        plus = _row_by_row(spec, shifted, feats)[:, observable_index]
+        plus = row_path_expectations(spec, shifted, feats)[:, observable_index]
         shifted[k] = theta - np.pi / 2
-        minus = _row_by_row(spec, shifted, feats)[:, observable_index]
+        minus = row_path_expectations(spec, shifted, feats)[:, observable_index]
         shifted[k] = theta
         grad[:, k] = 0.5 * (plus - minus)
     return grad
 
 
-def _row_by_row(spec: qsim.CircuitSpec, params: np.ndarray, feats: np.ndarray) -> np.ndarray:
+def row_path_expectations(spec: qsim.CircuitSpec, params, feats: np.ndarray) -> np.ndarray:
+    """(B, n_observables) expectations of each row run as a batch of one,
+    which always takes the row path."""
     return np.concatenate([qsim.run_circuit(spec, params, row[None])[1] for row in feats])

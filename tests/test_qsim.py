@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qqual import qdnn, qsim
-from qsim_oracles import apply_gate, expectation, parameter_shift_grad
+from qsim_oracles import apply_gate, expectation, parameter_shift_grad, row_path_expectations
 
 # the (1, 0) batch of a circuit that reads no feature
 NO_FEATURES = np.zeros((1, 0))
@@ -460,8 +460,7 @@ class TestReadout:
             weights = {"one observable": np.eye(n_obs)[0], "mean": np.full(n_obs, 1.0 / n_obs),
                        "random": rng.normal(size=n_obs)}[kind]
             got = qsim.readout(spec, params, X, weights)
-            # each row alone takes the row path
-            want = np.concatenate([qsim.run_circuit(spec, params, x[None])[1] for x in X]) @ weights
+            want = row_path_expectations(spec, params, X) @ weights
             assert got.shape == (len(X),)
             assert np.max(np.abs(got - want)) <= 1e-14
             assert (qsim._span(spec, X) is not None) == (span_rule(spec, X)[0] == "span")
@@ -472,11 +471,6 @@ class TestReadout:
             "4r > B", "r**2 > 2**n", "param gate before a feature gate on its qubit",
             "batch of one", "feature rotation after a cnot",
             "constant and varying feature on one qubit", "no feature gate", ("qubits", 8)}
-
-
-def row_path_vals(spec, params, X):
-    """Expectations of each row run as a batch of one: the row path."""
-    return np.concatenate([qsim.run_circuit(spec, params, x[None])[1] for x in X])
 
 
 def row_path_grad(spec, params, X, cot):
@@ -493,7 +487,7 @@ def shift_rule_grad(spec, params, X, cot):
         for sign in (1.0, -1.0):
             shifted = np.array(params, dtype=np.float64)
             shifted[k] += sign * np.pi / 2
-            grad[k] += sign * 0.5 * np.sum(cot * row_path_vals(spec, shifted, X))
+            grad[k] += sign * 0.5 * np.sum(cot * row_path_expectations(spec, shifted, X))
     return grad
 
 
@@ -533,7 +527,7 @@ class TestSpanPath:
         n_obs = len(spec.observables)
         run, vals = qsim.run_circuit(spec, params, X)
         assert run.states.shape[0] == np.prod(radices)
-        want = row_path_vals(spec, params, X)
+        want = row_path_expectations(spec, params, X)
         assert np.max(np.abs(vals - want)) <= 1e-12 * np.max(np.abs(want))
         weights = rng.normal(size=n_obs)
         assert np.max(np.abs(qsim.readout(spec, params, X, weights) - want @ weights)) <= 1e-12
