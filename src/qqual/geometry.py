@@ -154,6 +154,12 @@ def delaunay(points) -> np.ndarray:
                     dtype=np.intp).reshape(-1, 3)
 
 
+# bounding-box grid points per block of `_interpolate`'s triangles: a
+# 200x200 grid over 60 points takes 3 or 4 blocks, whose temporaries peak
+# below the smoothing's; 16384 and 65536 ran slower
+_BLOCK_POINTS = 32768
+
+
 def _interpolate(fld: ScatterField, tri: np.ndarray, x_axis: np.ndarray,
                  y_axis: np.ndarray) -> np.ndarray:
     """Barycentric-linear values of the field on a uniform grid, NaN
@@ -161,7 +167,11 @@ def _interpolate(fld: ScatterField, tri: np.ndarray, x_axis: np.ndarray,
     triangle when none of its barycentric coordinates is below
     -100 DBL_EPSILON, the slack of scipy's LinearNDInterpolator.  Each triangle visits only the rows of
     its bounding box; in each row its three coordinates are linear in x,
-    so the grid points it holds there are one run of columns."""
+    so the grid points it holds there are one run of columns.  The
+    triangles go in consecutive blocks of about _BLOCK_POINTS grid points
+    of bounding box, each block written after the one before, so where
+    triangles overlap, the value that stands is the one a single pass
+    over all of them leaves."""
     px, py, pv = fld.xs[tri], fld.ys[tri], fld.values[tri]
     # coordinate j of (x, y) is s_j (x - x_2) + t_j (y - y_2), plus 1 for j = 2
     ax, ay = px[:, :2] - px[:, 2:], py[:, :2] - py[:, 2:]
@@ -174,55 +184,64 @@ def _interpolate(fld: ScatterField, tri: np.ndarray, x_axis: np.ndarray,
     # the value along a row is c + g (x - x_2): g per triangle, c per row
     dv = pv[:, :2] - pv[:, 2:]
     g = s[0] * dv[:, 0] + s[1] * dv[:, 1]
-    # (triangle, row) pairs over each bounding box, one row wider each side
+    # each bounding box's rows, one row wider each side, and its columns
     ny, nx = len(y_axis), len(x_axis)
     r0 = np.maximum(np.searchsorted(y_axis, py.min(axis=1)) - 1, 0)
     r1 = np.minimum(np.searchsorted(y_axis, py.max(axis=1), side="right") + 1, ny)
-    k = np.repeat(np.arange(len(det)), r1 - r0)
-    rows = np.arange(len(k)) + np.repeat(r0 - np.cumsum(r1 - r0) + (r1 - r0), r1 - r0)
-    # along the pair's row, coordinate j is s_j (x - x_2) + b_j, and it is
-    # >= -eps on one side of x_2 + (-eps - b_j) / s_j
-    dy = y_axis[rows] - py[k, 2]
-    b = np.stack([t[0, k] * dy, t[1, k] * dy])
-    b = np.vstack([b, 1.0 - b[0] - b[1]])
-    sk = s[:, k]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        edge = px[k, 2] + (-_BARY_EPS - b) / sk
-    lo = np.max(np.where(sk > 0, edge, -np.inf), axis=0)
-    hi = np.min(np.where(sk < 0, edge, np.inf), axis=0)
-    # a coordinate constant along the row admits all of it or none
-    lo[np.any((sk == 0) & (b < -_BARY_EPS), axis=0)] = np.inf
-    c0 = np.searchsorted(x_axis, lo)
-    c1 = np.maximum(np.searchsorted(x_axis, hi, side="right"), c0)
-    n = c1 - c0
-    c = pv[k, 2] + b[0] * dv[k, 0] + b[1] * dv[k, 1]
-    cols = np.arange(n.sum()) + np.repeat(c0 - np.cumsum(n) + n, n)
-    vals = np.repeat(c, n) + np.repeat(g[k], n) * (x_axis[cols] - np.repeat(px[k, 2], n))
+    width = (np.searchsorted(x_axis, px.max(axis=1), side="right")
+             - np.searchsorted(x_axis, px.min(axis=1)))
+    box = (r1 - r0) * width
+    block = (np.cumsum(box) - box) // _BLOCK_POINTS
+    cuts = (np.flatnonzero(np.diff(block)) + 1).tolist()
     out = np.full(ny * nx, np.nan)
-    out[cols + np.repeat(rows * nx, n)] = vals
+    for first, end in zip([0] + cuts, cuts + [len(det)]):
+        # (triangle, row) pairs over the block's bounding boxes
+        span = r1[first:end] - r0[first:end]
+        k = np.repeat(np.arange(first, end), span)
+        rows = np.arange(len(k)) + np.repeat(r0[first:end] - np.cumsum(span) + span, span)
+        # along the pair's row, coordinate j is s_j (x - x_2) + b_j, and it
+        # is >= -eps on one side of x_2 + (-eps - b_j) / s_j
+        dy = y_axis[rows] - py[k, 2]
+        b = np.stack([t[0, k] * dy, t[1, k] * dy])
+        b = np.vstack([b, 1.0 - b[0] - b[1]])
+        sk = s[:, k]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            edge = px[k, 2] + (-_BARY_EPS - b) / sk
+        lo = np.max(np.where(sk > 0, edge, -np.inf), axis=0)
+        hi = np.min(np.where(sk < 0, edge, np.inf), axis=0)
+        # a coordinate constant along the row admits all of it or none
+        lo[np.any((sk == 0) & (b < -_BARY_EPS), axis=0)] = np.inf
+        c0 = np.searchsorted(x_axis, lo)
+        c1 = np.maximum(np.searchsorted(x_axis, hi, side="right"), c0)
+        n = c1 - c0
+        c = pv[k, 2] + b[0] * dv[k, 0] + b[1] * dv[k, 1]
+        cols = np.arange(n.sum()) + np.repeat(c0 - np.cumsum(n) + n, n)
+        vals = np.repeat(c, n) + np.repeat(g[k], n) * (x_axis[cols] - np.repeat(px[k, 2], n))
+        out[cols + np.repeat(rows * nx, n)] = vals
     return out.reshape(ny, nx)
 
 
 def _gaussian_smooth(a: np.ndarray, sigma: float) -> np.ndarray:
-    """Gaussian smoothing of a 2-D array with zeros beyond the edge, bit
-    for bit as scipy.ndimage.gaussian_filter(mode="constant"): the same
-    truncated kernel, axis 0 then axis 1, and per output point the centre
-    tap first, then each symmetric pair of taps from the outermost inward."""
+    """Gaussian smoothing of a 2-D float64 array with zeros beyond the
+    edge, in place (and `a` returned), bit for bit as
+    scipy.ndimage.gaussian_filter(mode="constant"): the same truncated
+    kernel, axis 0 then axis 1, and per output point the centre tap first,
+    then each symmetric pair of taps from the outermost inward."""
     radius = int(4.0 * sigma + 0.5)
     weights = np.exp(-0.5 / (sigma * sigma) * np.arange(-radius, radius + 1) ** 2)
     weights = weights / weights.sum()
+    pair = np.empty_like(a)
     for axis in (0, 1):
         n = a.shape[axis]
         padded = np.pad(a, [(radius, radius) if d == axis else (0, 0) for d in (0, 1)])
         taps = [padded[(slice(None),) * axis + (slice(j, j + n),)]
                 for j in range(2 * radius + 1)]
-        out = a * weights[radius]
-        pair = np.empty_like(out)
+        np.multiply(taps[radius], weights[radius], out=a)
         for k in range(radius, 0, -1):
             np.add(taps[radius - k], taps[radius + k], out=pair)
             pair *= weights[radius - k]
-            out += pair
-        a = out
+            a += pair
+        del padded, taps  # before the next axis pads its own copy
     return a
 
 
@@ -238,11 +257,14 @@ def build_surface(fld: ScatterField, resolution: int, smoothing: float) -> GridF
     y_axis = np.linspace(fld.ys.min(), fld.ys.max(), resolution)
     values = _interpolate(fld, delaunay(np.column_stack([fld.xs, fld.ys])), x_axis, y_axis)
     if smoothing > 0:
+        # the smoothed masked values over the smoothed mask, in place
         mask = np.isfinite(values)
-        num = _gaussian_smooth(np.where(mask, values, 0.0), smoothing)
+        values[~mask] = 0.0
         den = _gaussian_smooth(mask.astype(np.float64), smoothing)
-        sm = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-        values = np.where(mask, sm, np.nan)
+        _gaussian_smooth(values, smoothing)
+        # den > 0 wherever the mask is set, from its centre tap
+        np.divide(values, den, out=values, where=mask)
+        values[~mask] = np.nan
     return GridField(x_axis, y_axis, values)
 
 

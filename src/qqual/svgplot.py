@@ -85,15 +85,18 @@ class SvgCanvas:
             attrs.append(f'transform="rotate({_fmt(rotate)} {_fmt(x)} {_fmt(y)})"')
         self.parts.append(f"<text {' '.join(attrs)}>{escape(str(s), quote=False)}</text>")
 
-    def render(self) -> str:
-        head = (f'<svg xmlns="http://www.w3.org/2000/svg" '
-                f'width="{self.width}" height="{self.height}" '
-                f'viewBox="0 0 {self.width} {self.height}">')
-        return head + "\n" + "\n".join(self.parts) + "\n</svg>\n"
-
     def save(self, path) -> None:
+        """Writes the document to `path` one part at a time: the parts
+        joined by newlines inside the svg element, with no whole-document
+        string built."""
         with open(path, "w") as fh:
-            fh.write(self.render())
+            fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" '
+                     f'width="{self.width}" height="{self.height}" '
+                     f'viewBox="0 0 {self.width} {self.height}">\n')
+            for part in self.parts:
+                fh.write(part)
+                fh.write("\n")
+            fh.write("</svg>\n")
 
 
 # margin added on each side of a data range, as a fraction of its width
@@ -159,40 +162,59 @@ class Axes:
                         rotate=-90)
 
 
-def diverging_colors(values, vmax: float) -> List[str]:
-    """Blue-white-red map, one color per value: negative values blue,
-    positive red, zero white."""
+def _diverging_rgb(values, vmax: float) -> np.ndarray:
+    """Blue-white-red map, one 0xRRGGBB integer per value: negative values
+    blue, positive red, zero white."""
     if vmax <= 0:
         raise ValueError("vmax must be > 0")
-    t = np.clip(np.asarray(values, dtype=np.float64) / vmax, -1.0, 1.0)[:, None]
-    slope = np.where(t >= 0, [-0.30, -0.90, -0.83], [0.87, 0.60, 0.33])
-    # np.rint rounds half to even, as round does
-    channels = np.rint(255 * np.clip(1.0 + slope * t, 0.0, 1.0)).astype(int)
-    return ["#%06x" % c for c in (channels @ [1 << 16, 1 << 8, 1]).tolist()]
+    t = np.clip(np.asarray(values, dtype=np.float64) / vmax, -1.0, 1.0)
+    up = t >= 0
+    rgb = np.zeros(t.shape, dtype=int)
+    # per channel, the slope of the red half and of the blue half
+    for red, blue in ((-0.30, 0.87), (-0.90, 0.60), (-0.83, 0.33)):
+        # np.rint rounds half to even, as round does
+        channel = np.rint(255 * np.clip(1.0 + np.where(up, red, blue) * t, 0.0, 1.0))
+        rgb = (rgb << 8) | channel.astype(int)
+    return rgb
+
+
+def diverging_colors(values, vmax: float) -> List[str]:
+    """`_diverging_rgb` as "#rrggbb" strings."""
+    return ["#%06x" % c for c in _diverging_rgb(values, vmax).tolist()]
+
+
+def _block_fills(grid: GridField, fx: int, fy: int,
+                 vmax: float) -> Tuple[List[int], np.ndarray, np.ndarray]:
+    """The fy x fx blocks of grid points that hold masked points, in
+    row-major order: the number of them up to the end of each row of
+    blocks, their block columns, and their colors as 0xRRGGBB integers,
+    each from the mean of the block's masked values."""
+    ny, nx = grid.values.shape
+    nby, nbx = -(-ny // fy), -(-nx // fx)
+    pad = ((0, nby * fy - ny), (0, nbx * fx - nx))
+    # one statement each, so the padded grids are freed at once
+    counts = np.pad(grid.mask, pad).reshape(nby, fy, nbx, fx).sum(axis=(1, 3))
+    sums = np.pad(np.where(grid.mask, grid.values, 0.0),
+                  pad).reshape(nby, fy, nbx, fx).sum(axis=(1, 3))
+    filled = counts > 0
+    rgb = _diverging_rgb(sums[filled] / counts[filled], vmax)
+    return np.cumsum(filled.sum(axis=1)).tolist(), np.nonzero(filled)[1], rgb
 
 
 def heatmap(canvas: SvgCanvas, axes: Axes, grid: GridField, max_cells: int = 120) -> float:
     """Filled cells for the masked grid points; blocks of cells are merged
     for display when the grid is finer than max_cells per side.  Returns
     the color scale limit used: the largest masked |value|, or 1 when
-    that is 0 or the mask is empty."""
+    that is 0 or the mask is empty.  The cells go to the canvas one
+    fragment per row of blocks."""
     vals, mask = grid.values, grid.mask
     ny, nx = vals.shape
-    masked = np.abs(vals[mask])
-    vmax = float(masked.max()) if masked.size else 1.0
-    if vmax == 0.0:
-        vmax = 1.0
+    vmax = float(np.max(np.abs(vals), where=mask, initial=0.0)) or 1.0
     fx = max(1, math.ceil(nx / max_cells))
     fy = max(1, math.ceil(ny / max_cells))
     sx = float(grid.x_axis[1] - grid.x_axis[0]) if nx > 1 else 1.0
     sy = float(grid.y_axis[1] - grid.y_axis[0]) if ny > 1 else 1.0
-    # per fy x fx block, in row-major order: masked point count and mean
-    nby, nbx = -(-ny // fy), -(-nx // fx)
-    pad = ((0, nby * fy - ny), (0, nbx * fx - nx))
-    mblocks = np.pad(mask, pad).reshape(nby, fy, nbx, fx)
-    vblocks = np.pad(np.where(mask, vals, 0.0), pad).reshape(nby, fy, nbx, fx)
-    counts = mblocks.sum(axis=(1, 3))
-    means = vblocks.sum(axis=(1, 3)) / np.maximum(counts, 1)
+    row_ends, cols, rgb = _block_fills(grid, fx, fy, vmax)
     # pixel edges per block column and per block row, each formatted once
     x0 = axes.px(grid.x_axis[::fx] - sx / 2)
     x1 = axes.px(grid.x_axis[np.minimum(np.arange(fx, nx + fx, fx), nx) - 1] + sx / 2)
@@ -200,14 +222,17 @@ def heatmap(canvas: SvgCanvas, axes: Axes, grid: GridField, max_cells: int = 120
     y1 = axes.py(grid.y_axis[::fy] - sy / 2)
     xs, widths = [_fmt(v) for v in x0], [_fmt(v) for v in x1 - x0]
     ys, heights = [_fmt(v) for v in y0], [_fmt(v) for v in y1 - y0]
-    filled_i, filled_j = np.nonzero(counts)
-    fills = diverging_colors(means[filled_i, filled_j], vmax)
-    cells = ['<g shape-rendering="crispEdges">']
-    for i, j, fill in zip(filled_i.tolist(), filled_j.tolist(), fills):
-        cells.append(f'<rect x="{xs[j]}" y="{ys[i]}" width="{widths[j]}" '
-                     f'height="{heights[i]}" fill="{fill}"/>')
-    cells.append("</g>")
-    canvas.raw("\n".join(cells))
+    canvas.raw('<g shape-rendering="crispEdges">')
+    start = 0
+    for i, end in enumerate(row_ends):
+        if end > start:
+            y, h = ys[i], heights[i]
+            canvas.raw("\n".join(
+                f'<rect x="{xs[j]}" y="{y}" width="{widths[j]}" height="{h}" '
+                f'fill="#{c:06x}"/>'
+                for j, c in zip(cols[start:end].tolist(), rgb[start:end].tolist())))
+        start = end
+    canvas.raw("</g>")
     return vmax
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -296,6 +297,59 @@ def scanned_lines(grid):
     """The per-cell scan's polylines without the point-sized ones, which
     zero_contour drops."""
     return [p for p in oracles.scan(grid) if np.any(p != p[0])]
+
+
+def map_field(seed, n=60):
+    """A scattered plane with a ripple, as the benchmark's regime maps use."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0.0, 1.0, size=(n, 2)) * [9.0, 0.5] + [1.0, 0.1]
+    vals = pts[:, 0] - 5.0 + np.sin(12.0 * pts[:, 1]) + 0.03 * rng.standard_normal(n)
+    return g.ScatterField(pts[:, 0], pts[:, 1], vals)
+
+
+class TestBlockInterpolation:
+    """`_interpolate` fills its grid in blocks of triangles; the blocks
+    change no bit of the result."""
+
+    def cases(self):
+        rng = np.random.default_rng(12)
+        for trial in range(12):
+            pts = rng.uniform(0.0, 6.0, size=(int(rng.integers(3, 80)), 2))
+            yield pts, 4 * trial + 30, 3 * trial + 25
+        diagonal_rng = np.random.default_rng(4)
+        for _ in range(8):
+            yield diagonal_edge_set(diagonal_rng), 120, 120
+        fld = map_field(7)
+        yield np.column_stack([fld.xs, fld.ys]), 200, 200
+
+    @pytest.mark.parametrize("block", [1, 7, 1000, 10 ** 18])
+    def test_bitwise_equal_across_block_sizes(self, monkeypatch, block):
+        checked = 0
+        for pts, nx, ny in self.cases():
+            fld = g.ScatterField(pts[:, 0], pts[:, 1], np.sin(3.0 * pts[:, 0]) + pts[:, 1] ** 2)
+            tri = g.delaunay(pts)
+            x_axis = np.linspace(pts[:, 0].min(), pts[:, 0].max(), nx)
+            y_axis = np.linspace(pts[:, 1].min(), pts[:, 1].max(), ny)
+            want = g._interpolate(fld, tri, x_axis, y_axis)
+            with monkeypatch.context() as m:
+                m.setattr(g, "_BLOCK_POINTS", block)
+                got = g._interpolate(fld, tri, x_axis, y_axis)
+            assert got.tobytes() == want.tobytes()
+            checked += 1
+        assert checked == 21
+
+    def test_surface_peak_memory_is_bounded(self):
+        # measured on this field: 4.7 grids of float64 (the 200x200 grid
+        # interpolated in one pass, then smoothed out of place, peaks at 8.0)
+        fld = map_field(5)
+        g.build_surface(fld, 200, 3.0)
+        tracemalloc.start()
+        try:
+            g.build_surface(fld, 200, 3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 200 * 200 * 8
 
 
 class TestZeroContour:

@@ -1,3 +1,4 @@
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -12,6 +13,18 @@ def parse(path):
     return ET.parse(path).getroot()
 
 
+def saved(canvas, path):
+    canvas.save(path)
+    return path.read_text()
+
+
+def heatmap_rects(canvas, path):
+    """The cell rects of the saved figure's heatmap group, one per line."""
+    lines = saved(canvas, path).split("\n")
+    start = lines.index('<g shape-rendering="crispEdges">')
+    return lines[start + 1:lines.index("</g>", start)]
+
+
 def make_grid(seed=0, resolution=60):
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.0, 4.0, size=(80, 2))
@@ -21,24 +34,24 @@ def make_grid(seed=0, resolution=60):
 
 
 class TestCanvas:
-    def test_renders_valid_svg(self):
+    def test_renders_valid_svg(self, tmp_path):
         canvas = svgplot.SvgCanvas(200, 100)
         canvas.rect(10, 10, 50, 30, fill="#ff0000")
         canvas.line(0, 0, 200, 100)
         canvas.polyline([(0, 0), (10, 5), (20, 0)], stroke="#00ff00")
         canvas.circle(50, 50, 4, fill="#0000ff")
         canvas.text(5, 95, "label")
-        root = ET.fromstring(canvas.render())
+        root = ET.fromstring(saved(canvas, tmp_path / "c.svg"))
         assert root.tag == f"{NS}svg"
         assert root.get("width") == "200" and root.get("height") == "100"
         # every canvas starts with a white background rect
         assert root[0].tag == f"{NS}rect" and root[0].get("fill") == "#ffffff"
         assert root[0].get("width") == "200" and root[0].get("height") == "100"
 
-    def test_text_is_escaped(self):
+    def test_text_is_escaped(self, tmp_path):
         canvas = svgplot.SvgCanvas(50, 50)
         canvas.text(0, 10, "a < b & c")
-        rendered = canvas.render()
+        rendered = saved(canvas, tmp_path / "a.svg")
         assert "a &lt; b &amp; c" in rendered
         assert ET.fromstring(rendered).find(f"{NS}text").text == "a < b & c"
         # text nodes escape only &, < and >: quotes keep their bytes, as
@@ -46,14 +59,14 @@ class TestCanvas:
         label = """x "y" 'z' > 0"""
         canvas = svgplot.SvgCanvas(50, 50)
         canvas.text(0, 10, label)
-        rendered = canvas.render()
+        rendered = saved(canvas, tmp_path / "b.svg")
         assert """>x "y" 'z' &gt; 0</text>""" in rendered
         assert ET.fromstring(rendered).find(f"{NS}text").text == label
 
-    def test_short_polyline_dropped(self):
+    def test_short_polyline_dropped(self, tmp_path):
         canvas = svgplot.SvgCanvas(50, 50)
         canvas.polyline([(1, 1)], stroke="#000000")
-        assert "polyline" not in canvas.render()
+        assert "polyline" not in saved(canvas, tmp_path / "c.svg")
 
     def test_save_is_deterministic(self, tmp_path):
         paths = []
@@ -146,22 +159,22 @@ class TestDivergingColor:
 
 
 class TestHeatmap:
-    def test_cells_cover_mask(self):
+    def test_cells_cover_mask(self, tmp_path):
         grid = make_grid(resolution=40)
         canvas = svgplot.SvgCanvas(300, 300)
         axes = svgplot.Axes((0.0, 4.0), (0.0, 4.0), (20, 20, 260, 260))
         vmax = svgplot.heatmap(canvas, axes, grid, max_cells=200)
         assert vmax == pytest.approx(np.abs(grid.values[grid.mask]).max())
-        root = ET.fromstring(canvas.render())
+        root = ET.fromstring(saved(canvas, tmp_path / "c.svg"))
         cells = root.findall(f"{NS}g/{NS}rect")
         assert len(cells) == int(grid.mask.sum())
 
-    def test_display_downsampling(self):
+    def test_display_downsampling(self, tmp_path):
         grid = make_grid(resolution=60)
         canvas = svgplot.SvgCanvas(300, 300)
         axes = svgplot.Axes((0.0, 4.0), (0.0, 4.0), (20, 20, 260, 260))
         svgplot.heatmap(canvas, axes, grid, max_cells=20)
-        cells = ET.fromstring(canvas.render()).findall(f"{NS}g/{NS}rect")
+        cells = ET.fromstring(saved(canvas, tmp_path / "c.svg")).findall(f"{NS}g/{NS}rect")
         assert 0 < len(cells) <= 20 * 20
 
     @staticmethod
@@ -191,16 +204,16 @@ class TestHeatmap:
         return rects
 
     @pytest.mark.parametrize("resolution,max_cells", [(61, 20), (60, 7), (45, 200)])
-    def test_blocks_match_per_block_scan(self, resolution, max_cells):
+    def test_blocks_match_per_block_scan(self, resolution, max_cells, tmp_path):
         # ragged edge blocks included: 61 and 60 do not divide into the blocks
         grid = make_grid(seed=3, resolution=resolution)
         axes = svgplot.Axes((0.0, 4.0), (0.0, 4.0), (20, 20, 260, 260))
         canvas = svgplot.SvgCanvas(300, 300)
         svgplot.heatmap(canvas, axes, grid, max_cells=max_cells)
-        rects = canvas.parts[-1].split("\n")[1:-1]
+        rects = heatmap_rects(canvas, tmp_path / "c.svg")
         assert rects == self.per_block_rects(axes, grid, max_cells)
 
-    def test_random_grids_match_per_block_scan(self):
+    def test_random_grids_match_per_block_scan(self, tmp_path):
         rng = np.random.default_rng(17)
         for _ in range(40):
             ny, nx = (int(v) for v in rng.integers(2, 90, size=2))
@@ -217,7 +230,7 @@ class TestHeatmap:
             max_cells = int(rng.integers(3, 130))
             canvas = svgplot.SvgCanvas(300, 300)
             svgplot.heatmap(canvas, axes, grid, max_cells=max_cells)
-            rects = canvas.parts[-1].split("\n")[1:-1]
+            rects = heatmap_rects(canvas, tmp_path / "c.svg")
             assert rects == self.per_block_rects(axes, grid, max_cells)
 
 
@@ -235,6 +248,28 @@ class TestFigures:
         assert sum(1 for p in polys if p.get("stroke") == "#d62728") == len(secondary)
         texts = [t.text for t in root.findall(f".//{NS}text")]
         assert "frac(+) = 0.5" in texts and "agree = 0.9" in texts
+
+    def test_regime_map_peak_memory_is_bounded(self, tmp_path):
+        # the figure text is held once, in parts of at most one row of
+        # cells: measured 1.4 times the file (5.1 times when the cells were
+        # one fragment and the document one string)
+        grid = make_grid(resolution=200)
+        contours = geometry.zero_contour(grid)
+        path = tmp_path / "map.svg"
+
+        def draw():
+            svgplot.regime_map(path, grid, contours, [], "probe map", ["probe"],
+                               "Q^2 (GeV^2)", "x_B")
+
+        draw()
+        tracemalloc.start()
+        try:
+            draw()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 400_000
+        assert peak <= 2 * path.stat().st_size
 
     def test_regression_panel(self, tmp_path):
         x = np.linspace(-2.0, 4.0, 50)
