@@ -761,20 +761,8 @@ def _subsample_sets(sets: list, max_sets: int, seed: int) -> list:
     return sorted(chosen, key=lambda s: s.set_id)
 
 
-def _span_issue(points) -> str:
-    """Why (Q2, xB) points span no area to map on, or "" when they do."""
-    from .geometry import delaunay
-
-    try:
-        delaunay(points)
-    except ValueError as exc:
-        return str(exc)
-    return ""
-
-
 def compute_dvcs(config: dict, workers: int) -> dict:
     from . import dvcs as dv
-    from .geometry import ScatterField, area_fractions, build_surface, sign_agreement
     from .qualifier import eval_qualifier, fit_qualifier
 
     if config["data"]:
@@ -788,7 +776,7 @@ def compute_dvcs(config: dict, workers: int) -> dict:
     sets = _subsample_sets(sets, config["max_sets"], config["seed"])
     # known before training: no lam's map can be built on points without area
     if len(sets) >= 3:
-        issue = _span_issue([(s.q2, s.xb) for s in sets])
+        issue = dv.span_issue([(s.q2, s.xb) for s in sets])
         if issue:
             raise ConfigError(f"dvcs: the chosen sets' (Q2, xB) points cannot be mapped: {issue}")
 
@@ -817,39 +805,17 @@ def compute_dvcs(config: dict, workers: int) -> dict:
         for o in outcomes:
             o.qualifier_hat = eval_qualifier(refit_table, np.array(o.metrics), epochs)
 
+    # each noise scale's surfaces are reduced where they are built, so the
+    # caller holds only what it renders
+    jobs = [(lam, [o for o in outcomes if o.lam == lam], config["resolution"],
+             config["smoothing"], refit_table is not None) for lam in lams]
     maps, control_notes = [], []
-    for lam in lams:
-        sub = [o for o in outcomes if o.lam == lam]
-        if len(sub) < 3:
-            warnings.append(f"lam={lam:g}: only {len(sub)} outcomes, maps skipped")
+    for got in pool_map(dv.lam_map, jobs, workers):
+        if isinstance(got, str):
+            warnings.append(got)
             continue
-        xs, ys = np.array([o.q2 for o in sub]), np.array([o.xb for o in sub])
-        issue = _span_issue(np.column_stack([xs, ys]))
-        if issue:
-            warnings.append(f"lam={lam:g}: outcome points cannot be mapped ({issue}), "
-                            "maps skipped")
-            continue
-        xi_grid = build_surface(ScatterField(xs, ys, np.array([o.xi_dvcs for o in sub])),
-                                config["resolution"], config["smoothing"])
-        if not xi_grid.mask.any():  # the hat grid, on the same points, has the same mask
-            warnings.append(f"lam={lam:g}: no grid point lies in the outcome points' "
-                            "triangulation, maps skipped")
-            continue
-        # keyed by stats.csv statistic name, in stats.csv row order
-        stats = dict(zip(("area_xi_positive", "area_xi_negative"), area_fractions(xi_grid)))
-        hat_grid = None
-        if refit_table is not None:
-            hat_grid = build_surface(ScatterField(xs, ys,
-                                                  np.array([o.qualifier_hat for o in sub])),
-                                     config["resolution"], config["smoothing"])
-            stats.update(zip(("area_xi_hat_positive", "area_xi_hat_negative"),
-                             area_fractions(hat_grid)))
-            stats["sign_agreement_xi_vs_xi_hat"] = sign_agreement(xi_grid, hat_grid)
-        stats["sign_agreement_xi_vs_xi_self_check"] = sign_agreement(xi_grid, xi_grid)
-        trends, notes = dv.t_trends(sub)
-        control_notes += [f"lam={lam:g}: {n}" for n in notes]
-        maps.append({"lam": lam, "xi_grid": xi_grid, "hat_grid": hat_grid, "stats": stats,
-                     "crossings": trends[0][1].crossings, "trends": trends})
+        maps.append(got)
+        control_notes += [f"lam={got['lam']:g}: {n}" for n in got["notes"]]
     return {"n_sets": len(sets), "n_ingested": n_ingested, "issues": issues, "lams": lams,
             "checkpoints": checkpoints, "outcomes": outcomes, "campaign": campaign,
             "refit_table": refit_table, "refit_diag": refit_diag, "maps": maps,
@@ -858,7 +824,6 @@ def compute_dvcs(config: dict, workers: int) -> dict:
 
 def render_dvcs(config: dict, result: dict, out_dir: str) -> List[str]:
     from . import dvcs as dv
-    from .geometry import zero_contour
     from .qualifier import save_table
 
     campaign, refit_diag = result["campaign"], result["refit_diag"]
@@ -872,14 +837,12 @@ def render_dvcs(config: dict, result: dict, out_dir: str) -> List[str]:
         lam, stats = m["lam"], m["stats"]
         stats_rows += [[_fmt(lam), name, _fmt(v)] for name, v in stats.items()]
         stats_lines = [f"lam = {lam:g}", f"area(xi>0) = {stats['area_xi_positive']:.2f}"]
-        hat_contours = []
-        if m["hat_grid"] is not None:
-            hat_contours = zero_contour(m["hat_grid"])
+        if "sign_agreement_xi_vs_xi_hat" in stats:
             stats_lines += [f"area(xi_hat>0) = {stats['area_xi_hat_positive']:.2f}",
                             f"agreement = {stats['sign_agreement_xi_vs_xi_hat']:.2f}"]
         tag = str(lam).replace(".", "p")
         svgplot.regime_map(os.path.join(out_dir, f"map_lam{tag}.svg"),
-                           m["xi_grid"], zero_contour(m["xi_grid"]), hat_contours,
+                           m["xi_grid"], m["xi_contours"], m["hat_contours"],
                            f"outperformance regime map (lam = {lam:g})", stats_lines,
                            "Q^2 (GeV^2)", "x_B")
         svgplot.trend_panel(os.path.join(out_dir, f"trend_lam{tag}.svg"),
@@ -919,7 +882,8 @@ def render_dvcs(config: dict, result: dict, out_dir: str) -> List[str]:
         stats = by_lam[lam]["stats"]
         hat_s, agr_s = (f"{stats[k]:.3f}" if k in stats else "n/a"
                         for k in ("area_xi_hat_positive", "sign_agreement_xi_vs_xi_hat"))
-        cross = ", ".join(f"{c:.2f}" for c in by_lam[lam]["crossings"]) or "none"
+        crossings = by_lam[lam]["trends"][0][1].crossings  # of the all-sets trend
+        cross = ", ".join(f"{c:.2f}" for c in crossings) or "none"
         lines.append(f"| {lam:g} | {stats['area_xi_positive']:.3f} | {hat_s} | {agr_s} | {cross} |")
     if monotone is not None:
         lines += ["", f"Area(xi>0) ordered by lam: "

@@ -5,7 +5,8 @@ outperformance outcomes, and smooths them against t, over all sets and
 inside fixed matched-control groups (``t_trends``).  Each replica trains
 its pair through ``optim.fit_pair`` in one ``extract_cffs`` call; a
 campaign cell returns its m values as one (replica, family, mark) array,
-which ``run_campaign`` reduces to outcomes and the qualifier corpus."""
+which ``run_campaign`` reduces to outcomes and the qualifier corpus.
+``lam_map`` reduces one noise scale's outcomes to its regime map."""
 
 from __future__ import annotations
 
@@ -435,6 +436,56 @@ def t_trends(outcomes: Sequence[DvcsOutcome]
         else:
             trends.append((label, t_trend(members)))
     return trends, notes
+
+
+def span_issue(points) -> str:
+    """Why (Q2, xB) points span no area to map on, or "" when they do."""
+    from .geometry import delaunay
+
+    try:
+        delaunay(points)
+    except ValueError as exc:
+        return str(exc)
+    return ""
+
+
+def lam_map(job: Tuple):
+    """One noise scale's regime map, for the job (lam, its outcomes, grid
+    resolution, smoothing width, whether the outcomes carry a qualifier
+    hat): a warning when the outcomes cannot be mapped, else a dict of
+    the xi surface, the zero contours of xi and of xi_hat (none without
+    a hat; xi_hat's surface is not kept), the stats.csv statistics in row
+    order, and the t-trends with their notes.  A pure function of its
+    job, so it can run in a pool worker."""
+    from .geometry import (ScatterField, area_fractions, build_surface, sign_agreement,
+                           zero_contour)
+
+    lam, outcomes, resolution, smoothing, with_hat = job
+    if len(outcomes) < 3:
+        return f"lam={lam:g}: only {len(outcomes)} outcomes, maps skipped"
+    xs, ys = np.array([o.q2 for o in outcomes]), np.array([o.xb for o in outcomes])
+    issue = span_issue(np.column_stack([xs, ys]))
+    if issue:
+        return f"lam={lam:g}: outcome points cannot be mapped ({issue}), maps skipped"
+    xi_grid = build_surface(ScatterField(xs, ys, np.array([o.xi_dvcs for o in outcomes])),
+                            resolution, smoothing)
+    if not xi_grid.mask.any():  # the hat grid, on the same points, has the same mask
+        return (f"lam={lam:g}: no grid point lies in the outcome points' "
+                "triangulation, maps skipped")
+    stats = dict(zip(("area_xi_positive", "area_xi_negative"), area_fractions(xi_grid)))
+    hat_contours = []
+    if with_hat:
+        hat_grid = build_surface(ScatterField(xs, ys,
+                                              np.array([o.qualifier_hat for o in outcomes])),
+                                 resolution, smoothing)
+        stats.update(zip(("area_xi_hat_positive", "area_xi_hat_negative"),
+                         area_fractions(hat_grid)))
+        stats["sign_agreement_xi_vs_xi_hat"] = sign_agreement(xi_grid, hat_grid)
+        hat_contours = zero_contour(hat_grid)
+    stats["sign_agreement_xi_vs_xi_self_check"] = sign_agreement(xi_grid, xi_grid)
+    trends, notes = t_trends(outcomes)
+    return {"lam": lam, "xi_grid": xi_grid, "xi_contours": zero_contour(xi_grid),
+            "hat_contours": hat_contours, "stats": stats, "trends": trends, "notes": notes}
 
 
 OUTCOME_COLUMNS = ["set_id", "experiment", "lam", "Q2", "xB", "t", "E_beam",

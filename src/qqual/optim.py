@@ -10,6 +10,10 @@ its CDNN/QDNN pair through ``fit_pair``.
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import sys
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -148,14 +152,77 @@ def fit_pair(task: str, seed: int, X: np.ndarray, y: np.ndarray, cfg: TrainConfi
 
 
 def pool_map(fn, jobs: list, workers: int) -> list:
-    """[fn(job) for job in jobs], spread over min(workers, len(jobs))
-    processes when there is more than one of each; results keep job
-    order.  Workers compute and return values; only the caller touches
-    files."""
-    if workers > 1 and len(jobs) > 1:
-        # imported here: only runs that start a pool pay for it
-        from concurrent.futures import ProcessPoolExecutor
+    """[fn(job) for job in jobs], spread over n = min(workers, len(jobs))
+    forked processes when n > 1; results keep job order.  Worker k runs
+    jobs k, k + n, ... and sends back its results, or the exception that
+    stopped it, pickled through a pipe.  The caller re-raises the first
+    worker's exception, raises RuntimeError for a worker that sent no
+    result, and reaps every worker before it returns or raises, killing
+    them first if it is interrupted.  Workers compute and return values;
+    only the caller touches files."""
+    n = min(workers, len(jobs))
+    if n < 2:
+        return [fn(job) for job in jobs]
+    # a forked worker inherits unflushed output and would write it again
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pids: List[int] = []
+    reads: List[int] = []
+    sent: list = []  # per worker: (ok, results or exception), None if unreadable
+    try:
+        for k in range(n):
+            read, write = os.pipe()
+            reads.append(read)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _pool_worker(fn, jobs[k::n], k, reads, write)
+            finally:
+                os.close(write)  # the worker never gets here
+            pids.append(pid)
+        for read in reads:
+            with open(read, "rb", closefd=False) as fh:
+                try:
+                    sent.append(pickle.load(fh))
+                except (EOFError, pickle.UnpicklingError):  # the worker died
+                    sent.append(None)
+    finally:
+        for read in reads:
+            os.close(read)
+        if len(sent) < len(pids):  # interrupted: stop the workers still running
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    results: list = [None] * len(jobs)
+    for k, (got, code) in enumerate(zip(sent, codes)):
+        if got is None:
+            raise RuntimeError(f"pool worker {k} ended without a result (exit code {code})")
+        ok, value = got
+        if not ok:
+            raise value
+        results[k::n] = value
+    return results
 
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            return list(pool.map(fn, jobs))
-    return [fn(job) for job in jobs]
+
+def _pool_worker(fn, jobs: list, k: int, inherited: List[int], write: int) -> None:
+    """The body of forked pool worker k: pickle [fn(job) for job in jobs],
+    or the exception that stopped it, to the pipe ``write``, then leave
+    without returning into the caller's frames."""
+    try:
+        for fd in inherited:
+            os.close(fd)
+        try:
+            blob = pickle.dumps((True, [fn(job) for job in jobs]), pickle.HIGHEST_PROTOCOL)
+        except BaseException as exc:
+            try:
+                blob = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
+                pickle.loads(blob)  # an exception that pickles may still not load
+            except Exception:
+                blob = pickle.dumps((False, RuntimeError(
+                    f"pool worker {k}: {type(exc).__name__}: {exc}")))
+        with open(write, "wb") as fh:
+            fh.write(blob)
+        sys.stdout.flush()
+        sys.stderr.flush()
+    finally:
+        os._exit(0)

@@ -653,7 +653,8 @@ class TestScipyLoading:
     importing it would cost a fresh process most of its start-up time.
     The bench commands also leave the campaign modules unloaded, and no
     command loads numpy.ma, which np.unique and np.quantile import on
-    their first call (about 10 ms a process)."""
+    their first call (about 10 ms a process), and none loads a process
+    pool module: ``pool_map`` forks its workers itself."""
 
     ON_THEIR_OWN = ("bench-class", "bench-reg", "validate-data")
 
@@ -670,7 +671,8 @@ cfg, out, *commands = sys.argv[1:]
 def loaded(package):
     return sorted(m for m in sys.modules if m == package or m.startswith(package + "."))
 
-seen = {package: {"import": loaded(package)} for package in ("scipy", "qqual", "numpy.ma")}
+seen = {package: {"import": loaded(package)}
+        for package in ("scipy", "qqual", "numpy.ma", "concurrent", "multiprocessing")}
 for command in commands:
     assert cli.main([command, "--config", cfg, "--out", out + "/" + command]) == 0
     for package, by_stage in seen.items():
@@ -694,6 +696,13 @@ print(json.dumps(seen))
         campaign = {f"qqual.{m}" for m in ("dvcs", "complexity", "geometry", "qualifier")}
         for stage, modules in loaded.items():
             assert "qqual.cli" in modules and not campaign & set(modules), stage
+
+    def test_no_command_loads_a_process_pool_module(self, tmp_path):
+        # the dvcs campaign's 4 cells run on 2 workers here
+        loaded = self.modules_loaded_by(tmp_path, ["bench-reg", "bench-class", "dvcs"])
+        for package in ("concurrent", "multiprocessing"):
+            assert loaded[package] == {"import": [], "bench-reg": [], "bench-class": [],
+                                       "dvcs": []}, package
 
     def test_validate_data_never_loads_scipy(self, tmp_path):
         loaded = self.modules_loaded_by(tmp_path, ["validate-data"])["scipy"]
@@ -728,9 +737,11 @@ class TestReproducibility:
             outs.append((out / "ledger.csv").read_bytes())
         assert outs[0] == outs[1]
 
-    def assert_ledger_same_for_1_and_2_workers(self, tmp_path, monkeypatch, command, block):
-        """Every CSV the command writes, the ledger among them, is the same
-        bytes for 1 and 2 workers; returns the 1-worker CSVs by name."""
+    def assert_ledger_same_for_1_and_2_workers(self, tmp_path, monkeypatch, command, block,
+                                               patterns=("*.csv",)):
+        """Every file the command writes that matches one of ``patterns``
+        (every CSV, the ledger among them, by default) is the same bytes for
+        1 and 2 workers; returns the 1-worker files by name."""
         blobs = []
         for name, workers in (("w1", 1), ("w2", 2)):
             monkeypatch.setenv("QQUAL_THREADS", str(workers))
@@ -738,7 +749,8 @@ class TestReproducibility:
             cfg = write_cfg(tmp_path, {command: dict(block, workers=workers)},
                             name=f"{name}.json")
             assert cli.main([command, "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
-            blobs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+            blobs.append({p.name: p.read_bytes() for pattern in patterns
+                          for p in sorted(out.glob(pattern))})
         assert "ledger.csv" in blobs[0]
         assert blobs[0] == blobs[1]
         return blobs[0]
@@ -754,11 +766,38 @@ class TestReproducibility:
             tmp_path, monkeypatch, "bench-class", {"ensemble": 2, "epochs": 0, "n_eval": 30})
 
     def test_worker_pool_does_not_change_dvcs_ledger_or_stats(self, tmp_path, monkeypatch):
-        # cells return their m values to the parent, which reduces them
-        csvs = self.assert_ledger_same_for_1_and_2_workers(
+        # cells return their m values to the parent, which reduces them; each
+        # noise scale's maps are reduced in the pool too, and 3 epochs give
+        # a qualifier refit, so the xi_hat contours travel back as well
+        files = self.assert_ledger_same_for_1_and_2_workers(
             tmp_path, monkeypatch, "dvcs",
-            {"max_sets": 4, "ensemble": 1, "epochs": 1, "resolution": 30})
-        assert "stats.csv" in csvs
+            {"max_sets": 4, "ensemble": 1, "epochs": 3, "resolution": 30},
+            patterns=("*.csv", "*.svg", "report.md"))
+        assert "stats.csv" in files and "report.md" in files
+        assert {f"map_lam{tag}.svg" for tag in ("0p5", "1p0", "2p0")} <= set(files)
+        stats = files["stats.csv"].decode()
+        assert stats.count("sign_agreement_xi_vs_xi_hat") == 3
+
+    def test_dvcs_result_holds_one_grid_per_mapped_lam(self):
+        # the caller keeps only the xi surface it renders; xi_hat's surface
+        # is reduced to its zero contour where it was built
+        config = dict(copy.deepcopy(cli.DEFAULTS["dvcs"]), max_sets=4, ensemble=1, epochs=3,
+                      resolution=30)
+        result = cli.compute_dvcs(config, 2)
+        assert result["refit_table"] is not None and len(result["maps"]) == 3
+
+        def grids(value):
+            if isinstance(value, geometry.GridField):
+                return [value]
+            if isinstance(value, dict):
+                value = list(value.values())
+            if isinstance(value, (list, tuple)):
+                return [g for v in value for g in grids(v)]
+            return []
+
+        assert [id(g) for g in grids(result)] == [id(m["xi_grid"]) for m in result["maps"]]
+        # xi_hat changes sign on this draw's first noise scale
+        assert result["maps"][0]["hat_contours"]
 
     def test_blas_thread_count_does_not_change_ledger(self, tmp_path):
         # OpenBLAS splits reductions over 100 rows of 8-qubit states across

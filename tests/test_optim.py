@@ -1,4 +1,7 @@
 import math
+import os
+import signal
+import time
 from dataclasses import fields
 
 import numpy as np
@@ -236,3 +239,112 @@ class TestFitPair:
             else:
                 assert len(net_probes) == 2
                 assert all(np.array_equal(a, b) for a, b in zip(net_probes, solo_probes))
+
+
+class _JobFailed(ValueError):
+    pass
+
+
+class _Interrupted(Exception):
+    pass
+
+
+class _TwoArgError(Exception):
+    """Pickles, but cannot be rebuilt from its one pickled argument."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a}/{b}")
+
+
+def _job_and_pid(job):
+    return job, os.getpid()
+
+
+def _fail_on_4(job):
+    if job == 4:
+        raise _JobFailed(f"job {job} failed")
+    return job
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestPoolMap:
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        """A pool that hangs fails its test instead of the suite; forked
+        workers inherit the handler but not the alarm."""
+        def expire(signum, frame):
+            raise _Interrupted("deadline")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize("n_jobs", [2, 3, 7])  # fewer jobs than workers, as many, more
+    def test_results_keep_job_order(self, n_jobs):
+        jobs = list(range(10, 10 + n_jobs))
+        out = optim.pool_map(_job_and_pid, jobs, 3)
+        assert [job for job, _ in out] == jobs
+        pids = [pid for _, pid in out]
+        n = min(3, n_jobs)
+        assert os.getpid() not in pids and len(set(pids)) == n
+        # job k ran on worker k mod n
+        assert all(pids[k] == pids[k % n] for k in range(n_jobs))
+        _assert_no_child_left()
+
+    def test_one_worker_or_one_job_runs_in_the_caller(self):
+        assert optim.pool_map(_job_and_pid, [1, 2], 1) == [(1, os.getpid()), (2, os.getpid())]
+        assert optim.pool_map(_job_and_pid, [1], 4) == [(1, os.getpid())]
+        assert optim.pool_map(_job_and_pid, [], 4) == []
+
+    def test_worker_exception_is_reraised(self):
+        with pytest.raises(_JobFailed, match="^job 4 failed$"):
+            optim.pool_map(_fail_on_4, list(range(7)), 2)
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("how", ["exit", "sigkill"])
+    def test_a_worker_that_dies_raises(self, how):
+        def die_on_3(job):
+            if job == 3:
+                if how == "exit":
+                    os._exit(1)
+                os.kill(os.getpid(), signal.SIGKILL)
+            return job
+
+        code = 1 if how == "exit" else -signal.SIGKILL
+        with pytest.raises(RuntimeError,
+                           match=rf"pool worker 1 ended without a result \(exit code {code}\)"):
+            optim.pool_map(die_on_3, list(range(6)), 2)
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("exc, text", [
+        (_JobFailed(lambda: None), "_JobFailed: <function"),  # cannot be pickled
+        (_TwoArgError(1, 2), "_TwoArgError: 1/2"),             # cannot be unpickled
+    ])
+    def test_an_exception_that_cannot_travel_still_raises(self, exc, text):
+        def fail(job):
+            raise exc
+
+        with pytest.raises(RuntimeError, match=f"pool worker 0: {text}"):
+            optim.pool_map(fail, [1, 2], 2)
+        _assert_no_child_left()
+
+    def test_a_result_that_cannot_be_pickled_raises(self):
+        with pytest.raises(Exception, match="pickle"):
+            optim.pool_map(lambda job: (lambda: job), [1, 2], 2)
+        _assert_no_child_left()
+
+    def test_an_interrupted_caller_kills_its_workers(self):
+        signal.setitimer(signal.ITIMER_REAL, 0.3)
+        start = time.monotonic()
+        with pytest.raises(_Interrupted):
+            optim.pool_map(time.sleep, [30, 30], 2)
+        assert time.monotonic() - start < 10
+        _assert_no_child_left()
