@@ -35,13 +35,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 # dvcs, complexity, geometry and qualifier are imported by the commands that use
-# them, so that bench-reg and bench-class start without loading them
+# them, so that bench-reg and bench-class start without loading them; qsim is
+# imported where it is read, so that a process that trains nothing (the dvcs
+# parent, qualify, validate-data) never loads the simulator
 from . import svgplot
 from .datagen import REGRESSION_FUNCTIONS, X_RANGE, gen_classification_set, gen_regression_curve
 from .optim import FAMILIES, TrainConfig, checkpoint_marks, fit_pair, pool_map
 from .perfmetrics import (LEDGER_COLUMNS, classification_efficiency, confusion, dataset_label,
                           ledger_row, m_reg, parse_dataset_label, xi)
-from .qsim import MAX_QUBITS
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -219,6 +220,8 @@ def check_values(command: str, config: dict) -> None:
     if command == "bench-class":
         need("n_eval", config["n_eval"] >= 2, ">= 2")
     if command == "bench-reg":
+        from .qsim import MAX_QUBITS
+
         need("n_points", config["n_points"] >= 2, ">= 2")
         need("n_features", 1 <= config["n_features"] <= MAX_QUBITS, f"in 1..{MAX_QUBITS}")
     if command == "dvcs":
@@ -232,7 +235,8 @@ def check_values(command: str, config: dict) -> None:
 
 def worker_count(requested: int) -> int:
     """Effective process-pool size: the config request capped by
-    QQUAL_THREADS (default cap: available cores).  0 requests the cap."""
+    QQUAL_THREADS (default cap: the cores this process may run on).  0
+    requests the cap."""
     raw = os.environ.get("QQUAL_THREADS", "").strip()
     if raw:
         try:
@@ -242,7 +246,9 @@ def worker_count(requested: int) -> int:
         if cap < 1:
             raise ConfigError("QQUAL_THREADS must be >= 1")
     else:
-        cap = os.cpu_count() or 1
+        # an affinity mask or a cpuset can leave fewer cores than cpu_count
+        cap = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
     if requested < 0:
         raise ConfigError("workers must be >= 0")
     return min(requested, cap) if requested > 0 else cap

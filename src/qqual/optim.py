@@ -37,7 +37,12 @@ class TrainingDivergence(RuntimeError):
     def __init__(self, epoch: int, param_norm: float, detail: str = "non-finite loss"):
         self.epoch = epoch
         self.param_norm = param_norm
+        self.detail = detail
         super().__init__(f"{detail} at epoch {epoch} (parameter max-norm {param_norm:.6g})")
+
+    def __reduce__(self):
+        # rebuilt from the constructor's arguments, so that it crosses the pool
+        return type(self), (self.epoch, self.param_norm, self.detail)
 
 
 @dataclass(frozen=True)

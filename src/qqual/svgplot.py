@@ -6,7 +6,6 @@ circle, or text node; no plotting dependency."""
 from __future__ import annotations
 
 import math
-from html import escape
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,6 +26,13 @@ def _fmt(v: float) -> str:
 
 def _tick_label(v: float) -> str:
     return f"{v:.3g}"
+
+
+def _escape(s: str) -> str:
+    """Text content with &, < and > as character references, as
+    html.escape(s, quote=False) gives it (the html package's entity
+    tables cost every process that draws a figure about 0.5 MB)."""
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 class SvgCanvas:
@@ -83,7 +89,7 @@ class SvgCanvas:
             attrs.append('font-weight="bold"')
         if rotate is not None:
             attrs.append(f'transform="rotate({_fmt(rotate)} {_fmt(x)} {_fmt(y)})"')
-        self.parts.append(f"<text {' '.join(attrs)}>{escape(str(s), quote=False)}</text>")
+        self.parts.append(f"<text {' '.join(attrs)}>{_escape(str(s))}</text>")
 
     def save(self, path) -> None:
         """Writes the document to `path` one part at a time: the parts
@@ -183,19 +189,32 @@ def diverging_colors(values, vmax: float) -> List[str]:
     return ["#%06x" % c for c in _diverging_rgb(values, vmax).tolist()]
 
 
+# grid points per chunk of block rows that _block_fills reduces at a time
+_CHUNK_POINTS = 4096
+
+
 def _block_fills(grid: GridField, fx: int, fy: int,
                  vmax: float) -> Tuple[List[int], np.ndarray, np.ndarray]:
     """The fy x fx blocks of grid points that hold masked points, in
     row-major order: the number of them up to the end of each row of
     blocks, their block columns, and their colors as 0xRRGGBB integers,
-    each from the mean of the block's masked values."""
-    ny, nx = grid.values.shape
+    each from the mean of the block's masked values.  The blocks are
+    summed a chunk of block rows at a time, each chunk by the reshaped sum
+    over its zero-filled, padded points that the whole grid would get, so
+    the sums are the same bits with no grid-sized copy made."""
+    vals, mask = grid.values, grid.mask
+    ny, nx = vals.shape
     nby, nbx = -(-ny // fy), -(-nx // fx)
-    pad = ((0, nby * fy - ny), (0, nbx * fx - nx))
-    # one statement each, so the padded grids are freed at once
-    counts = np.pad(grid.mask, pad).reshape(nby, fy, nbx, fx).sum(axis=(1, 3))
-    sums = np.pad(np.where(grid.mask, grid.values, 0.0),
-                  pad).reshape(nby, fy, nbx, fx).sum(axis=(1, 3))
+    counts = np.empty((nby, nbx), dtype=int)
+    sums = np.empty((nby, nbx))
+    step = max(1, _CHUNK_POINTS // (fy * nx))
+    for b0 in range(0, nby, step):
+        rows = slice(b0 * fy, (b0 + step) * fy)
+        m = mask[rows]
+        pad = ((0, -len(m) % fy), (0, nbx * fx - nx))
+        counts[b0:b0 + step] = np.pad(m, pad).reshape(-1, fy, nbx, fx).sum(axis=(1, 3))
+        sums[b0:b0 + step] = np.pad(np.where(m, vals[rows], 0.0),
+                                    pad).reshape(-1, fy, nbx, fx).sum(axis=(1, 3))
     filled = counts > 0
     rgb = _diverging_rgb(sums[filled] / counts[filled], vmax)
     return np.cumsum(filled.sum(axis=1)).tolist(), np.nonzero(filled)[1], rgb
@@ -209,7 +228,9 @@ def heatmap(canvas: SvgCanvas, axes: Axes, grid: GridField, max_cells: int = 120
     fragment per row of blocks."""
     vals, mask = grid.values, grid.mask
     ny, nx = vals.shape
-    vmax = float(np.max(np.abs(vals), where=mask, initial=0.0)) or 1.0
+    # max |value| over the mask, from its max and min: no |values| copy
+    vmax = max(float(np.max(vals, where=mask, initial=0.0)),
+               -float(np.min(vals, where=mask, initial=0.0))) or 1.0
     fx = max(1, math.ceil(nx / max_cells))
     fy = max(1, math.ceil(ny / max_cells))
     sx = float(grid.x_axis[1] - grid.x_axis[0]) if nx > 1 else 1.0

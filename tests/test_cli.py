@@ -154,6 +154,12 @@ class TestWorkerCount:
         assert cli.worker_count(1) == 1
         assert cli.worker_count(0) >= 1
 
+    def test_unset_env_caps_at_the_cores_this_process_may_use(self, monkeypatch):
+        monkeypatch.delenv("QQUAL_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert cli.worker_count(0) == 1
+        assert cli.worker_count(4) == 1
+
     def test_invalid_env_rejected(self, monkeypatch):
         monkeypatch.setenv("QQUAL_THREADS", "zebra")
         with pytest.raises(cli.ConfigError):
@@ -654,7 +660,11 @@ class TestScipyLoading:
     The bench commands also leave the campaign modules unloaded, and no
     command loads numpy.ma, which np.unique and np.quantile import on
     their first call (about 10 ms a process), and none loads a process
-    pool module: ``pool_map`` forks its workers itself."""
+    pool module: ``pool_map`` forks its workers itself.  A process that
+    trains nothing (qualify, validate-data, and the dvcs parent, whose
+    cells run in its workers) never loads the simulator or the model
+    modules, and no command loads the html package, whose entity tables
+    cost about 0.5 MB: svgplot escapes its text itself."""
 
     ON_THEIR_OWN = ("bench-class", "bench-reg", "validate-data")
 
@@ -672,7 +682,8 @@ def loaded(package):
     return sorted(m for m in sys.modules if m == package or m.startswith(package + "."))
 
 seen = {package: {"import": loaded(package)}
-        for package in ("scipy", "qqual", "numpy.ma", "concurrent", "multiprocessing")}
+        for package in ("scipy", "qqual", "numpy.ma", "concurrent", "multiprocessing",
+                        "html")}
 for command in commands:
     assert cli.main([command, "--config", cfg, "--out", out + "/" + command]) == 0
     for package, by_stage in seen.items():
@@ -703,6 +714,20 @@ print(json.dumps(seen))
         for package in ("concurrent", "multiprocessing"):
             assert loaded[package] == {"import": [], "bench-reg": [], "bench-class": [],
                                        "dvcs": []}, package
+
+    def test_untrained_processes_never_load_the_simulator(self, tmp_path):
+        # the dvcs campaign's 4 cells run on 2 workers here, so its parent trains none
+        commands = ["qualify", "validate-data", "dvcs"]
+        loaded = self.modules_loaded_by(tmp_path, commands)["qqual"]
+        assert list(loaded) == ["import", *commands]
+        models = {f"qqual.{m}" for m in ("qsim", "cdnn", "qdnn")}
+        for stage, modules in loaded.items():
+            assert "qqual.cli" in modules and not models & set(modules), stage
+
+    def test_no_command_loads_html(self, tmp_path):
+        commands = sorted(cli.COMMANDS)
+        loaded = self.modules_loaded_by(tmp_path, commands)["html"]
+        assert loaded == {name: [] for name in ["import", *commands]}
 
     def test_validate_data_never_loads_scipy(self, tmp_path):
         loaded = self.modules_loaded_by(tmp_path, ["validate-data"])["scipy"]

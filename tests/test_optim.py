@@ -1,5 +1,6 @@
 import math
 import os
+import pickle
 import signal
 import time
 from dataclasses import fields
@@ -135,6 +136,14 @@ class TestFit:
         # the parameter is about 1e300, whose 2-norm would overflow to inf
         assert err.value.param_norm == pytest.approx(1e300, rel=1e-6)
 
+    @pytest.mark.parametrize("detail", [None, "non-finite parameters"])
+    def test_divergence_survives_a_pickle_round_trip(self, detail):
+        args = (3, 2.5) if detail is None else (3, 2.5, detail)
+        err = optim.TrainingDivergence(*args)
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is optim.TrainingDivergence
+        assert (back.epoch, back.param_norm, str(back)) == (3, 2.5, str(err))
+
     def test_a_mark_at_every_epoch_sees_each_epoch(self):
         # the loss read at mark k is the pre-update loss of epoch k + 1
         X, y = self._data()
@@ -266,6 +275,12 @@ def _fail_on_4(job):
     return job
 
 
+def _diverge_on_3(job):
+    if job == 3:
+        raise optim.TrainingDivergence(job, 2.5)
+    return job
+
+
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -307,6 +322,13 @@ class TestPoolMap:
     def test_worker_exception_is_reraised(self):
         with pytest.raises(_JobFailed, match="^job 4 failed$"):
             optim.pool_map(_fail_on_4, list(range(7)), 2)
+        _assert_no_child_left()
+
+    def test_a_training_divergence_is_reraised_with_its_epoch_and_norm(self):
+        with pytest.raises(optim.TrainingDivergence) as err:
+            optim.pool_map(_diverge_on_3, list(range(6)), 2)
+        assert type(err.value) is optim.TrainingDivergence
+        assert (err.value.epoch, err.value.param_norm) == (3, 2.5)
         _assert_no_child_left()
 
     @pytest.mark.parametrize("how", ["exit", "sigkill"])

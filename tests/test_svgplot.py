@@ -234,6 +234,58 @@ class TestHeatmap:
             assert rects == self.per_block_rects(axes, grid, max_cells)
 
 
+class TestBlockReduction:
+    @staticmethod
+    def padded_reshape_fills(grid, fx, fy, vmax):
+        # the whole grid zero-filled outside its mask, padded to whole
+        # blocks and summed in one reshape
+        ny, nx = grid.values.shape
+        nby, nbx = -(-ny // fy), -(-nx // fx)
+        pad = ((0, nby * fy - ny), (0, nbx * fx - nx))
+        counts = np.pad(grid.mask, pad).reshape(nby, fy, nbx, fx).sum(axis=(1, 3))
+        sums = np.pad(np.where(grid.mask, grid.values, 0.0),
+                      pad).reshape(nby, fy, nbx, fx).sum(axis=(1, 3))
+        filled = counts > 0
+        rgb = svgplot._diverging_rgb(sums[filled] / counts[filled], vmax)
+        return np.cumsum(filled.sum(axis=1)).tolist(), np.nonzero(filled)[1], rgb
+
+    @pytest.mark.parametrize("means", [False, True])
+    @pytest.mark.parametrize("chunk_points", [1, 50, svgplot._CHUNK_POINTS])
+    def test_matches_a_padded_reshape_bit_for_bit(self, monkeypatch, chunk_points, means):
+        # small chunks make several chunks per grid, the last one ragged;
+        # with means=True the "colors" are the block means themselves, which
+        # a color's 8-bit channels would otherwise round away
+        monkeypatch.setattr(svgplot, "_CHUNK_POINTS", chunk_points)
+        if means:
+            monkeypatch.setattr(svgplot, "_diverging_rgb", lambda v, vmax: np.asarray(v))
+        rng = np.random.default_rng(29)
+        for fy in range(1, 5):
+            for fx in range(1, 5):
+                for _ in range(6):
+                    # sides that are, and mostly are not, multiples of the block
+                    ny, nx = (int(v) for v in rng.integers(1, 40, size=2))
+                    values = rng.standard_normal((ny, nx)) * 10.0 ** rng.uniform(-3, 3, (ny, nx))
+                    values[rng.uniform(size=(ny, nx)) < 0.1] = 0.0
+                    values[rng.uniform(size=(ny, nx)) < 0.1] = -0.0
+                    values[rng.uniform(size=(ny, nx)) < rng.uniform(0.0, 0.6)] = np.nan
+                    grid = geometry.GridField(np.arange(nx), np.arange(ny), values)
+                    got = svgplot._block_fills(grid, fx, fy, 0.8)
+                    want = self.padded_reshape_fills(grid, fx, fy, 0.8)
+                    assert got[0] == want[0], (ny, nx, fy, fx)
+                    assert np.array_equal(got[1], want[1]), (ny, nx, fy, fx)
+                    assert np.array_equal(got[2], want[2]), (ny, nx, fy, fx)
+
+    def test_vmax_of_an_all_negative_field_and_an_empty_mask(self):
+        canvas = svgplot.SvgCanvas(300, 300)
+        axes = svgplot.Axes((0.0, 4.0), (0.0, 4.0), (20, 20, 260, 260))
+        values = -np.linspace(0.5, 3.0, 20).reshape(4, 5)
+        values[0, 0] = np.nan
+        grid = geometry.GridField(np.arange(5), np.arange(4), values)
+        assert svgplot.heatmap(canvas, axes, grid) == np.abs(values[grid.mask]).max() == 3.0
+        empty = geometry.GridField(np.arange(5), np.arange(4), np.full((4, 5), np.nan))
+        assert svgplot.heatmap(canvas, axes, empty) == 1.0
+
+
 class TestFigures:
     def test_regime_map(self, tmp_path):
         grid = make_grid()
