@@ -176,10 +176,11 @@ def check_values(command: str, config: dict) -> None:
         if not ok:
             raise ConfigError(f"{command}.{key} must be {what}")
 
-    def numbers(key: str, lo: float = -math.inf) -> None:
-        ok = all(isinstance(v, (int, float)) and not isinstance(v, bool) and v >= lo
+    def numbers(key: str, lo: float = -math.inf, kind=(int, float)) -> None:
+        ok = all(isinstance(v, kind) and not isinstance(v, bool) and v >= lo
                  for v in config[key])
-        need(key, ok, "a list of numbers" if lo == -math.inf else f"a list of numbers >= {lo:g}")
+        what = "a list of integers" if kind is int else "a list of numbers"
+        need(key, ok, what if lo == -math.inf else f"{what} >= {lo:g}")
 
     def distinct(key: str) -> None:
         # a repeated value would train and report the same cells twice
@@ -202,14 +203,15 @@ def check_values(command: str, config: dict) -> None:
     if "learning_rate" in config:
         need("learning_rate", config["learning_rate"] > 0, "> 0")
     if "checkpoints" in config:
-        numbers("checkpoints")
+        # epochs are counted in integers: training would truncate 2.5 to 2
+        numbers("checkpoints", kind=int)
     if "sigmas" in config:
         numbers("sigmas", 0)
         distinct("sigmas")
     if command == "qualify":
         from .complexity import MAX_POINTS
 
-        numbers("epochs", 1)
+        numbers("epochs", 1, kind=int)
         need("epochs", len(config["epochs"]) > 0, "a nonempty list")
         distinct("epochs")
         # the complexity metrics need 32 points (fractal_dimension) and fit
@@ -231,6 +233,8 @@ def check_values(command: str, config: dict) -> None:
         need("resolution", config["resolution"] >= 2, ">= 2")
         # a negative width would leave the maps unsmoothed while the report names it
         need("smoothing", config["smoothing"] >= 0, ">= 0")
+        # 0 reads every set, and a negative count would silently do the same
+        need("max_sets", config["max_sets"] >= 0, ">= 0")
 
 
 def worker_count(requested: int) -> int:

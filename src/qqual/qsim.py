@@ -7,36 +7,38 @@ significant) bit of the computational basis index, so after
 ``state.reshape([2] * n)`` axis i addresses qubit i.
 
 Circuits are the ones the quantum networks build: every rotation angle is
-an input feature or a trainable parameter, and every observable is Pauli-Z
-on one qubit.
+an input feature or a trainable parameter, every observable is Pauli-Z on
+one qubit, and the feature gates form an angle embedding: each comes
+before the first CNOT and before every param gate on its qubit
+(``CircuitSpec`` rejects any other order).
 
-Each ``CircuitSpec`` compiles its gate list once into a plan of blocks
-that alternate between single-qubit rotations and CNOTs (gate fusion as in
-Qulacs, arXiv:2011.13524):
+Each ``CircuitSpec`` compiles its gate list once into one plan (gate
+fusion as in Qulacs, arXiv:2011.13524): the embedding, a rotation block of
+the feature gates, then blocks of trainable rotations and CNOTs in turn,
+the first of them the param gates before the first CNOT (the prefix):
 
-- the rotations before the first CNOT act on a product state, so they run
-  on per-qubit 2-vectors and the full state is built from those by
-  broadcast outer products;
+- the embedding and the prefix act on a product state, so they run on
+  per-qubit 2x2 matrices and the state at the prefix's end is built from
+  per-qubit kets by broadcast outer products;
 - each later run of rotations becomes one 2x2 matrix per qubit, the
-  product of that qubit's gates in gate order (per row when a feature
-  drives one of them), applied by one in-place kernel; the products of
-  all of a block's qubits are formed together, one chain position at a
-  time;
+  product of that qubit's gates in gate order, applied by one in-place
+  kernel; the products of all of a block's qubits are formed together, one
+  chain position at a time;
 - each run of CNOTs becomes one basis-index permutation, applied as one
   gather;
 - every <Z_q> is read from |psi|^2, computed once.
 
-The span path.  When every feature gate sits in the prefix, before the
-param gates of its qubit, row b's state after those feature gates is a
-product of per-qubit kets k_q(b).  Qubits whose kets are equal in every
-row form a group (bench-reg repeats one x on every qubit); a group of g
-qubits with ket (k0, k1) holds sum_m k0**(g-m) k1**m S_m, S_m being the
-sum of the basis states with m ones on the group.  So every row is a
-combination sum_s c_bs Psi_s of r = prod(g + 1) column states Psi_s, and
-when the batch holds at least SPAN_ROWS_PER_STATE rows per column state
-and r**2 <= 2**n, the plan runs on the r columns instead of the B rows:
-the prefix's param gates become an ordinary trainable block with shared
-matrices, and the columns at its end are built one qubit at a time.  Row b
+The row path runs the blocks on the B rows: row b's prefix matrix of each
+qubit is its param matrices times its feature rotations, fused per row.
+The span path runs them on fewer states.  Row b's state after the
+embedding is a product of per-qubit kets k_q(b).  Qubits whose kets are
+equal in every row form a group (bench-reg repeats one x on every qubit);
+a group of g qubits with ket (k0, k1) holds sum_m k0**(g-m) k1**m S_m, S_m
+being the sum of the basis states with m ones on the group.  So every row
+is a combination sum_s c_bs Psi_s of r = prod(g + 1) column states Psi_s,
+and when the batch holds at least SPAN_ROWS_PER_STATE rows per column state
+and r**2 <= 2**n, the blocks run on the r columns instead of the B rows:
+the columns at the prefix's end are built one qubit at a time.  Row b
 reads <Z_o> = c_b^dagger M_o c_b with M_o = conj(Phi) diag(z_o) Phi^T for
 the final columns Phi, and the adjoint sweep starts from
 lam_t = sum_o z_o * sum_s Q_ts Phi_s with Q_ts = sum_b cot_bo conj(c_bt) c_bs,
@@ -46,12 +48,13 @@ on the same two paths.
 
 Gradients come from ``vjp``, one adjoint sweep back through the same
 blocks.  ``run_circuit`` returns a ``Run`` that keeps, for each trainable
-block, the state at the block's end (the prefix's is rebuilt from its
-kets), and every block's partial chain products, so the sweep carries only
-the adjoint state lam back: it never un-applies psi or recomputes a gate
-matrix or a chain product.  At a trainable block, each qubit's two
-off-diagonal overlaps are one contraction each, and the diagonal ones of
-all qubits come from one product read through a bit table.
+block, the state at the block's end (on the row path, the prefix's is
+rebuilt from its kets), and every block's partial chain products, so the
+sweep carries only the adjoint state lam back: it never un-applies psi or
+recomputes a gate matrix or a chain product.  At a trainable block, each
+qubit's two off-diagonal overlaps are one contraction each, and the
+diagonal ones of all qubits come from one product read through a bit
+table.
 """
 
 from __future__ import annotations
@@ -212,11 +215,11 @@ class _Step(NamedTuple):
     multiply each qubit's W from the right.  Slots number the block's
     qubits in block order."""
 
-    param_slots: np.ndarray
-    params: np.ndarray  # the param index of each of those gates
-    paulis: np.ndarray  # (2, 2, len(params), 1) their generators
-    feature_slots: np.ndarray
-    features: np.ndarray  # the feature-stack entry of each of those gates
+    slots: np.ndarray
+    # the index of each of those gates in the block's matrix stack: its
+    # param index, or in the embedding its place in the feature stack
+    angles: np.ndarray
+    paulis: np.ndarray  # (2, 2, len(angles), 1) their generators
 
 
 class _Rotations(NamedTuple):
@@ -225,22 +228,19 @@ class _Rotations(NamedTuple):
 
 
 class _Plan(NamedTuple):
-    # _Rotations and _CnotRun blocks in turn.  blocks[0] holds the
-    # rotations before the first CNOT (the product-state prefix) and may
-    # be empty.
+    # the feature gates, all before the first CNOT, as one block whose
+    # angles index the feature stack
+    embed: _Rotations
+    # param-only _Rotations and _CnotRun blocks in turn.  blocks[0] holds
+    # the param gates before the first CNOT (the prefix) and may be empty.
     blocks: tuple
     # indices of the blocks that hold a trainable gate
     trainable: Tuple[int, ...]
     param_paulis: np.ndarray  # (2, 2, P) in param-index order
-    feature_paulis: np.ndarray  # (2, 2, F)
+    feature_paulis: np.ndarray  # (2, 2, F) the feature stack, in gate order
     feature_cols: np.ndarray  # (F,) feature index of each feature gate
     z_signs: np.ndarray  # (n_observables, 2**n)
     bits: np.ndarray  # (n, 2**n), from _bit_table
-    # when every feature gate sits in blocks[0] before its qubit's param
-    # gates, the span path's blocks: blocks[0]'s feature gates alone, and
-    # the plan with blocks[0] cut to its param gates; else None
-    span_embed: Optional[_Rotations]
-    span_blocks: Optional[tuple]
 
 
 def _stack_paulis(gates: Sequence[Gate]) -> np.ndarray:
@@ -252,67 +252,39 @@ def _indices(values) -> np.ndarray:
     return np.array(list(values), dtype=np.intp)
 
 
-def _rotations(run: Sequence[Gate], feature_gates: list) -> _Rotations:
-    """One run of rotations as a block; appends its feature gates to the
-    feature stack, in gate order."""
-    entry = {}
-    for i, gate in enumerate(run):
-        if gate.param is None:
-            entry[i] = len(feature_gates)
-            feature_gates.append(gate)
+def _rotations(run: Sequence[Gate], angles: Sequence[int]) -> _Rotations:
+    """One run of rotations as a block, ``angles[i]`` indexing the matrix
+    stack at the angle of ``run[i]``."""
     qubits = sorted({g.target for g in run})
-    chains = [[(i, g) for i, g in enumerate(run) if g.target == q][::-1] for q in qubits]
+    chains = [[(a, g) for a, g in zip(angles, run) if g.target == q][::-1] for q in qubits]
     steps = []
     for t in range(max(map(len, chains), default=0)):
         here = [(s, c[t]) for s, c in enumerate(chains) if t < len(c)]
-        params = [(s, g) for s, (_, g) in here if g.param is not None]
-        features = [(s, entry[i]) for s, (i, g) in here if g.param is None]
-        steps.append(_Step(
-            _indices(s for s, _ in params), _indices(g.param for _, g in params),
-            _stack_paulis([g for _, g in params])[..., None],
-            _indices(s for s, _ in features), _indices(j for _, j in features)))
+        steps.append(_Step(_indices(s for s, _ in here), _indices(a for _, (a, _) in here),
+                           _stack_paulis([g for _, (_, g) in here])[..., None]))
     return _Rotations(_indices(qubits), tuple(steps))
 
 
 def _build_plan(n_qubits: int, gates: Sequence[Gate], observables: Sequence[int]) -> _Plan:
+    embed = [g for g in gates if g.feature is not None]
+    runs = [list(run) for _, run in groupby((g for g in gates if g.feature is None),
+                                            key=lambda g: g.kind == "cnot")]
+    if not runs or runs[0][0].kind == "cnot":
+        runs.insert(0, [])
     blocks = []
-    feature_gates = []
-    prefix = []  # the gates of blocks[0]
-    for is_cnot, run in groupby(gates, key=lambda g: g.kind == "cnot"):
-        run = list(run)
-        if not is_cnot:
-            if not blocks:
-                prefix = run
-            blocks.append(_rotations(run, feature_gates))
-            continue
-        if not blocks:
-            blocks.append(_rotations([], feature_gates))
-        perm = _cnot_permutation(n_qubits, run)
-        blocks.append(_CnotRun(perm, np.argsort(perm)))
-    if not blocks:
-        blocks.append(_rotations([], feature_gates))
-    trainable = tuple(i for i, block in enumerate(blocks) if isinstance(block, _Rotations)
-                      and any(len(step.params) for step in block.steps))
+    for i, run in enumerate(runs):
+        if i % 2:
+            perm = _cnot_permutation(n_qubits, run)
+            blocks.append(_CnotRun(perm, np.argsort(perm)))
+        else:
+            blocks.append(_rotations(run, [g.param for g in run]))
+    trainable = tuple(i for i, block in enumerate(blocks)
+                      if isinstance(block, _Rotations) and block.steps)
     param_gates = sorted((g for g in gates if g.param is not None), key=lambda g: g.param)
-    embed = [g for g in prefix if g.param is None]
-    trained = set()
-    splits = len(embed) == len(feature_gates)
-    for gate in prefix:
-        if gate.param is not None:
-            trained.add(gate.target)
-        elif gate.target in trained:
-            splits = False
-    span_embed = span_blocks = None
-    if splits:
-        # the prefix's feature gates are the whole feature stack, in order
-        span_embed = _rotations(embed, [])
-        span_blocks = (_rotations([g for g in prefix if g.param is not None], []),
-                       *blocks[1:])
-    return _Plan(tuple(blocks), trainable,
-                 _stack_paulis(param_gates), _stack_paulis(feature_gates),
-                 np.array([g.feature for g in feature_gates], dtype=np.intp),
-                 _z_signs(n_qubits, observables), _bit_table(n_qubits),
-                 span_embed, span_blocks)
+    return _Plan(_rotations(embed, range(len(embed))), tuple(blocks), trainable,
+                 _stack_paulis(param_gates), _stack_paulis(embed),
+                 np.array([g.feature for g in embed], dtype=np.intp),
+                 _z_signs(n_qubits, observables), _bit_table(n_qubits))
 
 
 @dataclass(frozen=True)
@@ -326,11 +298,17 @@ class CircuitSpec:
     the two-point shift rule that checks it stays exact (a reused index
     would need a sum over gates and over shifts).
 
+    The feature gates form an angle embedding: each must come before the
+    first CNOT and before every param gate on its qubit, so that every
+    row's state after them is a product state and no trainable gate sits
+    before one.
+
     Construction also compiles the gates into the plan that ``run_circuit``
-    and ``vjp`` execute (see the module docstring): a product-state prefix
-    of the rotations before the first CNOT, then alternating rotation
-    blocks, one fused 2x2 gate per qubit each, and CNOT runs, one
-    permutation each.  The plan depends only on the gates, not on angles.
+    and ``vjp`` execute (see the module docstring): the embedding, a
+    product-state prefix of the param gates before the first CNOT, then
+    alternating rotation blocks, one fused 2x2 gate per qubit each, and
+    CNOT runs, one permutation each.  The plan depends only on the gates,
+    not on angles.
     """
 
     n_qubits: int
@@ -349,6 +327,8 @@ class CircuitSpec:
         object.__setattr__(self, "observables", tuple(int(q) for q in self.observables))
         params = []
         n_feat = 0
+        entangled = False
+        trained = set()  # the qubits that a param gate has acted on
         for gate in self.gates():
             qubits = (gate.target,) if gate.control is None else (gate.target, gate.control)
             for q in qubits:
@@ -356,8 +336,14 @@ class CircuitSpec:
                     raise ValueError(f"gate qubit {q} out of range for {self.n_qubits} qubits")
             if gate.param is not None:
                 params.append(gate.param)
+                trained.add(gate.target)
             if gate.feature is not None:
+                if entangled or gate.target in trained:
+                    raise ValueError(
+                        f"{gate.kind} gate on qubit {gate.target} reading feature {gate.feature} "
+                        "must come before the first cnot and before every param gate on its qubit")
                 n_feat = max(n_feat, gate.feature + 1)
+            entangled |= gate.kind == "cnot"
         if sorted(params) != list(range(len(params))):
             raise ValueError(
                 "trainable param indices must be a contiguous 0..P-1 range, "
@@ -394,18 +380,18 @@ class Run(NamedTuple):
     """One forward pass, as ``run_circuit`` returns it and ``vjp`` reads it.
 
     Besides the final states it keeps what the adjoint sweep needs, all of
-    it arrays the forward made anyway.  For each rotation block, the
-    partial products W_t of its chains, one (2, 2, Q, 1) or (2, 2, Q, B)
-    stack per chain position t from the block's end: W_t is the product of
-    the gates after position t, and the last one is the fused matrix the
-    block applied.  For each trainable block after the prefix, the state
-    at the block's end; the CNOT gather after the block writes a new array,
-    so nothing later overwrites it.  On the row path the prefix's end state
-    is a product state that the sweep rebuilds from the fused matrices: a
-    forward that kept it would hold one more state block for every call.
-    On the span path, ``states`` are the r final column states, row b's
-    final state is ``span.coeffs[b] @ states``, and the blocks are the
-    plan's ``span_blocks``, whose prefix keeps its end state like any other.
+    it arrays the forward made anyway.  For each block, the partial
+    products W_t of its chains, one (2, 2, Q, 1) stack per chain position t
+    from the block's end: W_t is the product of the gates after position t,
+    and the last one is the fused matrix the block applied.  For each
+    trainable block after the prefix, the state at the block's end; the
+    CNOT gather after the block writes a new array, so nothing later
+    overwrites it.  On the row path the prefix's end state is a product
+    state that the sweep rebuilds from ``kets``: a forward that kept it
+    would hold one more state block for every call.  On the span path,
+    ``states`` are the r final column states, row b's final state is
+    ``span.coeffs[b] @ states``, and the prefix keeps its end state like
+    any other block.
     """
 
     spec: CircuitSpec
@@ -413,40 +399,40 @@ class Run(NamedTuple):
     # block index -> (state at the block's end or None, [W_0, W_1, ...])
     kept: dict
     span: Optional[_Span] = None
+    # on the row path, each qubit's ket at the prefix's end, from _row_kets
+    kets: Optional[list] = None
 
 
-# the (2, 2, 0, 1) stack of no gate, for a block that has one angle source
-_NO_GATES = np.zeros((2, 2, 0, 1), dtype=np.complex128)
-
-
-def _fuse(block: _Rotations, by_param: np.ndarray, by_feature: np.ndarray) -> list:
-    """The partial products W_0 = I, W_1, ... of a block's chains, later
-    gates to the left, all of its qubits at once.  The stack gains a row
-    axis at the first feature gate it takes in."""
-    w = np.repeat(_EYE[:, :, None, None], len(block.qubits), axis=2)
+def _fuse(block: _Rotations, mats: np.ndarray, w: Optional[np.ndarray] = None) -> list:
+    """The partial products W_0, W_1, ... of a block's chains, later gates
+    to the left, all of its qubits at once, from (2, 2, K, 1) matrices or
+    (2, 2, K, B) ones per row: W_0 is ``w``, or the identity, and each W_t
+    takes in chain position t from the right.  The stack gains a row axis
+    with the first per-row matrices."""
+    if w is None:
+        w = np.repeat(_EYE[:, :, None, None], len(block.qubits), axis=2)
     ws = [w]
     for step in block.steps:
-        if len(step.features) and w.shape[3] == 1:
-            w = np.repeat(w, by_feature.shape[3], axis=3)
-        else:
-            w = w.copy()
-        for slots, mats in ((step.param_slots, by_param[:, :, step.params]),
-                            (step.feature_slots, by_feature[:, :, step.features])):
-            if len(slots):
-                w[:, :, slots] = np.einsum("ijmb,jkmb->ikmb", w[:, :, slots], mats)
+        w = np.repeat(w, mats.shape[3] // w.shape[3], axis=3)  # a copy
+        w[:, :, step.slots] = np.einsum("ijmb,jkmb->ikmb", w[:, :, step.slots],
+                                        mats[:, :, step.angles])
         ws.append(w)
     return ws
 
 
-def _slot(w: np.ndarray, s: int) -> np.ndarray:
-    """Slot s of a W stack: (2, 2), or (2, 2, B) when it has a row axis."""
-    return w[:, :, s, 0] if w.shape[3] == 1 else w[:, :, s]
-
-
-def _prefix_kets(block: _Rotations, fused: np.ndarray) -> dict:
-    """qubit -> its fused prefix matrix applied to |0>: a (2,) ket, or
-    (B, 2) when a feature drives it; the prefix leaves other qubits at |0>."""
-    return {q: _slot(fused, s)[:, 0].T for s, q in enumerate(block.qubits)}
+def _row_kets(plan: _Plan, n_qubits: int, fused: np.ndarray, features: np.ndarray) -> list:
+    """Each qubit's ket at the prefix's end, U R_last ... R_first |0> with
+    R its feature rotations and U its fused param matrix ``fused`` from
+    blocks[0], multiplied in that order per row: (B, 2) on a qubit that a
+    feature drives, (2,) on one that none does."""
+    w = np.repeat(_EYE[:, :, None, None], n_qubits, axis=2)
+    w[:, :, plan.blocks[0].qubits] = fused
+    kets = list(w[:, 0, :, 0].T)
+    by_feature = _rotation_matrices(plan.feature_paulis, features[:, plan.feature_cols].T)
+    w = _fuse(plan.embed, by_feature, w[:, :, plan.embed.qubits])[-1]
+    for s, q in enumerate(plan.embed.qubits):
+        kets[q] = w[:, 0, s].T
+    return kets
 
 
 def _kron_kets(kets: Sequence[np.ndarray], batch: int) -> np.ndarray:
@@ -458,14 +444,6 @@ def _kron_kets(kets: Sequence[np.ndarray], batch: int) -> np.ndarray:
     return state
 
 
-def _product_state(block: _Rotations, fused: np.ndarray, batch: int,
-                   n_qubits: int) -> np.ndarray:
-    """(B, 2**n) state at the prefix's end: the product of each qubit's
-    fused matrix applied to |0>, and |0> on the qubits it leaves alone."""
-    kets = _prefix_kets(block, fused)
-    return _kron_kets([kets.get(q, _EYE[:, 0]) for q in range(n_qubits)], batch)
-
-
 def _powers(k: np.ndarray, g: int) -> np.ndarray:
     """(B, g + 1) powers 1, k, ..., k**g of a (B,) column, by repeated
     multiplication."""
@@ -473,8 +451,8 @@ def _powers(k: np.ndarray, g: int) -> np.ndarray:
 
 
 def _build_span(spec: CircuitSpec, feats: np.ndarray) -> Optional[_Span]:
-    """The span of a batch's rows after the feature gates, or None for the
-    row path: when the batch holds fewer than SPAN_ROWS_PER_STATE rows per
+    """The span of a batch's rows after the embedding, or None for the row
+    path: when the batch holds fewer than SPAN_ROWS_PER_STATE rows per
     column state, or r**2 > 2**n, where the r x r forms read per row cost
     more than the row's own state.
 
@@ -489,7 +467,8 @@ def _build_span(spec: CircuitSpec, feats: np.ndarray) -> Optional[_Span]:
     if batch < SPAN_ROWS_PER_STATE:
         return None
     by_feature = _rotation_matrices(plan.feature_paulis, feats[:, plan.feature_cols].T)
-    kets = _prefix_kets(plan.span_embed, _fuse(plan.span_embed, _NO_GATES, by_feature)[-1])
+    w = _fuse(plan.embed, by_feature)[-1]
+    kets = {q: w[:, 0, s].T for s, q in enumerate(plan.embed.qubits)}
     roles = [_EYE[:, 0]] * spec.n_qubits
     groups = {}  # ket bytes -> the qubits of one group
     for q, ket in kets.items():
@@ -512,11 +491,11 @@ def _build_span(spec: CircuitSpec, feats: np.ndarray) -> Optional[_Span]:
 
 
 def _span_columns(span: _Span, block: _Rotations, fused: np.ndarray) -> np.ndarray:
-    """(r, 2**n) column states at the end of the span path's prefix block,
-    built one qubit at a time as ``_kron_kets`` builds a product state: a
-    qubit of group j maps digit m_j to m_j (its |0> ket) and to m_j + 1
-    (its |1> ket), a qubit of no group multiplies in its ket."""
-    mats = {q: _slot(fused, s) for s, q in enumerate(block.qubits)}
+    """(r, 2**n) column states at the end of the prefix block, built one
+    qubit at a time as ``_kron_kets`` builds a product state: a qubit of
+    group j maps digit m_j to m_j (its |0> ket) and to m_j + 1 (its |1>
+    ket), a qubit of no group multiplies in its ket."""
+    mats = {q: fused[:, :, s, 0] for s, q in enumerate(block.qubits)}
     state = np.zeros(span.radices + (1,), dtype=np.complex128)
     state[(0,) * state.ndim] = 1.0
     for q, role in enumerate(span.roles):
@@ -535,8 +514,6 @@ def _span_columns(span: _Span, block: _Rotations, fused: np.ndarray) -> np.ndarr
 def _span(spec: CircuitSpec, feats: np.ndarray) -> Optional[_Span]:
     """The batch's span, or None for the row path; built once per circuit
     and batch (``optim.fit`` passes one batch at every epoch)."""
-    if spec._plan.span_blocks is None:
-        return None
     spans = spec._spans
     key = (feats.shape, feats.tobytes())
     if key not in spans:
@@ -546,20 +523,19 @@ def _span(spec: CircuitSpec, feats: np.ndarray) -> Optional[_Span]:
     return spans[key]
 
 
-def _evolve(spec: CircuitSpec, state: np.ndarray, blocks: tuple, start: int,
-            by_param: np.ndarray, by_feature: np.ndarray, kept: dict) -> np.ndarray:
-    """Run blocks[start:] on the states, recording in ``kept`` what ``Run``
-    keeps of each rotation block."""
-    trainable = spec._plan.trainable
-    for i in range(start, len(blocks)):
+def _evolve(spec: CircuitSpec, state: np.ndarray, by_param: np.ndarray, kept: dict) -> np.ndarray:
+    """Run the blocks after the prefix on the states, recording in ``kept``
+    what ``Run`` keeps of each rotation block."""
+    blocks = spec._plan.blocks
+    for i in range(1, len(blocks)):
         block = blocks[i]
         if isinstance(block, _CnotRun):
             state = state[:, block.perm]
             continue
-        ws = _fuse(block, by_param, by_feature)
+        ws = _fuse(block, by_param)
         for s, q in enumerate(block.qubits):
-            _apply_2x2(_on_qubit(state, spec.n_qubits, q), _slot(ws[-1], s))
-        kept[i] = (state if i in trainable else None, ws)
+            _apply_2x2(_on_qubit(state, spec.n_qubits, q), ws[-1][:, :, s, 0])
+        kept[i] = (state, ws)
     return state
 
 
@@ -567,22 +543,18 @@ def _execute(spec: CircuitSpec, params: np.ndarray, features: np.ndarray) -> Run
     """Run the circuit's plan on a batch of feature rows, or on their span."""
     plan = spec._plan
     by_param = _rotation_matrices(plan.param_paulis, params)[..., None]
+    ws = _fuse(plan.blocks[0], by_param)
     span = _span(spec, features)
     if span is not None:
-        prefix = plan.span_blocks[0]
-        ws = _fuse(prefix, by_param, _NO_GATES)
-        state = _span_columns(span, prefix, ws[-1])
-        kept = {0: (state if 0 in plan.trainable else None, ws)}
-        state = _evolve(spec, state, plan.span_blocks, 1, by_param, _NO_GATES, kept)
-        return Run(spec, state, kept, span)
-    by_feature = _rotation_matrices(plan.feature_paulis, features[:, plan.feature_cols].T)
-    ws = _fuse(plan.blocks[0], by_param, by_feature)
+        state = _span_columns(span, plan.blocks[0], ws[-1])
+        kept = {0: (state, ws)}
+        return Run(spec, _evolve(spec, state, by_param, kept), kept, span)
+    kets = _row_kets(plan, spec.n_qubits, ws[-1], features)
     kept = {0: (None, ws)}
     # no local holds the prefix state, so the first CNOT gather frees it;
     # one more live state block costs a 181-row q8 forward about 10%
-    state = _evolve(spec, _product_state(plan.blocks[0], ws[-1], features.shape[0], spec.n_qubits),
-                    plan.blocks, 1, by_param, by_feature, kept)
-    return Run(spec, state, kept)
+    state = _evolve(spec, _kron_kets(kets, len(features)), by_param, kept)
+    return Run(spec, state, kept, kets=kets)
 
 
 def _quadratic(span: _Span, m: np.ndarray) -> np.ndarray:
@@ -664,27 +636,21 @@ def readout(spec: CircuitSpec, params: Sequence[float], features: np.ndarray,
 
 
 def _overlaps(lam: np.ndarray, psi: np.ndarray, bits: np.ndarray, qubits: np.ndarray,
-              n_qubits: int, per_row: bool) -> np.ndarray:
-    """(2, 2, Q, B) overlaps R[i, j, s, b] = sum conj(lam_b) psi_b over the
-    basis states with qubit ``qubits[s]`` at i in lam and at j in psi, so
-    that <lam_b|M|psi_b> = sum_ij M[i, j] R[i, j, s, b] for any 2x2 M on
-    that qubit; with ``per_row`` False, summed over the batch into a last
-    axis of length 1.  Each qubit's two off-diagonal terms are one
-    contraction each; the diagonal terms of every qubit come from one
+              n_qubits: int) -> np.ndarray:
+    """(2, 2, Q, 1) overlaps R[i, j, s, 0] = sum conj(lam_b) psi_b over the
+    batch and over the basis states with qubit ``qubits[s]`` at i in lam
+    and at j in psi, so that sum_b <lam_b|M|psi_b> = sum_ij M[i, j] R[i, j, s, 0]
+    for any 2x2 M on that qubit.  Each qubit's two off-diagonal terms are
+    one contraction each; the diagonal terms of every qubit come from one
     product conj(lam) psi, read through the (n, 2**n) bit table."""
-    rows = lam.shape[0] if per_row else 1
-    pair = "blr,blr->b" if per_row else "blr,blr->"
-    out = np.empty((2, 2, len(qubits), rows), dtype=np.complex128)
+    out = np.empty((2, 2, len(qubits), 1), dtype=np.complex128)
     prod = lam.conj()
     for s, q in enumerate(qubits):
         lc = _on_qubit(prod, n_qubits, q)
         ps = _on_qubit(psi, n_qubits, q)
-        out[0, 1, s] = np.einsum(pair, lc[:, :, 0, :], ps[:, :, 1, :])
-        out[1, 0, s] = np.einsum(pair, lc[:, :, 1, :], ps[:, :, 0, :])
-    if per_row:
-        prod *= psi
-    else:
-        prod = np.einsum("bi,bi->i", prod, psi)[None]
+        out[0, 1, s] = np.einsum("blr,blr->", lc[:, :, 0, :], ps[:, :, 1, :])
+        out[1, 0, s] = np.einsum("blr,blr->", lc[:, :, 1, :], ps[:, :, 0, :])
+    prod = np.einsum("bi,bi->i", prod, psi)[None]
     ones = (np.einsum("bi,qi->qb", prod.real, bits)
             + 1j * np.einsum("bi,qi->qb", prod.imag, bits))[qubits]
     out[1, 1] = ones
@@ -699,19 +665,14 @@ def _block_grad(grad: np.ndarray, block: _Rotations, ws: list, lam: np.ndarray,
     A gate exp(-i theta P / 2) at chain position t contributes
     Im <lam|W_t P W_t^dagger|psi> at the block's end, W_t being the later
     gates of its chain, so each position forms the generators of all of
-    its param gates in one call.  Once W has taken in a feature gate, the
-    generators are per row and contract with each row's overlaps; in a
-    block with no such generator, they contract with the overlaps summed
-    over the batch.
+    its gates in one call and contracts them with the overlaps summed over
+    the batch.
     """
-    per_row = any(w.shape[3] > 1 for step, w in zip(block.steps, ws) if len(step.params))
-    overlaps = _overlaps(lam, psi, bits, block.qubits, n_qubits, per_row)
+    overlaps = _overlaps(lam, psi, bits, block.qubits, n_qubits)
     for step, w in zip(block.steps, ws):
-        if len(step.params):
-            wp = w[:, :, step.param_slots]
-            gen = np.einsum("ijmb,jkmb,lkmb->ilmb", wp, step.paulis, wp.conj())
-            grad[step.params] = np.einsum("ijmb,ijmb->m", gen,
-                                          overlaps[:, :, step.param_slots]).imag
+        wp = w[:, :, step.slots]
+        gen = np.einsum("ijmb,jkmb,lkmb->ilmb", wp, step.paulis, wp.conj())
+        grad[step.angles] = np.einsum("ijmb,ijmb->m", gen, overlaps[:, :, step.slots]).imag
 
 
 def _span_adjoint(run: Run, cot: np.ndarray, z_signs: np.ndarray) -> np.ndarray:
@@ -759,23 +720,20 @@ def vjp(run: Run, cotangent) -> np.ndarray:
     if not plan.trainable:
         return grad
     if run.span is None:
-        blocks = plan.blocks
         lam = np.einsum("bo,oi->bi", cot, plan.z_signs) * run.states
     else:
-        blocks = plan.span_blocks
         lam = _span_adjoint(run, cot, plan.z_signs)
     first = plan.trainable[0]
-    for i in range(len(blocks) - 1, first - 1, -1):
-        block = blocks[i]
+    for i in range(len(plan.blocks) - 1, first - 1, -1):
+        block = plan.blocks[i]
         if isinstance(block, _CnotRun):
             lam = lam[:, block.inverse]
             continue
         psi, ws = run.kept[i]
-        if i in plan.trainable:
-            if psi is None:  # the row path's prefix, a product state
-                psi = _product_state(block, ws[-1], batch, n)
-            _block_grad(grad, block, ws, lam, psi, plan.bits, n)
+        if psi is None:  # the row path's prefix, a product state
+            psi = _kron_kets(run.kets, batch)
+        _block_grad(grad, block, ws, lam, psi, plan.bits, n)
         if i > first:
             for s, q in enumerate(block.qubits):
-                _apply_2x2(_on_qubit(lam, n, q), _dagger(_slot(ws[-1], s)))
+                _apply_2x2(_on_qubit(lam, n, q), _dagger(ws[-1][:, :, s, 0]))
     return grad

@@ -125,11 +125,17 @@ class TestConfigResolution:
         ("dvcs", {"lams": []}),
         # past the Fourier transform window, after seconds of O(n^2) mutual information
         ("qualify", {"n_points": 20_001}),
+        # epoch lists hold integers: a fraction would be truncated
+        ("bench-reg", {"epochs": 4, "checkpoints": [2.5, 3.0]}),
+        ("dvcs", {"checkpoints": [2, 4.5]}),
+        ("qualify", {"epochs": [2.5, 2.7, 10]}),
+        ("dvcs", {"max_sets": -1}),
     ], ids=["bench-reg-negative-epochs", "bench-reg-text-sigma", "dvcs-text-lam", "bench-class-zero-learning-rate", "qualify-10-points",
             "bench-reg-repeated-function", "bench-reg-repeated-sigma", "dvcs-repeated-lam",
             "qualify-repeated-epoch", "dvcs-negative-smoothing", "bench-class-zero-ensemble",
             "bench-reg-no-function", "bench-reg-no-sigma", "dvcs-no-lam",
-            "qualify-20001-points"])
+            "qualify-20001-points", "bench-reg-fractional-checkpoint",
+            "dvcs-fractional-checkpoint", "qualify-fractional-epoch", "dvcs-negative-max-sets"])
     def test_bad_value_is_config_error_before_any_output(self, tmp_path, command, block):
         out = tmp_path / "o"
         cfg = write_cfg(tmp_path, {command: block})

@@ -144,6 +144,19 @@ class TestCircuitSpec:
         with pytest.raises(ValueError):
             qsim.CircuitSpec(13, [])
 
+    def test_feature_gates_must_form_an_embedding(self):
+        # a feature gate may follow a feature gate on its qubit and a param
+        # gate on another, but no CNOT and no param gate on its own qubit
+        spec = qsim.CircuitSpec(2, [[qsim.ry(1, param=0), qsim.rx(0, feature=0),
+                                     qsim.rz(0, feature=1)], [qsim.cnot(0, 1)]], [0])
+        assert spec.n_features == 2
+        for gates, named in (
+                ([qsim.cnot(0, 1), qsim.rx(1, feature=0)], "rx gate on qubit 1 reading feature 0"),
+                ([qsim.rx(0, feature=0), qsim.ry(0, param=0), qsim.rz(0, feature=2)],
+                 "rz gate on qubit 0 reading feature 2")):
+            with pytest.raises(ValueError, match=named):
+                qsim.CircuitSpec(2, [gates], [0])
+
     def test_counts(self):
         spec = qsim.CircuitSpec(
             2, [[qsim.rx(0, feature=3), qsim.ry(1, param=0)], [qsim.cnot(0, 1)]], [0]
@@ -247,8 +260,12 @@ class TestParameterShift:
 
 
 def random_mixed_circuit(rng, n_qubits, n_gates, n_features):
-    """Gates of every kind and angle source in random order; params 0..P-1."""
-    gates = []
+    """An embedding of 0-2 feature gates of random kinds on each qubit, then
+    n_gates param rotations of every kind and CNOTs in random order; params
+    0..P-1."""
+    gates = [qsim.Gate(str(rng.choice(qsim.ROTATION_KINDS)), q,
+                       feature=int(rng.integers(n_features)))
+             for q in range(n_qubits) for _ in range(int(rng.integers(3)))]
     p = 0
     for _ in range(n_gates):
         if n_qubits > 1 and rng.random() < 0.25:
@@ -256,12 +273,8 @@ def random_mixed_circuit(rng, n_qubits, n_gates, n_features):
             gates.append(qsim.cnot(int(a), int(b)))
             continue
         kind = str(rng.choice(qsim.ROTATION_KINDS))
-        q = int(rng.integers(n_qubits))
-        if rng.random() < 0.5:
-            gates.append(qsim.Gate(kind, q, feature=int(rng.integers(n_features))))
-        else:
-            gates.append(qsim.Gate(kind, q, param=p))
-            p += 1
+        gates.append(qsim.Gate(kind, int(rng.integers(n_qubits)), param=p))
+        p += 1
     n_obs = int(rng.integers(1, 4))
     observables = [int(rng.integers(n_qubits)) for _ in range(n_obs)]
     return qsim.CircuitSpec(n_qubits, [gates], observables)
@@ -315,8 +328,6 @@ def plan_tags(spec):
             if len(set(targets)) < len(targets):
                 where = "in the prefix" if i == 0 else "after a cnot"
                 tags.add(f"several gates on one qubit {where}")
-            if i > 0 and any(g.feature is not None for g in run):
-                tags.add("feature rotation after a cnot")
         elif len(run) >= 2:
             tags |= {("cnot run", "control above" if g.control < g.target else "control below")
                      for g in run}
@@ -327,15 +338,14 @@ def sweep_tags(spec):
     """Which branches of the adjoint sweep a circuit exercises, read from its gates."""
     tags = {("qubits", spec.n_qubits)}
     runs = gate_runs(spec)
+    embedded = [g.target for g in runs[0] if g.feature is not None]
+    if len(set(embedded)) < len(embedded):
+        tags.add("two feature gates on one qubit")
+    if {g.target for g in runs[0] if g.param is not None} - set(embedded):
+        tags.add("prefix qubit with no feature gate")
     trainable = [i for i in range(0, len(runs), 2) if any(g.param is not None for g in runs[i])]
     for i in trainable:
-        run = runs[i]
-        for q in {g.target for g in run}:
-            sources = ["param" if g.param is not None else "feature"
-                       for g in run if g.target == q]
-            if "param" in sources and "feature" in sources[sources.index("param") + 1:]:
-                tags.add("param gate before a feature gate on its qubit")
-        if len({g.target for g in run}) < spec.n_qubits:
+        if len({g.target for g in runs[i]}) < spec.n_qubits:
             tags.add("trainable block on some of the qubits")
     if trainable and trainable[-1] == len(runs) - 1 > 0:
         tags.add("trainable last block after a cnot")
@@ -356,16 +366,19 @@ class TestFusedPlan:
             batched = seed % 2 == 1
             X = rng.normal(size=(int(rng.integers(2, 5)) if batched else 1, n_feat))
             run, vals = qsim.run_circuit(spec, params, X)
+            # a span-path run keeps the span's column states
+            states = run.states if run.span is None else run.span.coeffs @ run.states
             for b, x in enumerate(X):
                 ref_state, ref_vals = sequential_run(spec, params, x)
-                assert np.max(np.abs(run.states[b] - ref_state)) <= 1e-12
+                assert np.max(np.abs(states[b] - ref_state)) <= 1e-12
                 assert np.max(np.abs(vals[b] - ref_vals)) <= 1e-12
-            seen |= plan_tags(spec) | {"batch" if batched else "batch of one"}
+            seen |= plan_tags(spec) | {"batch" if batched else "batch of one",
+                                       "row path" if run.span is None else "span path"}
         assert seen >= {
             "prefix with param and feature gates", "several gates on one qubit in the prefix",
-            "several gates on one qubit after a cnot", "feature rotation after a cnot",
+            "several gates on one qubit after a cnot",
             ("cnot run", "control above"), ("cnot run", "control below"), "no cnot",
-            ("qubits", 1), ("qubits", 12), "batch of one", "batch"}
+            ("qubits", 1), ("qubits", 12), "batch of one", "batch", "row path", "span path"}
 
 
 def embedded_circuit(rng, n_qubits, n_feat):
@@ -380,31 +393,31 @@ def embedded_circuit(rng, n_qubits, n_feat):
     return qsim.CircuitSpec(n_qubits, [embed] + list(body.layers), observables)
 
 
+def embedding_kets(spec, X):
+    """qubit -> (B, 2) kets of each row after the qubit's feature gates,
+    applied to |0> one gate at a time by the apply_gate oracle."""
+    kets = {}
+    for g in spec.gates():
+        if g.feature is not None:
+            gate = qsim.Gate(g.kind, 0, feature=g.feature)
+            start = kets.get(g.target, [zero_state(1)] * len(X))
+            kets[g.target] = np.array([apply_gate(k, gate, x[g.feature])
+                                       for k, x in zip(start, X)])
+    return kets
+
+
 def span_rule(spec, X):
     """(path, groups) that a batch takes, read from the gates and the batch.
 
-    The span path needs every feature gate in the first rotation run, each
-    before the param gates of its qubit.  Qubits whose feature gates have
-    the same kinds and read equal columns hold equal kets in every row and
-    form a group (a dict value); qubits whose columns are constant over the
-    batch form none.  The span path then needs r = prod(g + 1) column states
+    Qubits whose kets after the embedding are equal in every row form a
+    group (a dict value): the same feature columns under the same gate
+    kinds, or under gates that commute; qubits whose kets are constant over
+    the batch form none.  The span path needs r = prod(g + 1) column states
     with 4r <= B and r**2 <= 2**n; else the batch takes the row path."""
-    runs = gate_runs(spec)
-    if any(g.feature is not None for run in runs[2::2] for g in run):
-        return "feature rotation after a cnot", {}
-    trained, embeds = set(), {}
-    for g in runs[0]:
-        if g.param is not None:
-            trained.add(g.target)
-        elif g.target in trained:
-            return "param gate before a feature gate on its qubit", {}
-        else:
-            embeds.setdefault(g.target, []).append(g)
     groups = {}
-    for q, gates in embeds.items():
-        cols = X[:, [g.feature for g in gates]]
-        if np.any(cols != cols[0]):
-            groups.setdefault((tuple(g.kind for g in gates), cols.tobytes()), []).append(q)
+    for q, kets in embedding_kets(spec, X).items():
+        if np.any(kets != kets[0]):
+            groups.setdefault(kets.tobytes(), []).append(q)
     r = int(np.prod([len(g) + 1 for g in groups.values()]))
     if 4 * r > len(X):
         return "4r > B", groups
@@ -468,8 +481,7 @@ class TestReadout:
         assert seen >= {
             ("span groups", 0), ("span groups", 3), "a group of several qubits",
             ("span", "one observable"), ("span", "mean"), ("span", "random"),
-            "4r > B", "r**2 > 2**n", "param gate before a feature gate on its qubit",
-            "batch of one", "feature rotation after a cnot",
+            "4r > B", "r**2 > 2**n", "batch of one",
             "constant and varying feature on one qubit", "no feature gate", ("qubits", 8)}
 
 
@@ -540,15 +552,6 @@ class TestSpanPath:
         oracle = shift_rule_grad(spec, params, X, cots[0])
         assert np.max(np.abs(qsim.vjp(run, cots[0]) - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
-    def test_param_gate_before_a_feature_gate_takes_the_row_path(self):
-        ring = [qsim.cnot(q, (q + 1) % 8) for q in range(8)]
-        embed = [qsim.rx(q, feature=q) for q in range(8)]
-        X = np.repeat(np.random.default_rng(2).normal(size=(100, 1)), 8, axis=1)
-        spec = qsim.CircuitSpec(8, [embed + [qsim.ry(0, param=0)], ring], range(8))
-        assert qsim._span(spec, X).radices == (9,)
-        spec = qsim.CircuitSpec(8, [[qsim.ry(0, param=0)] + embed, ring], range(8))
-        assert spec._plan.span_blocks is None and qsim._span(spec, X) is None
-
     def test_equal_columns_under_different_gates_are_not_grouped(self):
         # RX(x) and RY(x) make different kets: one column under two kinds is two groups
         rng = np.random.default_rng(3)
@@ -602,10 +605,9 @@ class TestAdjointGradient:
         kinds = [(k, src) for k in qsim.ROTATION_KINDS for src in ("feature", "param")]
         assert seen_gates >= set(kinds) | {("cnot", "control above"), ("cnot", "control below")}
         assert seen_obs_counts == {1, 2}
-        # a per-row generator must meet a batch of several rows, or summing
-        # its overlaps over the batch first would go unnoticed
         assert seen_sweep >= {
-            ("param gate before a feature gate on its qubit", "batch"),
+            ("two feature gates on one qubit", "batch"),
+            ("prefix qubit with no feature gate", "batch"),
             ("trainable last block after a cnot", "batch"),
             ("cnot run between trainable blocks", "batch"),
             ("trainable block on some of the qubits", "batch"),
